@@ -15,8 +15,8 @@ from . import downstream as ds
 from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, train_sequence_embeddings
-from .graph import (Interner, apply_k_anonymity, build_transition_model,
-                    load_clickstream, load_edge_list)
+from .graph import (Interner, _parse, _rows, apply_k_anonymity,
+                    build_transition_model, load_clickstream, load_edge_list)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
                        load_pageview_events, save_corpus)
 from .stats import rng_stream
@@ -153,6 +153,9 @@ def cmd_eval_next(args):
     interner = Interner()
     graph = load_edge_list(args.graph, interner)
     reference = load_corpus(args.reference, interner)
+    if len(interner) > graph.num_nodes:
+        raise ValueError("%s: article '%s' is not in the graph"
+                         % (args.reference, interner.name(graph.num_nodes)))
     triples = ds.corpus_triples(reference)
     split = ds.make_split(len(triples), seed=args.seed)
     test = [triples[i] for i in split.test]
@@ -214,15 +217,9 @@ def cmd_train_emb(args):
 
 
 def _load_pairs(path, interner):
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            a, b, score = line.split("\t")
-            pairs.append((interner.intern(a), interner.intern(b), float(score)))
-    return pairs
+    return [(interner.intern(a), interner.intern(b),
+             _parse(float, score, path, line_no, "score"))
+            for line_no, (a, b, score) in _rows(path, 3)]
 
 
 def cmd_eval_related(args):
@@ -242,13 +239,9 @@ def cmd_eval_topic(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
     labels: dict[int, set[int]] = {}
-    with open(args.labels, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            name, ids = line.split("\t")
-            labels[interner.intern(name)] = {int(x) for x in ids.split(",")}
+    for line_no, (name, ids) in _rows(args.labels, 2):
+        labels[interner.intern(name)] = {_parse(int, x, args.labels, line_no, "topic")
+                                         for x in ids.split(",")}
     split = ds.make_split(len(labels), seed=args.seed)
     result = ds.topic_classification(emb, labels, split, num_topics=args.num_topics)
     _write_rows_csv(_out(args, "topic_classification.csv"),
@@ -348,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallelism cap; all stages currently run serially"
-                             " and are deterministic regardless of this value")
     common.add_argument("--config", default=None,
                         help="flat key=value file; explicit flags win")
     common.add_argument("--out-dir", default=".")

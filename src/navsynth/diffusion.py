@@ -27,6 +27,8 @@ class EmbeddingTable:
             raise ValueError("vector dimension %d, expected %d" % (len(vector), self.dim))
         if not np.any(vector):
             raise ValueError("all-zero vector for article %d" % article)
+        if article in self._rows:
+            raise ValueError("duplicate article %d" % article)
         self._rows[article] = len(self._vectors)
         self._vectors.append(vector)
 
@@ -68,7 +70,10 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
             if len(parts) != dim + 1:
                 raise ParseError(path, line_no,
                                  "expected %d values, got %d" % (dim, len(parts) - 1))
-            table.add(interner.intern(parts[0]), np.array(parts[1:], dtype=float))
+            article = interner.intern(parts[0])
+            if article in table:
+                raise ParseError(path, line_no, "duplicate article %r" % parts[0])
+            table.add(article, np.array(parts[1:], dtype=float))
     if len(table) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(table)))
     return table

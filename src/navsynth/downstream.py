@@ -8,7 +8,7 @@ import numpy as np
 
 from .diffusion import EmbeddingTable
 from .graph import HyperlinkGraph
-from .sessions import SequenceCorpus
+from .sessions import SequenceCorpus, corpus_triples  # noqa: F401 (re-exported)
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
@@ -81,14 +81,6 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
         raise ValueError("empty test set after filtering")
     rrs = np.array(rrs)
     return MrrResult(float(rrs.mean()), rrs, len(rrs))
-
-
-def corpus_triples(corpus: SequenceCorpus) -> list[tuple[int, int, int]]:
-    out = []
-    for seq in corpus.sequences:
-        for i in range(len(seq) - 2):
-            out.append((seq[i], seq[i + 1], seq[i + 2]))
-    return out
 
 
 # ---------------------------------------------------------------- link prediction

@@ -24,6 +24,27 @@ def open_text(path, mode="rt"):
     return open(path, mode, encoding="utf-8")
 
 
+def _rows(path, ncols):
+    """Yield (line_no, fields) for each non-blank line of a TSV file of `ncols` columns."""
+    with open_text(path) as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != ncols:
+                raise ParseError(path, line_no, "expected %d columns" % ncols)
+            yield line_no, parts
+
+
+def _parse(convert, text, path, line_no, what):
+    """`convert(text)`; a ValueError becomes a ParseError citing the line."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(path, line_no, "invalid %s %r" % (what, text)) from None
+
+
 class Interner:
     """Bijective article-name <-> dense-id table. Ids are contiguous from 0."""
 
@@ -59,14 +80,9 @@ class Interner:
     @classmethod
     def read_tsv(cls, path) -> "Interner":
         interner = cls()
-        with open_text(path) as f:
-            for line_no, line in enumerate(f, 1):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, "expected 2 columns")
-                got = interner.intern(parts[1])
-                if got != int(parts[0]):
-                    raise ParseError(path, line_no, "non-contiguous interning ids")
+        for line_no, (article_id, name) in _rows(path, 2):
+            if interner.intern(name) != _parse(int, article_id, path, line_no, "id"):
+                raise ParseError(path, line_no, "non-contiguous interning ids")
         return interner
 
 
@@ -124,23 +140,18 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     edges = set()
     self_loops = 0
     duplicates = 0
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError(path, line_no, "expected 'source<TAB>target'")
-            s = interner.intern(parts[0])
-            t = interner.intern(parts[1])
-            if s == t:
-                self_loops += 1
-                continue
-            if (s, t) in edges:
-                duplicates += 1
-                continue
-            edges.add((s, t))
+    for line_no, (source, target) in _rows(path, 2):
+        if not source or not target:
+            raise ParseError(path, line_no, "empty article name")
+        s = interner.intern(source)
+        t = interner.intern(target)
+        if s == t:
+            self_loops += 1
+            continue
+        if (s, t) in edges:
+            duplicates += 1
+            continue
+        edges.add((s, t))
     return build_graph(edges, interner, self_loops, duplicates)
 
 
@@ -155,18 +166,6 @@ class ClickstreamTable:
     @property
     def total_clicks(self) -> int:
         return sum(self.entries.values())
-
-    def source_totals(self) -> dict[int, int]:
-        totals: dict[int, int] = {}
-        for (s, _), c in self.entries.items():
-            totals[s] = totals.get(s, 0) + c
-        return totals
-
-    def target_totals(self) -> dict[int, int]:
-        totals: dict[int, int] = {}
-        for (_, t), c in self.entries.items():
-            totals[t] = totals.get(t, 0) + c
-        return totals
 
     def write_tsv(self, path, link_type: str = "link"):
         with open_text(path, "wt") as f:
@@ -186,26 +185,15 @@ def load_clickstream(path, link_type_filter=frozenset({"link"}),
         interner = Interner()
     entries: dict[tuple[int, int], int] = {}
     skipped = 0
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, "expected 4 columns")
-            prev, curr, row_type, count_str = parts
-            if row_type not in link_type_filter:
-                skipped += 1
-                continue
-            try:
-                count = int(count_str)
-            except ValueError:
-                raise ParseError(path, line_no, "non-integer count %r" % count_str) from None
-            if count < 1:
-                raise ParseError(path, line_no, "non-positive count %d" % count)
-            key = (interner.intern(prev), interner.intern(curr))
-            entries[key] = entries.get(key, 0) + count
+    for line_no, (prev, curr, row_type, count_str) in _rows(path, 4):
+        if row_type not in link_type_filter:
+            skipped += 1
+            continue
+        count = _parse(int, count_str, path, line_no, "count")
+        if count < 1:
+            raise ParseError(path, line_no, "non-positive count %d" % count)
+        key = (interner.intern(prev), interner.intern(curr))
+        entries[key] = entries.get(key, 0) + count
     return ClickstreamTable(interner, entries, skipped)
 
 

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .sessions import SequenceCorpus
-from .stats import rng_stream, spearman
+from .sessions import SequenceCorpus, corpus_triples
+from .stats import spearman
 
-EXACT_EMI_TOTAL_LIMIT = 5000  # above this, Monte-Carlo EMI (seeded) replaces the exact sum
-MC_EMI_DRAWS = 10_000
 LOG2 = np.log(2.0)
 
 
@@ -48,16 +46,9 @@ class AmiRecord:
     entropy_target: float
 
 
-def extract_triples(corpus: SequenceCorpus):
-    """Yield every window of 3 consecutive pages as (source, middle, target)."""
-    for seq in corpus.sequences:
-        for i in range(len(seq) - 2):
-            yield seq[i], seq[i + 1], seq[i + 2]
-
-
 def collect_flow_tables(corpus: SequenceCorpus) -> dict[int, JointFlowTable]:
     tables: dict[int, JointFlowTable] = {}
-    for s, m, t in extract_triples(corpus):
+    for s, m, t in corpus_triples(corpus):
         tab = tables.get(m)
         if tab is None:
             tab = tables[m] = JointFlowTable(m, {})
@@ -90,16 +81,8 @@ def _mi_bits(m: np.ndarray) -> float:
     return float((p[nz] * np.log2(ratio[nz])).sum())
 
 
-def expected_mi(row_sums, col_sums, total: int,
-                rng: np.random.Generator | None = None,
-                exact_total_limit: int = EXACT_EMI_TOTAL_LIMIT,
-                mc_draws: int = MC_EMI_DRAWS) -> float:
-    """Expected MI (bits) under the fixed-marginal permutation null.
-
-    Exact hypergeometric summation up to `exact_total_limit` total counts;
-    beyond that a seeded Monte-Carlo permutation estimate (the bias at that
-    size is negligible relative to AMI resolution).
-    """
+def expected_mi(row_sums, col_sums, total: int) -> float:
+    """Expected MI (bits) under the fixed-marginal permutation null, summed exactly."""
     a = np.asarray(row_sums, dtype=np.int64)
     b = np.asarray(col_sums, dtype=np.int64)
     n = int(total)
@@ -107,47 +90,39 @@ def expected_mi(row_sums, col_sums, total: int,
         raise ValueError("marginals inconsistent with total")
     if len(a) <= 1 and len(b) <= 1:
         return 0.0
-    if n <= exact_total_limit:
-        return _expected_mi_exact(a, b, n)
-    if rng is None:
-        rng = rng_stream(0)
-    return _expected_mi_mc(a, b, n, rng, mc_draws)
+    return _expected_mi_exact(a, b, n)
 
 
 def _expected_mi_exact(a: np.ndarray, b: np.ndarray, n: int) -> float:
     # E[MI] = sum_{i,j} sum_{nij} (nij/n) log2(n*nij/(ai*bj)) * P_hypergeom(nij)
+    # (Vinh, Epps & Bailey, JMLR 2010). A cell depends only on (ai, bj), so the
+    # sum runs over distinct marginal values weighted by their multiplicities.
+    # Zero marginals have empty support and are dropped.
     lg = gammaln
-    emi = 0.0
     log_n = np.log(n)
-    for ai in a:
-        for bj in b:
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue
-            nij = np.arange(lo, hi + 1)
-            log_pmf = (lg(ai + 1) + lg(bj + 1) + lg(n - ai + 1) + lg(n - bj + 1)
-                       - lg(n + 1) - lg(nij + 1) - lg(ai - nij + 1)
-                       - lg(bj - nij + 1) - lg(n - ai - bj + nij + 1))
-            term = (nij / n) * (np.log(nij) + log_n - np.log(ai) - np.log(bj)) / LOG2
-            emi += float((term * np.exp(log_pmf)).sum())
+    a_vals, a_mult = np.unique(a[a > 0], return_counts=True)
+    b_vals, b_mult = np.unique(b[b > 0], return_counts=True)
+    b_col = b_vals[:, None]
+    lg_b = (lg(b_vals + 1) + lg(n - b_vals + 1))[:, None]
+    emi = 0.0
+    for ai, wa in zip(a_vals, a_mult):
+        # one row per distinct bj: the support lo..hi, padded to the widest
+        lo = np.maximum(1, ai + b_vals - n)
+        hi = np.minimum(ai, b_vals)
+        offsets = np.arange(int((hi - lo).max()) + 1)
+        nij = lo[:, None] + offsets
+        inside = nij <= hi[:, None]
+        nij = np.minimum(nij, hi[:, None])
+        log_pmf = (lg(ai + 1) + lg(n - ai + 1) - lg(n + 1) + lg_b
+                   - lg(nij + 1) - lg(ai - nij + 1)
+                   - lg(b_col - nij + 1) - lg(n - ai - b_col + nij + 1))
+        term = (nij / n) * (np.log(nij) + log_n - np.log(ai) - np.log(b_col)) / LOG2
+        cell = np.where(inside, term * np.exp(log_pmf), 0.0).sum(axis=1)
+        emi += float(wa * (cell @ b_mult))
     return emi
 
 
-def _expected_mi_mc(a, b, n, rng, draws) -> float:
-    s_labels = np.repeat(np.arange(len(a)), a)
-    t_labels = np.repeat(np.arange(len(b)), b)
-    rows, cols = len(a), len(b)
-    acc = 0.0
-    for _ in range(draws):
-        perm = rng.permutation(t_labels)
-        m = np.bincount(s_labels * cols + perm, minlength=rows * cols)
-        acc += _mi_bits(m.reshape(rows, cols))
-    return acc / draws
-
-
-def adjusted_mi(table: JointFlowTable,
-                rng: np.random.Generator | None = None) -> AmiRecord:
+def adjusted_mi(table: JointFlowTable) -> AmiRecord:
     """AMI with the max-entropy normalizer.
 
     AMI = (MI - EMI) / (max(H(S), H(T)) - EMI); defined as 0 when both
@@ -160,7 +135,7 @@ def adjusted_mi(table: JointFlowTable,
     mi = _mi_bits(m)
     hs = entropy_bits(a)
     ht = entropy_bits(b)
-    emi = expected_mi(a, b, n, rng=rng)
+    emi = expected_mi(a, b, n)
     denom = max(hs, ht) - emi
     ami = (mi - emi) / denom if abs(denom) > 1e-15 else 0.0
     return AmiRecord(table.middle, n, mi, float(ami), hs, ht)
@@ -184,7 +159,7 @@ def ami_survey(corpus: SequenceCorpus, min_triples: int = 100) -> SurveyResult:
         tab = tables[m]
         if tab.total < min_triples:
             continue
-        records.append(adjusted_mi(tab, rng=rng_stream(0, m)))
+        records.append(adjusted_mi(tab))
     rho = None
     if len(records) >= 3:
         counts = [r.num_triples for r in records]

@@ -7,17 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Interner, ParseError, open_text
+from .graph import Interner, _parse, _rows, open_text
 
 DEFAULT_INACTIVITY_MS = 60 * 60 * 1000  # new tree if the parent is older than this
-
-DATASET_KINDS = (
-    "Logs",
-    "Clickstream-Priv",
-    "Clickstream-Pub",
-    "Clickstream-Pub(I)",
-    "Graph",
-)
 
 
 def reader_key(ip: str, user_agent: str) -> bytes:
@@ -104,13 +96,8 @@ def build_trees(events: list[PageviewEvent],
 
 
 def build_forest(events: list[PageviewEvent],
-                 inactivity_ms: int = DEFAULT_INACTIVITY_MS,
-                 ua_denylist: tuple[str, ...] = ()) -> list[NavigationTree]:
-    """Group events by reader key, sort by timestamp, and build all trees.
-
-    `ua_denylist` is unused here (events carry digests, not agent strings);
-    bot filtering happens upstream where user agents are still visible.
-    """
+                 inactivity_ms: int = DEFAULT_INACTIVITY_MS) -> list[NavigationTree]:
+    """Group events by reader key, sort by timestamp, and build all trees."""
     by_reader: dict[bytes, list[PageviewEvent]] = {}
     for ev in events:
         by_reader.setdefault(ev.reader, []).append(ev)
@@ -146,6 +133,15 @@ class SequenceCorpus:
 
     def __len__(self):
         return len(self.sequences)
+
+
+def corpus_triples(corpus: SequenceCorpus) -> list[tuple[int, int, int]]:
+    """Every window of 3 consecutive pages as (source, middle, target)."""
+    out = []
+    for seq in corpus.sequences:
+        for i in range(len(seq) - 2):
+            out.append((seq[i], seq[i + 1], seq[i + 2]))
+    return out
 
 
 def corpus_from_trees(trees: list[NavigationTree],
@@ -185,20 +181,9 @@ def load_corpus(path, interner: Interner) -> SequenceCorpus:
 def load_pageview_events(path, interner: Interner) -> list[PageviewEvent]:
     """Read "reader_key_hex<TAB>timestamp_ms<TAB>article<TAB>referrer_or_dash" rows."""
     events = []
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, "expected 4 columns")
-            key_hex, ts, article, referrer = parts
-            try:
-                key = bytes.fromhex(key_hex)
-                ts_ms = int(ts)
-            except ValueError as e:
-                raise ParseError(path, line_no, str(e)) from None
-            ref = None if referrer == "-" else interner.intern(referrer)
-            events.append(PageviewEvent(key, ts_ms, interner.intern(article), ref))
+    for line_no, (key_hex, ts, article, referrer) in _rows(path, 4):
+        key = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
+        ts_ms = _parse(int, ts, path, line_no, "timestamp")
+        ref = None if referrer == "-" else interner.intern(referrer)
+        events.append(PageviewEvent(key, ts_ms, interner.intern(article), ref))
     return events

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from navsynth.cli import main
+from navsynth.cli import _load_pairs, main
+from navsynth.graph import (Interner, ParseError, load_clickstream,
+                            load_edge_list)
+from navsynth.sessions import load_pageview_events
 
 
 def write(path, text):
@@ -109,6 +112,21 @@ class TestAnalysisCommands:
         assert "article,num_triples,mi_bits,ami" in survey
         assert (out / "ami_cdf.csv").exists()
 
+    def test_mixing_rows_independent_of_seed(self, tmp_path):
+        # one table over 5000 triples: a bijection of sources onto targets
+        corpus = write(tmp_path / "c.tsv",
+                       "#kind=Logs\n" + "A\tB\tC\n" * 3000 + "D\tB\tE\n" * 2500)
+        bodies = []
+        for seed in (1, 2):
+            out = tmp_path / ("out%d" % seed)
+            assert main(["mixing", "--corpus", corpus, "--seed", str(seed),
+                         "--out-dir", str(out)]) == 0
+            # everything below the provenance header (version, seed, config hash)
+            bodies.append([(out / name).read_text().split("\n", 1)[1]
+                           for name in ("ami_survey.csv", "ami_cdf.csv")])
+        assert bodies[0] == bodies[1]
+        assert bodies[0][0].splitlines()[1] == "B,5500,0.9940302115,1"
+
     def test_diffusion_runs(self, tmp_path):
         corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\nB\tC\tA\n")
         emb = write(tmp_path / "emb.txt",
@@ -161,6 +179,59 @@ class TestPipeline:
         results = self.run_pipeline(tmp_path)
         for name, blob in first.items():
             assert (results / name).read_bytes() == blob
+
+
+# case -> (file text with a malformed line 2, direct reader or None,
+#          CLI argv over the files {input, graph, emb, out} or None)
+MALFORMED_ROWS = {
+    "edges": ("A\tB\nA\n", load_edge_list,
+              lambda f: ["ingest", "--graph", f["input"], "--out-dir", f["out"]]),
+    "clickstream": ("A\tB\tlink\t20\nA\tB\tlink\tmany\n", load_clickstream,
+                    lambda f: ["ingest", "--graph", f["graph"], "--clickstream", f["input"],
+                               "--out-dir", f["out"]]),
+    "events": ("00ff\t100\tA\t-\n00ff\tlater\tB\tA\n",
+               lambda p: load_pageview_events(p, Interner()),
+               lambda f: ["build-sessions", "--events", f["input"],
+                          "--out", f["out"] + "/sessions.tsv"]),
+    "interning": ("0\tA\n1\tB\textra\n", Interner.read_tsv, None),
+    "pairs-columns": ("A\tB\t0.5\nA\n", lambda p: _load_pairs(p, Interner()),
+                      lambda f: ["eval-related", "--embeddings", f["emb"],
+                                 "--pairs", f["input"], "--out-dir", f["out"]]),
+    "pairs-score": ("A\tB\t0.5\nA\tB\thigh\n", lambda p: _load_pairs(p, Interner()),
+                    lambda f: ["eval-related", "--embeddings", f["emb"],
+                               "--pairs", f["input"], "--out-dir", f["out"]]),
+    "labels-columns": ("A\t1\nB\n", None,
+                       lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                  "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-topic": ("A\t1\nB\t1,x\n", None,
+                     lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                "--labels", f["input"], "--out-dir", f["out"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_row_cites_path_and_line(tmp_path, capsys, case):
+    text, reader, argv = MALFORMED_ROWS[case]
+    path = write(tmp_path / "input.tsv", text)
+    if reader is not None:
+        with pytest.raises(ParseError, match=":2: "):
+            reader(path)
+    if argv is not None:
+        files = {"input": path, "out": str(tmp_path / "out"),
+                 "graph": write(tmp_path / "graph.tsv", "A\tB\n"),
+                 "emb": write(tmp_path / "emb.txt", "2 2\nA 1.0 0.0\nB 0.0 1.0\n")}
+        assert main(argv(files)) == 1
+        assert "error: %s:2: " % path in capsys.readouterr().err
+
+
+def test_eval_next_rejects_reference_article_outside_graph(tmp_path, chain_graph, capsys):
+    lines = ["#kind=Logs"] + ["A\tB\tC"] * 39 + ["A\tD\tB"]
+    ref = write(tmp_path / "ref.tsv", "\n".join(lines) + "\n")
+    rc = main(["eval-next", "--graph", chain_graph, "--reference", ref,
+               "--train", "Logs=%s" % ref, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: %s: article 'D' is not in the graph\n" % ref)
 
 
 class TestReport:

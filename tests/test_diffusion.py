@@ -44,6 +44,17 @@ class TestEmbeddingIO:
         for a in table.articles:
             assert np.allclose(loaded.vector(a), table.vector(a), atol=1e-6)
 
+    def test_duplicate_article_rejected(self, tmp_path):
+        table = EmbeddingTable(2)
+        table.add(0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="duplicate article 0"):
+            table.add(0, np.array([0.0, 1.0]))
+        assert len(table) == 1
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nA 1 0\nA 0 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: duplicate article 'A'"):
+            load_embeddings(str(path), Interner())
+
     def test_zero_vector_rejected(self):
         table = EmbeddingTable(3)
         with pytest.raises(ValueError, match="all-zero"):

@@ -5,8 +5,8 @@ import pytest
 
 from navsynth.mixing import (JointFlowTable, adjusted_mi, ami_survey,
                              collect_flow_tables, entropy_bits, expected_mi,
-                             extract_triples, mutual_information)
-from navsynth.sessions import SequenceCorpus
+                             mutual_information)
+from navsynth.sessions import SequenceCorpus, corpus_triples
 from navsynth.stats import rng_stream
 
 
@@ -71,11 +71,11 @@ def oracle_ami(m):
 class TestExtractTriples:
     def test_sliding_window(self):
         corpus = SequenceCorpus([[0, 1, 2, 3]], "Logs")
-        assert list(extract_triples(corpus)) == [(0, 1, 2), (1, 2, 3)]
+        assert corpus_triples(corpus) == [(0, 1, 2), (1, 2, 3)]
 
     def test_short_sequence(self):
         corpus = SequenceCorpus([[0, 1]], "Logs")
-        assert list(extract_triples(corpus)) == []
+        assert corpus_triples(corpus) == []
 
     def test_count_arithmetic(self):
         rng = rng_stream(31)
@@ -83,7 +83,7 @@ class TestExtractTriples:
                 for _ in range(40)]
         corpus = SequenceCorpus(seqs, "Logs")
         expected = sum(max(0, len(s) - 2) for s in seqs)
-        assert len(list(extract_triples(corpus))) == expected
+        assert len(corpus_triples(corpus)) == expected
 
 
 class TestMutualInformation:
@@ -149,12 +149,25 @@ class TestExpectedMi:
             assert emi <= min(oracle_entropy_bits(rows.tolist()),
                               oracle_entropy_bits(cols.tolist())) + 1e-12
 
-    def test_mc_fallback_close_to_exact(self):
-        rows, cols, n = [30, 30], [40, 20], 60
-        exact = expected_mi(rows, cols, n)
-        mc = expected_mi(rows, cols, n, rng=rng_stream(36), exact_total_limit=10,
-                         mc_draws=20_000)
-        assert mc == pytest.approx(exact, abs=0.01)
+    def test_large_total_matches_oracle(self):
+        # n > 5000 with hub-like skew: one dominant source and target
+        rows, cols = [5400, 300, 200, 100], [5500, 350, 100, 50]
+        n = sum(rows)
+        assert expected_mi(rows, cols, n) == pytest.approx(
+            oracle_emi_bits(rows, cols, n), abs=1e-9)
+
+    def test_repeated_marginals_match_oracle(self):
+        rng = rng_stream(36)
+        for _ in range(20):
+            # marginals drawn from a few small values, so most of them repeat
+            rows = [int(x) for x in rng.choice([1, 2, 3, 7], size=int(rng.integers(2, 12)))]
+            n = sum(rows)
+            cols = []
+            while sum(cols) < n:
+                cols.append(int(rng.choice([1, 2, 3, 7])))
+            cols[-1] -= sum(cols) - n
+            assert expected_mi(rows, cols, n) == pytest.approx(
+                oracle_emi_bits(rows, cols, n), abs=1e-9)
 
 
 class TestAdjustedMi:
