@@ -15,8 +15,8 @@ from . import downstream as ds
 from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, train_sequence_embeddings
-from .graph import (Interner, _parse, _rows, apply_k_anonymity,
-                    build_transition_model, load_clickstream, load_edge_list)
+from .graph import (Interner, ParseError, _parse, _rows, apply_k_anonymity,
+                    build_transition_model, load_clickstream, load_edge_list, write_csv)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
                        load_pageview_events, save_corpus)
 from .stats import rng_stream
@@ -36,14 +36,6 @@ def _header(args) -> str:
     return "navsynth %s seed=%s config=%s" % (__version__, getattr(args, "seed", 0), digest)
 
 
-def _write_rows_csv(path, columns, rows, header_comment):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("# %s\n" % header_comment)
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(str(x) for x in row) + "\n")
-
-
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -59,15 +51,13 @@ def cmd_ingest(args):
         table = load_clickstream(args.clickstream, interner=interner)
         print("clickstream: %d entries, %d total clicks, %d rows skipped"
               % (len(table.entries), table.total_clicks, table.skipped_rows))
-        pairs = sorted(table.entries.items())
-        np.savez(_out(args, "clickstream_cache.npz"),
-                 sources=np.array([s for (s, _), _ in pairs], dtype=np.int64),
-                 targets=np.array([t for (_, t), _ in pairs], dtype=np.int64),
-                 counts=np.array([c for _, c in pairs], dtype=np.int64))
+        sources, targets, counts = table.arrays()
+        order = np.lexsort((targets, sources))
+        np.savez(_out(args, "clickstream_cache.npz"), sources=sources[order],
+                 targets=targets[order], counts=counts[order])
     interner.write_tsv(_out(args, "interning.tsv"))
-    edges = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
-    np.savez(_out(args, "graph_cache.npz"),
-             sources=edges[:, 0], targets=edges[:, 1],
+    sources, targets = graph.edge_arrays()
+    np.savez(_out(args, "graph_cache.npz"), sources=sources, targets=targets,
              num_nodes=np.int64(graph.num_nodes))
     return 0
 
@@ -180,8 +170,8 @@ def cmd_eval_next(args):
         filt = ds.evaluate_mrr(model, graph, test, "filtered", models)
         rows.append((name, "mrr_all", "%.6f" % all_q.mrr))
         rows.append((name, "mrr_filtered", "%.6f" % filt.mrr))
-    _write_rows_csv(_out(args, "next_article.csv"), ["dataset", "metric", "value"],
-                    rows, _header(args))
+    write_csv(_out(args, "next_article.csv"), ["dataset", "metric", "value"],
+              rows, _header(args))
     return 0
 
 
@@ -200,8 +190,8 @@ def cmd_eval_link(args):
         ranked, _ = ds.rank_links(corpus, sorted(labels.positives | labels.negatives))
         for r in ds.precision_at_k(ranked, labels, ks):
             rows.append((name, "precision_at_%d" % r.k, "%.6f" % r.precision))
-    _write_rows_csv(_out(args, "link_prediction.csv"), ["dataset", "metric", "value"],
-                    rows, _header(args))
+    write_csv(_out(args, "link_prediction.csv"), ["dataset", "metric", "value"],
+              rows, _header(args))
     return 0
 
 
@@ -227,11 +217,11 @@ def cmd_eval_related(args):
     emb = diff.load_embeddings(args.embeddings, interner)
     pairs = _load_pairs(args.pairs, interner)
     result = ds.relatedness_eval(emb, pairs)
-    _write_rows_csv(_out(args, "relatedness.csv"), ["dataset", "metric", "value"],
-                    [(args.name, "spearman_rho", "%.6f" % result.rho),
-                     (args.name, "pairs_used", result.num_pairs),
-                     (args.name, "pairs_dropped", result.num_dropped)],
-                    _header(args))
+    write_csv(_out(args, "relatedness.csv"), ["dataset", "metric", "value"],
+              [(args.name, "spearman_rho", "%.6f" % result.rho),
+               (args.name, "pairs_used", "%d" % result.num_pairs),
+               (args.name, "pairs_dropped", "%d" % result.num_dropped)],
+              _header(args))
     return 0
 
 
@@ -244,11 +234,10 @@ def cmd_eval_topic(args):
                                          for x in ids.split(",")}
     split = ds.make_split(len(labels), seed=args.seed)
     result = ds.topic_classification(emb, labels, split, num_topics=args.num_topics)
-    _write_rows_csv(_out(args, "topic_classification.csv"),
-                    ["dataset", "metric", "value"],
-                    [(args.name, "micro_f1", "%.6f" % result.micro_f1),
-                     (args.name, "macro_f1", "%.6f" % result.macro_f1)],
-                    _header(args))
+    write_csv(_out(args, "topic_classification.csv"), ["dataset", "metric", "value"],
+              [(args.name, "micro_f1", "%.6f" % result.micro_f1),
+               (args.name, "macro_f1", "%.6f" % result.macro_f1)],
+              _header(args))
     return 0
 
 
@@ -258,9 +247,10 @@ def cmd_planted_world(args):
                                   corpus_size=args.corpus_size, seed=args.seed)
     world = synth.generate_planted_world(spec)
     interner = world.graph.interner
+    sources, targets = world.graph.edge_arrays()
     with open(_out(args, "graph.tsv"), "w", encoding="utf-8", newline="\n") as f:
-        for s, t in world.graph.edges():
-            f.write("%s\t%s\n" % (interner.name(s), interner.name(t)))
+        f.writelines("%s\t%s\n" % (interner.name(s), interner.name(t))
+                     for s, t in zip(sources.tolist(), targets.tolist()))
     world.clickstream.write_tsv(_out(args, "clickstream.tsv"))
     save_corpus(world.corpus, _out(args, "corpus.tsv"), interner)
     print("planted world: %d nodes, %d sequences, memory=%.2f"
@@ -277,19 +267,20 @@ def cmd_report(args):
     order: list[tuple[str, str]] = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for line_no, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#") or line.startswith("dataset,"):
                     continue
-                dataset, metric, value = line.split(",")
-                key = (dataset, metric)
-                values[key] = float(value)
+                fields = line.split(",")
+                if len(fields) != 3:
+                    raise ParseError(path, line_no, "expected 3 columns")
+                key = (fields[0], fields[1])
+                values[key] = _parse(float, fields[2], path, line_no, "value")
                 order.append(key)
     rows = []
     for dataset, metric in order:
         rows.append((dataset, metric, "%.6f" % values[(dataset, metric)]))
-    _write_rows_csv(_out(args, "report.csv"), ["dataset", "metric", "value"],
-                    rows, _header(args))
+    write_csv(_out(args, "report.csv"), ["dataset", "metric", "value"], rows, _header(args))
 
     rel_rows = []
     for dataset, metric in order:
@@ -300,22 +291,22 @@ def cmd_report(args):
             continue
         rel = ds.relative_difference(base, values[(dataset, metric)])
         rel_rows.append((dataset, metric, "%.4f" % rel))
-    _write_rows_csv(_out(args, "relative_difference.csv"),
-                    ["dataset", "metric", "relative_difference_pct"],
-                    rel_rows, _header(args))
+    write_csv(_out(args, "relative_difference.csv"),
+              ["dataset", "metric", "relative_difference_pct"], rel_rows, _header(args))
     return 0
 
 
 def _apply_config_file(parser_args, argv):
     """Fill args from a flat key=value config file; explicit flags win."""
-    if not parser_args.config:
+    path = parser_args.config
+    if not path:
         return parser_args
     explicit = set()
     for token in argv:
         if token.startswith("--"):
             explicit.add(token.split("=")[0][2:].replace("-", "_"))
-    with open(parser_args.config, encoding="utf-8") as f:
-        for line in f:
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -327,10 +318,8 @@ def _apply_config_file(parser_args, argv):
             current = getattr(parser_args, key)
             if isinstance(current, bool):
                 value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
+            elif isinstance(current, (int, float)):
+                value = _parse(type(current), value, path, line_no, key)
             setattr(parser_args, key, value)
     return parser_args
 
@@ -436,8 +425,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config_file(args, argv)
     try:
+        args = _apply_config_file(args, argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Interner, ParseError, open_text
+from .graph import Interner, ParseError, _parse, open_text, write_csv
 from .sessions import SequenceCorpus
 from .stats import BootstrapResult, bootstrap_mean_ci
 
@@ -45,9 +45,6 @@ class EmbeddingTable:
     def articles(self) -> list[int]:
         return list(self._rows)
 
-    def matrix(self) -> np.ndarray:
-        return np.vstack(self._vectors)
-
     def scale(self, factor: float) -> "EmbeddingTable":
         out = EmbeddingTable(self.dim)
         for a in self._rows:
@@ -61,7 +58,8 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
         header = f.readline().split()
         if len(header) != 2:
             raise ParseError(path, 1, "expected 'N dim' header")
-        n, dim = int(header[0]), int(header[1])
+        n = _parse(int, header[0], path, 1, "row count")
+        dim = _parse(int, header[1], path, 1, "dimension")
         table = EmbeddingTable(dim)
         for line_no, line in enumerate(f, 2):
             parts = line.split()
@@ -73,7 +71,11 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
             article = interner.intern(parts[0])
             if article in table:
                 raise ParseError(path, line_no, "duplicate article %r" % parts[0])
-            table.add(article, np.array(parts[1:], dtype=float))
+            try:
+                vector = np.array(parts[1:], dtype=float)
+            except ValueError as e:
+                raise ParseError(path, line_no, str(e)) from None
+            table.add(article, vector)
     if len(table) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(table)))
     return table
@@ -116,7 +118,6 @@ def _distances_at_k(corpus: SequenceCorpus, emb: EmbeddingTable, k: int) -> np.n
 
 
 def diffusion_curve(corpus: SequenceCorpus, emb: EmbeddingTable, k_max: int,
-                    bootstrap_resamples: int = 1000,
                     rng: np.random.Generator | None = None) -> DiffusionCurve:
     """Mean cosine distance between a sequence's first and k-th article.
 
@@ -132,7 +133,7 @@ def diffusion_curve(corpus: SequenceCorpus, emb: EmbeddingTable, k_max: int,
         vals = _distances_at_k(corpus, emb, k)
         if len(vals) == 0:
             continue
-        res = bootstrap_mean_ci(vals, bootstrap_resamples, rng=rng)
+        res = bootstrap_mean_ci(vals, rng=rng)
         curve.ks.append(k)
         curve.means.append(res.estimate)
         curve.ci_low.append(res.ci_low)
@@ -171,19 +172,13 @@ def random_pair_baseline(emb: EmbeddingTable, num_pairs: int,
 
 
 def write_curve_csv(curve: DiffusionCurve, path, header_comment: str = ""):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if header_comment:
-            f.write("# %s\n" % header_comment)
-        f.write("k,mean,ci_low,ci_high,n\n")
-        for k, m, lo, hi, n in zip(curve.ks, curve.means, curve.ci_low,
-                                   curve.ci_high, curve.counts):
-            f.write("%d,%.10g,%.10g,%.10g,%d\n" % (k, m, lo, hi, n))
+    write_csv(path, ["k", "mean", "ci_low", "ci_high", "n"],
+              [("%d" % k, "%.10g" % m, "%.10g" % lo, "%.10g" % hi, "%d" % n)
+               for k, m, lo, hi, n in zip(curve.ks, curve.means, curve.ci_low,
+                                          curve.ci_high, curve.counts)], header_comment)
 
 
 def write_histogram_csv(edges, fractions, path, header_comment: str = ""):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if header_comment:
-            f.write("# %s\n" % header_comment)
-        f.write("bin_low,bin_high,fraction\n")
-        for lo, hi, frac in zip(edges[:-1], edges[1:], fractions):
-            f.write("%.2f,%.2f,%.10g\n" % (lo, hi, frac))
+    write_csv(path, ["bin_low", "bin_high", "fraction"],
+              [("%.2f" % lo, "%.2f" % hi, "%.10g" % frac)
+               for lo, hi, frac in zip(edges[:-1], edges[1:], fractions)], header_comment)

@@ -91,11 +91,11 @@ class LabeledLinkSet:
     negatives: set[tuple[int, int]]
 
 
-def _indirect_path_counts(corpus: SequenceCorpus, candidates: set[tuple[int, int]],
-                          old_graph: HyperlinkGraph) -> dict[tuple[int, int], int]:
+def _indirect_path_counts(corpus: SequenceCorpus,
+                          candidates: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
     """Number of sequences with s strictly before t, per candidate pair.
 
-    Pairs that are old-graph edges never qualify as indirect paths.
+    Callers pass no old-graph edge: those never qualify as indirect paths.
     """
     counts: dict[tuple[int, int], int] = {}
     for seq in corpus.sequences:
@@ -103,9 +103,8 @@ def _indirect_path_counts(corpus: SequenceCorpus, candidates: set[tuple[int, int
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
                 pair = (seq[i], seq[j])
-                if pair in candidates and pair not in seen:
-                    if not old_graph.has_edge(*pair):
-                        seen.add(pair)
+                if pair in candidates:
+                    seen.add(pair)
         for pair in seen:
             counts[pair] = counts.get(pair, 0) + 1
     return counts
@@ -120,8 +119,13 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
     (s, t') and (s', t) over positive endpoints that are neither old edges
     nor positives, again with at least `min_paths` indirect-path sequences.
     """
-    added = {(s, t) for s, t in new_graph.edges() if not old_graph.has_edge(s, t)}
-    added_counts = _indirect_path_counts(corpus, added, old_graph)
+    n = max(old_graph.num_nodes, new_graph.num_nodes)
+    old_sources, old_targets = old_graph.edge_arrays()
+    new_sources, new_targets = new_graph.edge_arrays()
+    added_keys = np.setdiff1d(new_sources * n + new_targets, old_sources * n + old_targets,
+                              assume_unique=True)
+    added = set(zip((added_keys // n).tolist(), (added_keys % n).tolist()))
+    added_counts = _indirect_path_counts(corpus, added)
     positives = {p for p in added if added_counts.get(p, 0) >= min_paths}
     if not positives:
         raise ValueError("no positive examples")
@@ -137,7 +141,7 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
             if pair in positives or old_graph.has_edge(s, t):
                 continue
             candidates.add(pair)
-    neg_counts = _indirect_path_counts(corpus, candidates, old_graph)
+    neg_counts = _indirect_path_counts(corpus, candidates)
     negatives = {p for p in candidates if neg_counts.get(p, 0) >= min_paths}
     return LabeledLinkSet(positives, negatives)
 

@@ -15,6 +15,8 @@ from .diffusion import EmbeddingTable
 from .sessions import SequenceCorpus
 from .stats import rng_stream
 
+UNIGRAM_POWER = 0.75  # negatives are drawn from the unigram distribution to this power
+
 
 @dataclass
 class SgnsConfig:
@@ -23,7 +25,6 @@ class SgnsConfig:
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.05
-    unigram_power: float = 0.75
     seed: int = 0
 
 
@@ -62,7 +63,7 @@ class SgnsTrainer:
         self.vocab = sorted(counts)
         self.index = {a: i for i, a in enumerate(self.vocab)}
         weights = np.array([counts[a] for a in self.vocab], dtype=float)
-        weights **= config.unigram_power
+        weights **= UNIGRAM_POWER
         self._neg_cum = np.cumsum(weights / weights.sum())
         rng = rng_stream(config.seed, 0)
         v = len(self.vocab)

@@ -24,6 +24,16 @@ def open_text(path, mode="rt"):
     return open(path, mode, encoding="utf-8")
 
 
+def write_csv(path, columns, rows, header_comment: str = ""):
+    """Write rows of pre-formatted fields below the column names and, when
+    given, a "# header_comment" line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if header_comment:
+            f.write("# %s\n" % header_comment)
+        f.write(",".join(columns) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
 def _rows(path, ncols):
     """Yield (line_no, fields) for each non-blank line of a TSV file of `ncols` columns."""
     with open_text(path) as f:
@@ -87,46 +97,53 @@ class Interner:
 
 
 @dataclass
-class HyperlinkGraph:
-    """Immutable directed graph with sorted, deduplicated out-adjacency lists."""
+class _Rows:
+    """Compressed sparse rows over interned ids.
+
+    Row v is `indices[indptr[v]:indptr[v + 1]]`, sorted ascending.
+    """
 
     interner: Interner
-    out: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.indptr) - 1
+
+    def successors(self, node: int) -> np.ndarray:
+        """Row `node`, a view into `indices`."""
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
+
+
+def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """`indptr` of `n` rows for the sorted row id of every entry."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+@dataclass
+class HyperlinkGraph(_Rows):
+    """Immutable directed graph; each row holds a node's deduplicated successors."""
+
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
 
     @property
-    def num_nodes(self) -> int:
-        return len(self.out)
-
-    @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.out)
-
-    def successors(self, node: int) -> np.ndarray:
-        return self.out[node]
+        return len(self.indices)
 
     def has_edge(self, s: int, t: int) -> bool:
-        if s < 0 or s >= len(self.out):
+        if s < 0 or s >= self.num_nodes:
             return False
-        a = self.out[s]
-        i = np.searchsorted(a, t)
-        return i < len(a) and a[i] == t
+        row = self.successors(s)
+        i = row.searchsorted(t)
+        return bool(i < len(row) and row[i] == t)
 
-    def edges(self):
-        for s, a in enumerate(self.out):
-            for t in a:
-                yield s, int(t)
-
-
-def build_graph(edge_pairs, interner: Interner,
-                self_loops_dropped: int = 0, duplicates_dropped: int = 0) -> HyperlinkGraph:
-    """Assemble a HyperlinkGraph from deduplicated (source, target) id pairs."""
-    out_sets: list[set] = [set() for _ in range(len(interner))]
-    for s, t in edge_pairs:
-        out_sets[s].add(t)
-    out = [np.array(sorted(s), dtype=np.int64) for s in out_sets]
-    return HyperlinkGraph(interner, out, self_loops_dropped, duplicates_dropped)
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, targets) of every edge, ordered by source, then target."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr)), self.indices
 
 
 def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
@@ -137,22 +154,19 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     """
     if interner is None:
         interner = Interner()
-    edges = set()
-    self_loops = 0
-    duplicates = 0
+    ids = []
     for line_no, (source, target) in _rows(path, 2):
         if not source or not target:
             raise ParseError(path, line_no, "empty article name")
-        s = interner.intern(source)
-        t = interner.intern(target)
-        if s == t:
-            self_loops += 1
-            continue
-        if (s, t) in edges:
-            duplicates += 1
-            continue
-        edges.add((s, t))
-    return build_graph(edges, interner, self_loops, duplicates)
+        ids.append(interner.intern(source))
+        ids.append(interner.intern(target))
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    n = len(interner)
+    keys = pairs[~loops, 0] * n + pairs[~loops, 1]
+    unique = np.unique(keys)
+    return HyperlinkGraph(interner, _row_offsets(unique // n, n), unique % n,
+                          int(loops.sum()), len(keys) - len(unique))
 
 
 @dataclass
@@ -167,6 +181,12 @@ class ClickstreamTable:
     def total_clicks(self) -> int:
         return sum(self.entries.values())
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sources, targets, counts) as int64 arrays, in entry order."""
+        pairs = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        counts = np.fromiter(self.entries.values(), dtype=np.int64, count=len(self.entries))
+        return pairs[:, 0], pairs[:, 1], counts
+
     def write_tsv(self, path, link_type: str = "link"):
         with open_text(path, "wt") as f:
             for (s, t), c in sorted(self.entries.items()):
@@ -174,11 +194,13 @@ class ClickstreamTable:
                         % (self.interner.name(s), self.interner.name(t), link_type, c))
 
 
-def load_clickstream(path, link_type_filter=frozenset({"link"}),
-                     interner: Interner | None = None) -> ClickstreamTable:
+CLICK_LINK_TYPES = frozenset({"link"})  # row types that are clicks on a hyperlink
+
+
+def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable:
     """Read a 4-column "prev<TAB>curr<TAB>type<TAB>count" clickstream dump.
 
-    Rows whose type is outside the filter are skipped and counted.
+    Rows whose type is outside CLICK_LINK_TYPES are skipped and counted.
     Repeated (prev, curr) rows are summed.
     """
     if interner is None:
@@ -186,7 +208,7 @@ def load_clickstream(path, link_type_filter=frozenset({"link"}),
     entries: dict[tuple[int, int], int] = {}
     skipped = 0
     for line_no, (prev, curr, row_type, count_str) in _rows(path, 4):
-        if row_type not in link_type_filter:
+        if row_type not in CLICK_LINK_TYPES:
             skipped += 1
             continue
         count = _parse(int, count_str, path, line_no, "count")
@@ -206,39 +228,41 @@ def apply_k_anonymity(table: ClickstreamTable, threshold: int = 10) -> Clickstre
 
 
 @dataclass
-class TransitionModel:
+class TransitionModel(_Rows):
     """Per-node distribution over successors, plus optional per-node stop mass.
 
-    For every non-terminal node, successor probabilities + stop probability
-    sum to 1. Nodes with empty rows are terminal.
+    `probs` runs parallel to `indices`. For every non-terminal node,
+    successor probabilities + stop probability sum to 1. Nodes with empty
+    rows are terminal.
     """
 
-    kind: str  # "uniform-graph" or "weighted"
-    interner: Interner
-    successors: list[np.ndarray]
-    probs: list[np.ndarray]
+    probs: np.ndarray
     stop_probs: np.ndarray = None  # type: ignore[assignment]
     dropped_click_mass: int = 0
-    _cum: list = field(default=None, repr=False)  # type: ignore[assignment]
+    cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.stop_probs is None:
-            self.stop_probs = np.zeros(len(self.successors))
-        if self._cum is None:
-            self._cum = [np.cumsum(p) for p in self.probs]
+            self.stop_probs = np.zeros(self.num_nodes)
+        # each row's own cumulative sum: one sum across rows would round
+        # differently and change the draws
+        self.cum = np.empty_like(self.probs)
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.cumsum(self.probs[lo:hi], out=self.cum[lo:hi])
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.successors)
+    def row_probs(self, node: int) -> np.ndarray:
+        """Successor probabilities of `node`, a view parallel to `successors(node)`."""
+        return self.probs[self.indptr[node]:self.indptr[node + 1]]
 
     def is_terminal(self, node: int) -> bool:
-        return node >= len(self.successors) or len(self.successors[node]) == 0
+        return node >= self.num_nodes or self.indptr[node] == self.indptr[node + 1]
 
     def step(self, node: int, rng: np.random.Generator) -> int:
         """Sample a successor conditional on not stopping."""
-        cum = self._cum[node]
-        r = rng.random() * cum[-1]
-        return int(self.successors[node][np.searchsorted(cum, r, side="right")])
+        lo, hi = self.indptr[node], self.indptr[node + 1]
+        r = rng.random() * self.cum[hi - 1]
+        return int(self.indices[lo + self.cum[lo:hi].searchsorted(r, side="right")])
 
     def with_stops(self, stop_probs: np.ndarray) -> "TransitionModel":
         """Attach per-node stop mass, scaling successor probabilities by (1 - stop)."""
@@ -247,50 +271,34 @@ class TransitionModel:
             raise ValueError("stop_probs length mismatch")
         if np.any((stop_probs < 0) | (stop_probs > 1)):
             raise ValueError("stop probabilities must lie in [0, 1]")
-        probs = [p * (1.0 - q) for p, q in zip(self.probs, stop_probs)]
-        return TransitionModel(self.kind, self.interner, self.successors, probs,
+        probs = self.probs * np.repeat(1.0 - stop_probs, np.diff(self.indptr))
+        return TransitionModel(self.interner, self.indptr, self.indices, probs,
                                stop_probs, self.dropped_click_mass)
 
 
 def build_transition_model(graph: HyperlinkGraph,
-                           weights: ClickstreamTable | None = None,
-                           restrict_to_graph: bool = True) -> TransitionModel:
+                           weights: ClickstreamTable | None = None) -> TransitionModel:
     """Build the uniform-graph model (no weights) or a click-weighted model.
 
-    With `restrict_to_graph`, weighted pairs that are not edges of the graph
-    are dropped and the dropped click mass recorded on the model.
+    The uniform model shares the graph's rows. Weighted pairs that are not
+    edges of the graph are dropped and the dropped click mass recorded on
+    the model.
     """
     n = graph.num_nodes
     if weights is None:
-        succs = [a.copy() for a in graph.out]
-        probs = [np.full(len(a), 1.0 / len(a)) if len(a) else np.empty(0)
-                 for a in graph.out]
-        return TransitionModel("uniform-graph", graph.interner, succs, probs)
+        degree = np.diff(graph.indptr)
+        probs = np.repeat(1.0 / np.maximum(degree, 1), degree)
+        return TransitionModel(graph.interner, graph.indptr, graph.indices, probs)
 
-    per_source: dict[int, list[tuple[int, int]]] = {}
-    dropped_mass = 0
-    for (s, t), c in weights.entries.items():
-        if restrict_to_graph and not graph.has_edge(s, t):
-            dropped_mass += c
-            continue
-        per_source.setdefault(s, []).append((t, c))
-    if not any(per_source.values()):
+    sources, targets, counts = weights.arrays()
+    keys = np.where((sources < n) & (targets < n), sources * n + targets, -1)
+    edge_sources, edge_targets = graph.edge_arrays()
+    on_graph = np.isin(keys, edge_sources * n + edge_targets)
+    if not on_graph.any():
         raise ValueError("empty transition model: no usable weighted entries")
-
-    succs: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    max_source = max(per_source) if per_source else -1
-    size = max(n, max_source + 1)
-    for node in range(size):
-        row = per_source.get(node)
-        if not row:
-            succs.append(np.empty(0, dtype=np.int64))
-            probs.append(np.empty(0))
-            continue
-        row.sort()
-        targets = np.array([t for t, _ in row], dtype=np.int64)
-        counts = np.array([c for _, c in row], dtype=float)
-        succs.append(targets)
-        probs.append(counts / counts.sum())
-    return TransitionModel("weighted", graph.interner, succs, probs,
-                           dropped_click_mass=dropped_mass)
+    order = np.argsort(keys[on_graph])
+    s, t, c = sources[on_graph][order], targets[on_graph][order], counts[on_graph][order]
+    # float sums of integer counts are exact below 2**53
+    totals = np.bincount(s, weights=c, minlength=n)
+    return TransitionModel(graph.interner, _row_offsets(s, n), t, c / totals[s],
+                           dropped_click_mass=int(counts[~on_graph].sum()))

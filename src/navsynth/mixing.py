@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .graph import write_csv
 from .sessions import SequenceCorpus, corpus_triples
 from .stats import spearman
 
@@ -181,19 +182,12 @@ def ami_cdf(records: list[AmiRecord], bin_width: float = 0.01) -> list[tuple[flo
 
 
 def write_survey_csv(result: SurveyResult, path, interner, header_comment: str = ""):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if header_comment:
-            f.write("# %s\n" % header_comment)
-        f.write("article,num_triples,mi_bits,ami\n")
-        for r in result.records:
-            f.write("%s,%d,%.10g,%.10g\n"
-                    % (interner.name(r.middle), r.num_triples, r.mi_bits, r.ami))
+    write_csv(path, ["article", "num_triples", "mi_bits", "ami"],
+              [(interner.name(r.middle), "%d" % r.num_triples, "%.10g" % r.mi_bits,
+                "%.10g" % r.ami) for r in result.records], header_comment)
 
 
 def write_cdf_csv(records: list[AmiRecord], path, header_comment: str = ""):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if header_comment:
-            f.write("# %s\n" % header_comment)
-        f.write("ami_bin,cumulative_fraction\n")
-        for edge, frac in ami_cdf(records):
-            f.write("%.2f,%.10g\n" % (edge, frac))
+    write_csv(path, ["ami_bin", "cumulative_fraction"],
+              [("%.2f" % edge, "%.10g" % frac) for edge, frac in ami_cdf(records)],
+              header_comment)

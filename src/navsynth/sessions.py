@@ -41,11 +41,7 @@ class TreeNode:
 
 @dataclass
 class NavigationTree:
-    nodes: list[TreeNode]
-
-    @property
-    def root(self) -> int:
-        return 0
+    nodes: list[TreeNode]  # nodes[0] is the root
 
     def leaves(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if not n.children]

@@ -42,9 +42,12 @@ class BootstrapResult:
     num_resamples: int
 
 
-def bootstrap_mean_ci(samples, num_resamples: int = 1000, level: float = 0.95,
+CI_LEVEL = 0.95
+
+
+def bootstrap_mean_ci(samples, num_resamples: int = 1000,
                       rng: np.random.Generator | None = None) -> BootstrapResult:
-    """Percentile bootstrap CI for the mean."""
+    """Percentile bootstrap CI_LEVEL confidence interval for the mean."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
@@ -53,7 +56,7 @@ def bootstrap_mean_ci(samples, num_resamples: int = 1000, level: float = 0.95,
         rng = rng_stream(0)
     idx = rng.integers(0, n, size=(num_resamples, n))
     means = samples[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return BootstrapResult(float(samples.mean()), float(lo), float(hi), num_resamples)
 

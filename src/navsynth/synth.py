@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,21 +23,17 @@ class WalkSpec:
 @dataclass
 class StoppingRule:
     variant: str = "extrinsic-length"  # or "intrinsic"
-    epsilon: float = 0.01
     max_length: int = 50
 
     def __post_init__(self):
         if self.variant not in ("extrinsic-length", "intrinsic"):
             raise ValueError("unknown stopping variant %r" % self.variant)
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
         if self.max_length < 2:
             raise ValueError("max_length must be >= 2")
 
 
 def generate_sequence(model: TransitionModel, spec: WalkSpec,
-                      rng: np.random.Generator,
-                      retry_budget: int = DEFAULT_RETRY_BUDGET) -> tuple[list[int], bool]:
+                      rng: np.random.Generator) -> tuple[list[int], bool]:
     """Walk to exactly `target_length` pages, backtracking out of dead ends.
 
     On reaching a terminal node before the target length, the walk steps
@@ -63,7 +60,7 @@ def generate_sequence(model: TransitionModel, spec: WalkSpec,
             if len(path) == 1:
                 return path, True
             retries += 1
-            if retries > retry_budget:
+            if retries > DEFAULT_RETRY_BUDGET:
                 return path, True
             child = path.pop()
             failed.pop()
@@ -75,21 +72,14 @@ def generate_sequence(model: TransitionModel, spec: WalkSpec,
 
 
 def _step_excluding(model, node, banned, rng):
-    succ = model.successors[node]
-    if len(succ) == 0:
+    """Sample a successor of `node` outside `banned`; None if there is none."""
+    succ = model.successors(node)
+    keep = np.array([s not in banned for s in succ.tolist()], dtype=bool)
+    if not keep.any():
         return None
-    if banned:
-        mask = np.array([s not in banned for s in succ])
-        if not mask.any():
-            return None
-        p = model.probs[node][mask]
-        choices = succ[mask]
-    else:
-        p = model.probs[node]
-        choices = succ
-    cum = np.cumsum(p)
+    cum = np.cumsum(model.row_probs(node)[keep])
     r = rng.random() * cum[-1]
-    return int(choices[np.searchsorted(cum, r, side="right")])
+    return int(succ[keep][cum.searchsorted(r, side="right")])
 
 
 def generate_sequence_intrinsic(model: TransitionModel, start: int,
@@ -119,13 +109,9 @@ def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int,
     in_clicks(v) > 0, else epsilon. Pluggable: pass any array of the same
     shape to TransitionModel.with_stops instead.
     """
-    incoming = np.zeros(num_nodes)
-    outgoing = np.zeros(num_nodes)
-    for (s, t), c in table.entries.items():
-        if s < num_nodes:
-            outgoing[s] += c
-        if t < num_nodes:
-            incoming[t] += c
+    sources, targets, counts = table.arrays()
+    outgoing = np.bincount(sources, weights=counts, minlength=num_nodes)[:num_nodes]
+    incoming = np.bincount(targets, weights=counts, minlength=num_nodes)[:num_nodes]
     stops = np.full(num_nodes, epsilon)
     has_in = incoming > 0
     ratio = np.divide(outgoing, incoming, out=np.zeros(num_nodes), where=has_in)
@@ -134,8 +120,7 @@ def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int,
 
 
 def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
-                    rule: StoppingRule, seed: int, kind: str,
-                    retry_budget: int = DEFAULT_RETRY_BUDGET) -> SequenceCorpus:
+                    rule: StoppingRule, seed: int, kind: str) -> SequenceCorpus:
     """Generate one synthetic sequence per reference sequence.
 
     Under extrinsic stopping each synthetic sequence copies its reference's
@@ -156,8 +141,7 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
         if rule.variant == "intrinsic":
             seq = generate_sequence_intrinsic(model, start, rng, rule)
         else:
-            seq, bad = generate_sequence(model, WalkSpec(start, len(ref)), rng,
-                                         retry_budget)
+            seq, bad = generate_sequence(model, WalkSpec(start, len(ref)), rng)
             if bad:
                 flagged.add(i)
         sequences.append(seq)
@@ -209,25 +193,25 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     for i in range(spec.num_nodes):
         interner.intern("n%05d" % i)
 
-    out = []
-    for v in range(spec.num_nodes):
-        choices = rng.choice(spec.num_nodes - 1, size=spec.out_degree, replace=False)
-        choices = np.where(choices >= v, choices + 1, choices)  # skip self
-        out.append(np.sort(choices).astype(np.int64))
-    graph = HyperlinkGraph(interner, out)
+    n, d = spec.num_nodes, spec.out_degree
+    out = np.empty((n, d), dtype=np.int64)
+    for v in range(n):
+        choices = rng.choice(n - 1, size=d, replace=False)
+        out[v] = np.sort(np.where(choices >= v, choices + 1, choices))  # skip self
+    indptr = np.arange(0, n * d + 1, d)
+    graph = HyperlinkGraph(interner, indptr, out.ravel())
 
     # fixed Markov-1 rows with random positive weights
-    probs = []
-    for v in range(spec.num_nodes):
-        w = rng.gamma(1.0, 1.0, size=spec.out_degree) + 1e-3
-        probs.append(w / w.sum())
-    markov1 = TransitionModel("weighted", interner, [a.copy() for a in out], probs)
+    probs = np.empty((n, d))
+    for v in range(n):
+        w = rng.gamma(1.0, 1.0, size=d) + 1e-3
+        probs[v] = w / w.sum()
+    markov1 = TransitionModel(interner, indptr, graph.indices, probs.ravel())
 
     preferred: dict[tuple[int, int], int] = {}
-    for p in range(spec.num_nodes):
-        for c in out[p]:
-            c = int(c)
-            preferred[(p, c)] = int(out[c][rng.integers(spec.out_degree)])
+    sources, targets = graph.edge_arrays()
+    for p, c in zip(sources.tolist(), targets.tolist()):
+        preferred[(p, c)] = int(out[c, rng.integers(d)])
 
     lam = spec.memory_strength
     sequences = []
@@ -246,12 +230,7 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed,
                                                          "memory_strength": lam})
 
-    entries: dict[tuple[int, int], int] = {}
-    for seq in sequences:
-        for a, b in zip(seq, seq[1:]):
-            entries[(a, b)] = entries.get((a, b), 0) + 1
-    table = ClickstreamTable(interner, entries)
-    return PlantedWorld(graph, table, corpus, preferred, markov1)
+    return PlantedWorld(graph, _bigram_table(interner, sequences), corpus, preferred, markov1)
 
 
 @dataclass
@@ -293,20 +272,21 @@ def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
     pos /= np.linalg.norm(pos, axis=1, keepdims=True)
     cos_dist = 1.0 - pos @ pos.T
 
-    out = []
-    probs = []
-    for v in range(spec.num_nodes):
+    n, degree = spec.num_nodes, spec.near_links + spec.far_links
+    out = np.empty((n, degree), dtype=np.int64)
+    probs = np.empty((n, degree))
+    for v in range(n):
         d = cos_dist[v].copy()
         d[v] = np.inf
         near = np.argsort(d)[: spec.near_links]
-        pool = np.setdiff1d(np.arange(spec.num_nodes), np.append(near, v))
+        pool = np.setdiff1d(np.arange(n), np.append(near, v))
         far = rng.choice(pool, size=spec.far_links, replace=False)
-        succ = np.sort(np.concatenate([near, far])).astype(np.int64)
-        w = np.exp(-cos_dist[v][succ] / spec.locality)
-        out.append(succ)
-        probs.append(w / w.sum())
-    graph = HyperlinkGraph(interner, out)
-    weighted = TransitionModel("weighted", interner, [a.copy() for a in out], probs)
+        out[v] = np.sort(np.concatenate([near, far]))
+        w = np.exp(-cos_dist[v][out[v]] / spec.locality)
+        probs[v] = w / w.sum()
+    indptr = np.arange(0, n * degree + 1, degree)
+    graph = HyperlinkGraph(interner, indptr, out.ravel())
+    weighted = TransitionModel(interner, indptr, graph.indices, probs.ravel())
 
     sequences = []
     for i in range(spec.corpus_size):
@@ -319,9 +299,10 @@ def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
         sequences.append(seq)
     corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed})
 
-    entries: dict[tuple[int, int], int] = {}
-    for seq in sequences:
-        for a, b in zip(seq, seq[1:]):
-            entries[(a, b)] = entries.get((a, b), 0) + 1
-    table = ClickstreamTable(interner, entries)
-    return GeometricWorld(graph, table, corpus, pos, weighted)
+    return GeometricWorld(graph, _bigram_table(interner, sequences), corpus, pos, weighted)
+
+
+def _bigram_table(interner: Interner, sequences) -> ClickstreamTable:
+    """Clickstream of a corpus: the count of every consecutive page pair."""
+    return ClickstreamTable(interner, dict(Counter(
+        (a, b) for seq in sequences for a, b in zip(seq, seq[1:]))))

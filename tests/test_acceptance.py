@@ -327,7 +327,7 @@ def test_criterion_07_link_prediction(tmp_path):
                     break
         return total
 
-    o_added = {(int(s), int(t)) for s, t in new_g.edges()
+    o_added = {(int(s), int(t)) for s, t in zip(*new_g.edge_arrays())
                if not old_g.has_edge(s, t)}
     o_pos = {e for e in o_added if path_count(*e) >= 10}
     o_neg = set()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from navsynth.cli import _load_pairs, main
+from navsynth.diffusion import load_embeddings
 from navsynth.graph import (Interner, ParseError, load_clickstream,
                             load_edge_list)
 from navsynth.sessions import load_pageview_events
@@ -206,6 +207,11 @@ MALFORMED_ROWS = {
     "labels-topic": ("A\t1\nB\t1,x\n", None,
                      lambda f: ["eval-topic", "--embeddings", f["emb"],
                                 "--labels", f["input"], "--out-dir", f["out"]]),
+    "embeddings-value": ("2 2\nA 1.0 x\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
+                         lambda f: ["eval-related", "--embeddings", f["input"],
+                                    "--pairs", f["graph"], "--out-dir", f["out"]]),
+    "report-row": ("Logs,mrr_all,0.5\nLogs,mrr_all\n", None,
+                   lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
 }
 
 
@@ -257,3 +263,18 @@ class TestConfigFile:
         cfg = write(tmp_path / "run.cfg", "out-dir=%s\n" % out)
         assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
         assert (out / "graph_cache.npz").exists()
+
+    def test_bad_value_cites_line(self, tmp_path, chain_graph, capsys):
+        cfg = write(tmp_path / "run.cfg", "# run settings\nseed=abc\n")
+        rc = main(["ingest", "--graph", chain_graph, "--config", cfg,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s:2: invalid seed 'abc'\n" % cfg
+
+    def test_missing_file_errors(self, tmp_path, chain_graph, capsys):
+        cfg = str(tmp_path / "absent.cfg")
+        rc = main(["ingest", "--graph", chain_graph, "--config", cfg,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cfg in err

@@ -224,7 +224,7 @@ class TestAddedLinks:
                 total += hit
             return total
 
-        new_edge_set = {(int(s), int(t)) for s, t in new.edges()}
+        new_edge_set = {(int(s), int(t)) for s, t in zip(*new.edge_arrays())}
         oracle_added = {e for e in new_edge_set if not old.has_edge(*e)}
         oracle_pos = {e for e in oracle_added if path_count(*e) >= 10}
         srcs = {s for s, _ in oracle_pos}

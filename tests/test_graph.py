@@ -2,6 +2,7 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream,
@@ -68,8 +69,8 @@ class TestLoadEdgeList:
     def test_sorted_successors(self, tmp_path):
         path = write(tmp_path, "e.tsv", "A\tC\nA\tB\nB\tA\n")
         g = load_edge_list(path)
-        for a in g.out:
-            assert np.all(np.diff(a) > 0)
+        for v in range(g.num_nodes):
+            assert np.all(np.diff(g.successors(v)) > 0)
 
 
 class TestLoadClickstream:
@@ -159,7 +160,7 @@ class TestTransitionModel:
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nA\tC\n"))
         m = build_transition_model(g)
         a = g.interner.id("A")
-        assert m.probs[a] == pytest.approx([0.5, 0.5])
+        assert m.row_probs(a) == pytest.approx([0.5, 0.5])
 
     def test_weighted_proportional(self, tmp_path):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nA\tC\n"))
@@ -167,7 +168,7 @@ class TestTransitionModel:
         a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
         table = ClickstreamTable(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
-        row = dict(zip(m.successors[a].tolist(), m.probs[a]))
+        row = dict(zip(m.successors(a).tolist(), m.row_probs(a)))
         assert row[b] == pytest.approx(0.75)
         assert row[c] == pytest.approx(0.25)
 
@@ -194,8 +195,8 @@ class TestTransitionModel:
         for node in range(m.num_nodes):
             if m.is_terminal(node):
                 continue
-            assert m.probs[node].sum() == pytest.approx(1.0, abs=1e-9)
-            for t, p in zip(m.successors[node], m.probs[node]):
+            assert m.row_probs(node).sum() == pytest.approx(1.0, abs=1e-9)
+            for t, p in zip(m.successors(node), m.row_probs(node)):
                 key = (interner.name(node), interner.name(int(t)))
                 assert p == pytest.approx(weights[key] / totals[key[0]])
 
@@ -203,11 +204,11 @@ class TestTransitionModel:
         path = write(tmp_path, "e.tsv", "A\tB\nA\tC\nB\tC\nC\tA\n")
         g = load_edge_list(path)
         uniform = build_transition_model(g)
-        table = ClickstreamTable(g.interner, {(s, t): 7 for s, t in g.edges()})
+        table = ClickstreamTable(g.interner, {(int(s), int(t)): 7 for s, t in zip(*g.edge_arrays())})
         weighted = build_transition_model(g, table)
         for node in range(g.num_nodes):
-            assert np.allclose(uniform.probs[node], weighted.probs[node], atol=1e-12)
-            assert np.array_equal(uniform.successors[node], weighted.successors[node])
+            assert np.allclose(uniform.row_probs(node), weighted.row_probs(node), atol=1e-12)
+            assert np.array_equal(uniform.successors(node), weighted.successors(node))
 
     def test_dropped_mass_and_empty_error(self, tmp_path):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\n"))
@@ -229,7 +230,82 @@ class TestTransitionModel:
         for node in range(ms.num_nodes):
             if ms.is_terminal(node):
                 continue
-            assert ms.probs[node].sum() + ms.stop_probs[node] == pytest.approx(1.0, abs=1e-9)
+            assert ms.row_probs(node).sum() + ms.stop_probs[node] == pytest.approx(1.0, abs=1e-9)
+
+
+# a handful of names, so random edge lists repeat names, edges and self-loops
+NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+EDGE_LISTS = st.lists(st.tuples(NAMES, NAMES), max_size=40)
+
+
+def _edge_file(tmp_path_factory, edges):
+    path = tmp_path_factory.mktemp("edges") / "e.tsv"
+    path.write_text("".join("%s\t%s\n" % e for e in edges), encoding="utf-8")
+    return str(path)
+
+
+class TestCsrProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(edges=EDGE_LISTS)
+    def test_graph_matches_set_oracle(self, tmp_path_factory, edges):
+        ids: dict[str, int] = {}
+        oracle: set[tuple[int, int]] = set()
+        loops = duplicates = 0
+        for s, t in edges:
+            a, b = ids.setdefault(s, len(ids)), ids.setdefault(t, len(ids))
+            if a == b:
+                loops += 1
+            elif (a, b) in oracle:
+                duplicates += 1
+            else:
+                oracle.add((a, b))
+        g = load_edge_list(_edge_file(tmp_path_factory, edges))
+        assert g.num_nodes == len(ids)
+        assert g.num_edges == len(oracle)
+        assert (g.self_loops_dropped, g.duplicates_dropped) == (loops, duplicates)
+        for v in range(g.num_nodes):
+            assert g.successors(v).tolist() == sorted(t for s, t in oracle if s == v)
+        sources, targets = g.edge_arrays()
+        assert list(zip(sources.tolist(), targets.tolist())) == sorted(oracle)
+        for s in range(-2, len(ids) + 2):
+            for t in range(len(ids) + 1):
+                assert g.has_edge(s, t) == ((s, t) in oracle)
+
+        uniform = build_transition_model(g)
+        assert uniform.indptr is g.indptr and uniform.indices is g.indices
+        for v in range(g.num_nodes):
+            degree = len(g.successors(v))
+            assert uniform.row_probs(v).tolist() == [1.0 / degree for _ in range(degree)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(edges=EDGE_LISTS,
+           clicks=st.dictionaries(st.tuples(NAMES | st.just("off-graph"), NAMES),
+                                  st.integers(1, 10**9), max_size=30))
+    def test_weighted_model_matches_dict_oracle(self, tmp_path_factory, edges, clicks):
+        g = load_edge_list(_edge_file(tmp_path_factory, edges))
+        interner = g.interner
+        entries = {(interner.intern(s), interner.intern(t)): c for (s, t), c in clicks.items()}
+        rows: dict[int, dict[int, int]] = {}
+        dropped = 0
+        for (s, t), c in entries.items():
+            if g.has_edge(s, t):
+                rows.setdefault(s, {})[t] = c
+            else:
+                dropped += c
+        table = ClickstreamTable(interner, entries)
+        if not rows:
+            with pytest.raises(ValueError, match="empty transition model"):
+                build_transition_model(g, table)
+            return
+        m = build_transition_model(g, table)
+        assert m.num_nodes == g.num_nodes
+        assert m.dropped_click_mass == dropped
+        for v in range(m.num_nodes):
+            row = rows.get(v, {})
+            total = sum(row.values())
+            assert m.successors(v).tolist() == sorted(row)
+            assert m.row_probs(v).tolist() == [row[t] / total for t in sorted(row)]
+            assert all(g.has_edge(v, t) for t in m.successors(v).tolist())
 
 
 def test_interner_round_trip(tmp_path):

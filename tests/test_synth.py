@@ -67,7 +67,7 @@ class TestGenerateSequence:
                     edges.add(("n%d" % i, "n%d" % t))
         g = graph_from(tmp_path, sorted(edges))
         m = build_transition_model(g)
-        support = {(s, int(t)) for s in range(m.num_nodes) for t in m.successors[s]}
+        support = {(s, int(t)) for s in range(m.num_nodes) for t in m.successors(s)}
         for seed in range(10):
             seq, _ = generate_sequence(m, WalkSpec(0, 8), rng_stream(seed))
             for pair in zip(seq, seq[1:]):
@@ -192,8 +192,8 @@ class TestPlantedWorld:
             total = sum(row.values())
             if total < 500:
                 continue
-            probs = dict(zip(world.markov1.successors[b].tolist(),
-                             world.markov1.probs[b]))
+            probs = dict(zip(world.markov1.successors(b).tolist(),
+                             world.markov1.row_probs(b)))
             for c, n in row.items():
                 se = (probs[c] * (1 - probs[c]) / total) ** 0.5
                 assert abs(n / total - probs[c]) < max(5 * se, 0.02)
