@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -206,9 +207,16 @@ def cmd_train_emb(args):
     return 0
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _load_pairs(path, interner):
     return [(interner.intern(a), interner.intern(b),
-             _parse(float, score, path, line_no, "score"))
+             _parse(_finite_float, score, path, line_no, "score"))
             for line_no, (a, b, score) in _rows(path, 3)]
 
 

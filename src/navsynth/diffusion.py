@@ -82,11 +82,11 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path, interner: Interner):
+    row = "%s" + " %.6f" * table.dim + "\n"
     with open_text(path, "wt") as f:
         f.write("%d %d\n" % (len(table), table.dim))
-        for a in table.articles:
-            vec = " ".join("%.6f" % x for x in table.vector(a))
-            f.write("%s %s\n" % (interner.name(a), vec))
+        f.writelines(row % (interner.name(a), *table.vector(a).tolist())
+                     for a in table.articles)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def rng_stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -15,11 +14,24 @@ def rng_stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of `x`; each group of tied values gets the mean of its ranks."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    # a group at sorted positions [start, end) holds ranks start+1 .. end
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Spearman rank correlation with average ranks for ties.
 
-    Raises ValueError on length mismatch, fewer than 3 points, or
-    constant input on either side.
+    Raises ValueError on length mismatch, fewer than 3 points, NaN or
+    infinite values, or constant input on either side.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -27,11 +39,11 @@ def spearman(xs, ys) -> float:
         raise ValueError("length mismatch: %d vs %d" % (len(xs), len(ys)))
     if len(xs) < 3:
         raise ValueError("need at least 3 pairs")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("non-finite input: rank correlation undefined")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("constant input: rank correlation undefined")
-    rx = rankdata(xs)
-    ry = rankdata(ys)
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.corrcoef(average_ranks(xs), average_ranks(ys))[0, 1])
 
 
 @dataclass

@@ -1,12 +1,18 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import navsynth
 from navsynth.cli import _load_pairs, main
 from navsynth.diffusion import load_embeddings
 from navsynth.graph import (Interner, ParseError, load_clickstream,
                             load_edge_list)
 from navsynth.sessions import load_pageview_events
+from navsynth.stats import rng_stream
 
 
 def write(path, text):
@@ -201,6 +207,12 @@ MALFORMED_ROWS = {
     "pairs-score": ("A\tB\t0.5\nA\tB\thigh\n", lambda p: _load_pairs(p, Interner()),
                     lambda f: ["eval-related", "--embeddings", f["emb"],
                                "--pairs", f["input"], "--out-dir", f["out"]]),
+    "pairs-score-nan": ("A\tB\t0.5\nA\tB\tnan\n", lambda p: _load_pairs(p, Interner()),
+                        lambda f: ["eval-related", "--embeddings", f["emb"],
+                                   "--pairs", f["input"], "--out-dir", f["out"]]),
+    "pairs-score-inf": ("A\tB\t0.5\nA\tB\t-inf\n", lambda p: _load_pairs(p, Interner()),
+                        lambda f: ["eval-related", "--embeddings", f["emb"],
+                                   "--pairs", f["input"], "--out-dir", f["out"]]),
     "labels-columns": ("A\t1\nB\n", None,
                        lambda f: ["eval-topic", "--embeddings", f["emb"],
                                   "--labels", f["input"], "--out-dir", f["out"]]),
@@ -278,3 +290,37 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and cfg in err
+
+
+IMPORT_GUARD = """
+import sys
+from navsynth import cli
+corpus, emb, pairs, out = sys.argv[1:]
+assert cli.main(["mixing", "--corpus", corpus, "--min-triples", "1", "--out-dir", out]) == 0
+assert cli.main(["eval-related", "--embeddings", emb, "--pairs", pairs,
+                 "--out-dir", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+
+
+def test_commands_do_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs most of a second of CPU per process; spearman must not need it
+    rng = rng_stream(3)
+    names = "ABCDEF"
+    lines = ["\t".join(names[i] for i in rng.integers(0, 6, size=int(rng.integers(3, 7))))
+             for _ in range(300)]
+    corpus = write(tmp_path / "c.tsv", "#kind=Logs\n" + "\n".join(lines) + "\n")
+    emb = write(tmp_path / "emb.txt", "4 2\nA 1.0 0.0\nB 0.0 1.0\nC 1.0 1.0\nD 1.0 -0.5\n")
+    pairs = write(tmp_path / "pairs.tsv", "A\tB\t1.0\nA\tC\t3.0\nB\tC\t2.5\nA\tD\t4.0\n")
+    src = os.path.dirname(os.path.dirname(navsynth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, corpus, emb, pairs,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stdout = proc.stdout.splitlines()
+    assert re.fullmatch(r"surveyed ([3-9]|\d\d+) articles; volume/AMI Spearman rho = -?\d\.\d{4}",
+                        stdout[0])
+    assert "spearman_rho," in (tmp_path / "out" / "relatedness.csv").read_text()
+    assert stdout[-1] == "[]"

@@ -44,6 +44,21 @@ class TestEmbeddingIO:
         for a in table.articles:
             assert np.allclose(loaded.vector(a), table.vector(a), atol=1e-6)
 
+    def test_save_bytes_match_per_value_format(self, tmp_path):
+        rng = rng_stream(51)
+        interner = Interner()
+        vectors = rng.normal(size=(12, 9))
+        vectors[::2, 0] = [4e-7, -4e-7, 1e-12, -1e-12, -0.0, 5e-7]
+        table = EmbeddingTable(9)
+        for i, v in enumerate(vectors):
+            table.add(interner.intern("a%d" % i), v)
+        path = tmp_path / "emb.txt"
+        save_embeddings(table, str(path), interner)
+        expected = "12 9\n" + "".join(
+            "a%d %s\n" % (i, " ".join("%.6f" % x for x in v)) for i, v in enumerate(vectors))
+        assert path.read_bytes() == expected.encode()
+        assert "-0.000000" in expected and " 0.000000" in expected
+
     def test_duplicate_article_rejected(self, tmp_path):
         table = EmbeddingTable(2)
         table.add(0, np.array([1.0, 0.0]))

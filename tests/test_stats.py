@@ -1,25 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from navsynth.stats import bootstrap_mean_ci, f1_micro_macro, rng_stream, spearman
+from navsynth.stats import (average_ranks, bootstrap_mean_ci, f1_micro_macro, rng_stream,
+                            spearman)
+
+
+def avg_ranks(v):
+    # independent average ranks for ties
+    order = sorted(range(len(v)), key=lambda i: v[i])
+    ranks = [0.0] * len(v)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        r = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = r
+        i = j + 1
+    return ranks
 
 
 def naive_spearman(xs, ys):
     # independent rank-then-Pearson with average ranks for ties
-    def avg_ranks(v):
-        order = sorted(range(len(v)), key=lambda i: v[i])
-        ranks = [0.0] * len(v)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            r = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                ranks[order[k]] = r
-            i = j + 1
-        return ranks
-
     rx, ry = avg_ranks(list(xs)), avg_ranks(list(ys))
     n = len(rx)
     mx, my = sum(rx) / n, sum(ry) / n
@@ -62,6 +66,21 @@ class TestSpearman:
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             spearman([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_rejected(self, bad, side):
+        clean = [1.0, 2.0, 3.0, 4.0, 5.0]
+        dirty = [1.0, bad, 3.0, 4.0, 2.0]
+        xs, ys = (dirty, clean) if side == "x" else (clean, dirty)
+        with pytest.raises(ValueError, match="non-finite input"):
+            spearman(xs, ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-5, 5).map(float), min_size=1, max_size=200))
+def test_average_ranks_match_oracle(values):
+    assert average_ranks(values).tolist() == avg_ranks(values)
 
 
 class TestBootstrap:
