@@ -149,7 +149,7 @@ def cmd_eval_next(args):
                          % (args.reference, interner.name(graph.num_nodes)))
     triples = ds.corpus_triples(reference)
     split = ds.make_split(len(triples), seed=args.seed)
-    test = [triples[i] for i in split.test]
+    test = triples[split.test]
 
     names, models = [], []
     for item in args.train:
@@ -157,11 +157,10 @@ def cmd_eval_next(args):
         if not path:
             print("--train expects name=path, got %r" % item, file=sys.stderr)
             return 2
-        corpus = load_corpus(path, interner)
-        if name == "Logs":
-            model = ds.fit_markov2(triples[i] for i in split.train)
+        if name == "Logs":  # its path is not read
+            model = ds.fit_markov2(triples[split.train])
         else:
-            model = ds.fit_markov2(ds.corpus_triples(corpus))
+            model = ds.fit_markov2(ds.corpus_triples(load_corpus(path, interner)))
         names.append(name)
         models.append(model)
 
@@ -187,6 +186,9 @@ def cmd_eval_link(args):
     rows = []
     for item in args.corpus:
         name, _, path = item.partition("=")
+        if not path:
+            print("--corpus expects name=path, got %r" % item, file=sys.stderr)
+            return 2
         corpus = load_corpus(path, interner)
         ranked, _ = ds.rank_links(corpus, sorted(labels.positives | labels.negatives))
         for r in ds.precision_at_k(ranked, labels, ks):
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--train", action="append", required=True,
-                   help="name=corpus_path; 'Logs' trains on the reference's train split")
+                   help="name=corpus_path; 'Logs' fits the --reference train split, path unread")
     p.set_defaults(func=cmd_eval_next)
 
     p = sub.add_parser("eval-link", parents=[common])

@@ -142,8 +142,7 @@ def diffusion_curve(corpus: SequenceCorpus, emb: EmbeddingTable, k_max: int,
     return curve
 
 
-def diffusion_histogram(corpus: SequenceCorpus, emb: EmbeddingTable, k: int,
-                        bin_width: float = HISTOGRAM_BIN_WIDTH):
+def diffusion_histogram(corpus: SequenceCorpus, emb: EmbeddingTable, k: int):
     """Normalized histogram of k-step cosine distances over fixed bins on [0, 2].
 
     Returns (bin_edges, fractions) with len(fractions) = len(bin_edges) - 1.
@@ -151,7 +150,7 @@ def diffusion_histogram(corpus: SequenceCorpus, emb: EmbeddingTable, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     vals = _distances_at_k(corpus, emb, k)
-    edges = np.arange(0.0, 2.0 + bin_width / 2, bin_width)
+    edges = np.arange(0.0, 2.0 + HISTOGRAM_BIN_WIDTH / 2, HISTOGRAM_BIN_WIDTH)
     if len(vals) == 0:
         return edges, np.zeros(len(edges) - 1)
     hist, _ = np.histogram(vals, bins=edges)

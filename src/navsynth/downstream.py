@@ -2,48 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import EmbeddingTable
-from .graph import HyperlinkGraph
-from .sessions import SequenceCorpus, corpus_triples  # noqa: F401 (re-exported)
+from .graph import HyperlinkGraph, pair_keys, unpack_pairs
+from .sessions import SequenceCorpus, corpus_triples, flatten  # noqa: F401 (re-exported)
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
 # ---------------------------------------------------------------- next article
 
+def _lookup(keys: np.ndarray, query) -> np.ndarray:
+    """Index of each query key in the sorted unique `keys`; len(keys) where absent."""
+    i = np.searchsorted(keys, query)
+    return np.where(np.searchsorted(keys, query, side="right") > i, i, len(keys))
+
+
+def _count_of(keys: np.ndarray, counts: np.ndarray, query) -> np.ndarray:
+    """The count of each query key in the sorted unique `keys`; 0 where absent."""
+    return np.append(counts, 0)[_lookup(keys, query)]
+
+
 @dataclass
 class Markov2Model:
-    """Pure count model over (prev, current) -> next transitions. No smoothing."""
+    """Pure count model over (prev, current) -> next transitions. No smoothing.
 
-    counts: dict[tuple[int, int], dict[int, int]] = field(default_factory=dict)
+    Sorted packed (prev, current) `contexts`; sorted packed (context index, next) `keys`."""
 
-    def context_total(self, s1: int, s2: int) -> int:
-        return sum(self.counts.get((s1, s2), {}).values())
-
-    def has_context(self, s1: int, s2: int) -> bool:
-        return (s1, s2) in self.counts
+    contexts: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
 
 
 def fit_markov2(triples) -> Markov2Model:
-    model = Markov2Model()
-    for s1, s2, t in triples:
-        row = model.counts.setdefault((s1, s2), {})
-        row[t] = row.get(t, 0) + 1
-    return model
-
-
-def rank_next(model: Markov2Model, graph: HyperlinkGraph, s1: int, s2: int) -> list[int]:
-    """Out-neighbors of s2 ranked by P(t | s1, s2) descending.
-
-    Zero-count candidates follow counted ones; ties break by ascending id,
-    so rankings are deterministic and comparable across models.
-    """
-    candidates = graph.successors(s2)
-    row = model.counts.get((s1, s2), {})
-    return sorted((int(t) for t in candidates), key=lambda t: (-row.get(t, 0), t))
+    """Count (source, middle, target) rows."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    contexts, context = np.unique(pair_keys(triples[:, 0], triples[:, 1]), return_inverse=True)
+    keys, counts = np.unique(pair_keys(context, triples[:, 2]), return_counts=True)
+    return Markov2Model(contexts, keys, counts)
 
 
 @dataclass
@@ -58,28 +56,35 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
                  compared_models: list[Markov2Model] | None = None) -> MrrResult:
     """Mean reciprocal rank of the true next article over test triples.
 
-    Queries whose target is absent from the candidate list score 0. In
-    "filtered" mode, only queries whose context has training observations in
-    EVERY compared model are kept.
+    Candidates are the out-neighbors of the middle article, ranked by count
+    in the query's context, ties by ascending id. A target that is not a
+    candidate scores 0. In "filtered" mode, only queries whose context has
+    training observations in EVERY compared model are kept.
     """
     if mode not in ("all", "filtered"):
         raise ValueError("mode must be 'all' or 'filtered'")
     if mode == "filtered" and not compared_models:
         raise ValueError("filtered mode requires the list of compared models")
-    rrs = []
-    for s1, s2, t in test_triples:
-        if mode == "filtered" and not all(m.has_context(s1, s2) for m in compared_models):
-            continue
-        ranked = rank_next(model, graph, s1, s2)
-        try:
-            rank = ranked.index(t) + 1
-        except ValueError:
-            rrs.append(0.0)
-            continue
-        rrs.append(1.0 / rank)
-    if not rrs:
+    test = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
+    if mode == "filtered":
+        seen = [np.isin(pair_keys(test[:, 0], test[:, 1]), m.contexts) for m in compared_models]
+        test = test[np.logical_and.reduce(seen)]
+    if not len(test):
         raise ValueError("empty test set after filtering")
-    rrs = np.array(rrs)
+    s1, s2, target = test.T
+    # one row per (query, candidate)
+    degree = graph.indptr[s2 + 1] - graph.indptr[s2]
+    query = np.repeat(np.arange(len(test)), degree)
+    candidate = graph.indices[np.arange(len(query))
+                              + np.repeat(graph.indptr[s2] - np.cumsum(degree) + degree, degree)]
+    # an unseen context gets index len(contexts), which no key holds
+    context = _lookup(model.contexts, pair_keys(s1, s2))
+    count = _count_of(model.keys, model.counts, pair_keys(context[query], candidate))
+    target_count = _count_of(model.keys, model.counts, pair_keys(context, target))[query]
+    ahead = (count > target_count) | ((count == target_count) & (candidate < target[query]))
+    rank = 1 + np.bincount(query[ahead], minlength=len(test))
+    found = np.bincount(query, weights=candidate == target[query], minlength=len(test)) > 0
+    rrs = np.where(found, 1.0 / rank, 0.0)
     return MrrResult(float(rrs.mean()), rrs, len(rrs))
 
 
@@ -91,23 +96,26 @@ class LabeledLinkSet:
     negatives: set[tuple[int, int]]
 
 
-def _indirect_path_counts(corpus: SequenceCorpus,
-                          candidates: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """Number of sequences with s strictly before t, per candidate pair.
+def _indirect_path_counts(corpus: SequenceCorpus, candidates: np.ndarray) -> np.ndarray:
+    """Number of sequences with s strictly before t, per sorted unique candidate key (s, t).
 
     Callers pass no old-graph edge: those never qualify as indirect paths.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for seq in corpus.sequences:
-        seen: set[tuple[int, int]] = set()
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                pair = (seq[i], seq[j])
-                if pair in candidates:
-                    seen.add(pair)
-        for pair in seen:
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
+    pages, lengths = flatten(corpus.sequences)
+    sequence = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    pos = np.arange(len(pages))
+    hits = [np.zeros(0, dtype=np.int64)]  # packed (candidate index, sequence) keys
+    for offset in range(1, int(lengths.max(initial=0))):
+        pos = pos[pos + offset < ends[pos]]
+        found = _lookup(candidates, pair_keys(pages[pos], pages[pos + offset]))
+        hit = found < len(candidates)
+        hits.append(pair_keys(found[hit], sequence[pos[hit]]))
+    return np.bincount(unpack_pairs(np.unique(np.concatenate(hits)))[0], minlength=len(candidates))
+
+
+def _pair_set(keys: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(*(ids.tolist() for ids in unpack_pairs(keys))))
 
 
 def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
@@ -119,31 +127,18 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
     (s, t') and (s', t) over positive endpoints that are neither old edges
     nor positives, again with at least `min_paths` indirect-path sequences.
     """
-    n = max(old_graph.num_nodes, new_graph.num_nodes)
-    old_sources, old_targets = old_graph.edge_arrays()
-    new_sources, new_targets = new_graph.edge_arrays()
-    added_keys = np.setdiff1d(new_sources * n + new_targets, old_sources * n + old_targets,
-                              assume_unique=True)
-    added = set(zip((added_keys // n).tolist(), (added_keys % n).tolist()))
-    added_counts = _indirect_path_counts(corpus, added)
-    positives = {p for p in added if added_counts.get(p, 0) >= min_paths}
-    if not positives:
+    old_keys = pair_keys(*old_graph.edge_arrays())
+    added = np.setdiff1d(pair_keys(*new_graph.edge_arrays()), old_keys, assume_unique=True)
+    positives = added[_indirect_path_counts(corpus, added) >= min_paths]
+    if not len(positives):
         raise ValueError("no positive examples")
 
-    sources = {s for s, _ in positives}
-    targets = {t for _, t in positives}
-    candidates = set()
-    for s in sources:
-        for t in targets:
-            if s == t:
-                continue
-            pair = (s, t)
-            if pair in positives or old_graph.has_edge(s, t):
-                continue
-            candidates.add(pair)
-    neg_counts = _indirect_path_counts(corpus, candidates)
-    negatives = {p for p in candidates if neg_counts.get(p, 0) >= min_paths}
-    return LabeledLinkSet(positives, negatives)
+    sources, targets = (np.unique(ids) for ids in unpack_pairs(positives))
+    grid = pair_keys(np.repeat(sources, len(targets)), np.tile(targets, len(sources)))
+    excluded = np.hstack([positives, old_keys, pair_keys(sources, sources)])  # disjoint parts
+    candidates = np.setdiff1d(grid, excluded, assume_unique=True)
+    negatives = candidates[_indirect_path_counts(corpus, candidates) >= min_paths]
+    return LabeledLinkSet(_pair_set(positives), _pair_set(negatives))
 
 
 class PathProportions:
@@ -154,27 +149,26 @@ class PathProportions:
     """
 
     def __init__(self, corpus: SequenceCorpus):
-        self._start_counts: dict[int, int] = {}
-        self._pair_counts: dict[tuple[int, int], int] = {}
-        for seq in corpus.sequences:
-            s = seq[0]
-            self._start_counts[s] = self._start_counts.get(s, 0) + 1
-            for t in set(seq[1:]):
-                if t != s:
-                    self._pair_counts[(s, t)] = self._pair_counts.get((s, t), 0) + 1
+        pages, lengths = flatten(corpus.sequences)
+        first = pages[np.cumsum(lengths) - lengths]
+        self._starts, self._start_counts = np.unique(first, return_counts=True)
+        sequence = np.repeat(np.arange(len(lengths)), lengths)
+        later = pages != first[sequence]
+        # the distinct later pages of each sequence, then their (start, page) keys
+        seq, page = unpack_pairs(np.unique(pair_keys(sequence[later], pages[later])))
+        self._pairs, self._pair_counts = np.unique(pair_keys(first[seq], page), return_counts=True)
 
-    def proportion(self, s: int, t: int) -> float:
-        n_s = self._start_counts.get(s, 0)
-        if n_s == 0:
-            raise ValueError("no sequence starts at %d: proportion undefined" % s)
-        return self._pair_counts.get((s, t), 0) / n_s
+    def proportion(self, sources, targets):
+        """p(s, t) of each (s, t); a ValueError when no sequence starts at some s."""
+        n_s = _count_of(self._starts, self._start_counts, sources)
+        if np.any(n_s == 0):
+            raise ValueError("no sequence starts at %d: proportion undefined"
+                             % np.extract(n_s == 0, sources)[0])
+        return _count_of(self._pairs, self._pair_counts, pair_keys(sources, targets)) / n_s
 
-    def defined(self, s: int) -> bool:
-        return s in self._start_counts
-
-
-def path_proportion(corpus: SequenceCorpus, s: int, t: int) -> float:
-    return PathProportions(corpus).proportion(s, t)
+    def defined(self, sources):
+        """Whether some sequence starts at each s."""
+        return _count_of(self._starts, self._start_counts, sources) > 0
 
 
 def rank_links(corpus: SequenceCorpus, pairs) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -184,15 +178,12 @@ def rank_links(corpus: SequenceCorpus, pairs) -> tuple[list[tuple[int, int]], li
     sequence starting at s (no prediction can be made).
     """
     props = PathProportions(corpus)
-    scored = []
-    excluded = []
-    for s, t in pairs:
-        if props.defined(s):
-            scored.append((s, t))
-        else:
-            excluded.append((s, t))
-    scored.sort(key=lambda p: (-props.proportion(*p), p))
-    return scored, excluded
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    defined = props.defined(pairs[:, 0])
+    scored = pairs[defined]
+    p = props.proportion(scored[:, 0], scored[:, 1])
+    ranked = scored[np.lexsort((scored[:, 1], scored[:, 0], -p))]
+    return list(map(tuple, ranked.tolist())), list(map(tuple, pairs[~defined].tolist()))
 
 
 @dataclass
@@ -205,16 +196,18 @@ class PrecisionAtK:
 
 def precision_at_k(ranked_links, labels: LabeledLinkSet, ks) -> list[PrecisionAtK]:
     """Fraction of positives among the top-k ranked links, per requested k."""
+    ranked = np.asarray(ranked_links, dtype=np.int64).reshape(-1, 2)
+    positives = np.asarray(list(labels.positives), dtype=np.int64).reshape(-1, 2)
+    hits = np.cumsum(np.isin(pair_keys(*ranked.T), pair_keys(*positives.T)))
     results = []
     for k in ks:
         if k < 1:
             raise ValueError("k must be >= 1")
-        eff = min(k, len(ranked_links))
+        eff = min(k, len(ranked))
         if eff == 0:
             results.append(PrecisionAtK(k, 0, 0.0, True))
             continue
-        hits = sum(1 for pair in ranked_links[:eff] if pair in labels.positives)
-        results.append(PrecisionAtK(k, eff, hits / eff, eff < k))
+        results.append(PrecisionAtK(k, eff, int(hits[eff - 1]) / eff, eff < k))
     return results
 
 

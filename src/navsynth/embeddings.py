@@ -8,14 +8,13 @@ pairs. Deterministic under a fixed seed (single worker).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
 from .diffusion import EmbeddingTable
-from .sessions import SequenceCorpus
+from .sessions import SequenceCorpus, flatten
 from .stats import rng_stream
 
 UNIGRAM_POWER = 0.75  # negatives are drawn from the unigram distribution to this power
@@ -93,9 +92,7 @@ class SgnsTrainer:
             raise ValueError("no sequences of length >= 2 to train on")
         self.sequences = sequences
         self.config = config
-        lengths = np.array([len(s) for s in sequences])
-        pages = np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
-                            count=int(lengths.sum()))
+        pages, lengths = flatten(sequences)
         vocab, self._ids, counts = np.unique(pages, return_inverse=True,
                                              return_counts=True)
         self.vocab = vocab.tolist()

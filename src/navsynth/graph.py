@@ -116,6 +116,17 @@ class _Rows:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
 
+def pair_keys(a, b) -> np.ndarray:
+    """Pack id pairs into int64 keys `a << 32 | b`, which sort as the (a, b) pairs do and
+    never collide: interned ids are dense, so every id is below 2**31."""
+    return np.asarray(a, dtype=np.int64) << 32 | np.asarray(b, dtype=np.int64)
+
+
+def unpack_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) id arrays of packed pair keys."""
+    return keys >> 32, keys & 0xFFFFFFFF
+
+
 def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
     """`indptr` of `n` rows for the sorted row id of every entry."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -163,9 +174,10 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
     n = len(interner)
-    keys = pairs[~loops, 0] * n + pairs[~loops, 1]
+    keys = pair_keys(pairs[~loops, 0], pairs[~loops, 1])
     unique = np.unique(keys)
-    return HyperlinkGraph(interner, _row_offsets(unique // n, n), unique % n,
+    sources, targets = unpack_pairs(unique)
+    return HyperlinkGraph(interner, _row_offsets(sources, n), targets,
                           int(loops.sum()), len(keys) - len(unique))
 
 
@@ -291,9 +303,8 @@ def build_transition_model(graph: HyperlinkGraph,
         return TransitionModel(graph.interner, graph.indptr, graph.indices, probs)
 
     sources, targets, counts = weights.arrays()
-    keys = np.where((sources < n) & (targets < n), sources * n + targets, -1)
-    edge_sources, edge_targets = graph.edge_arrays()
-    on_graph = np.isin(keys, edge_sources * n + edge_targets)
+    keys = pair_keys(sources, targets)
+    on_graph = np.isin(keys, pair_keys(*graph.edge_arrays()))
     if not on_graph.any():
         raise ValueError("empty transition model: no usable weighted entries")
     order = np.argsort(keys[on_graph])

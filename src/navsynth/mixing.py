@@ -7,33 +7,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import write_csv
+from .graph import pair_keys, unpack_pairs, write_csv
 from .sessions import SequenceCorpus, corpus_triples
 from .stats import spearman
 
 LOG2 = np.log(2.0)
+CDF_BIN_WIDTH = 0.01
 
 
 @dataclass
 class JointFlowTable:
-    """Counts of (source, target) pairs of triples passing through one article."""
+    """Counts of (source, target) pairs of triples through one article, as parallel arrays."""
 
     middle: int
-    counts: dict[tuple[int, int], int]
+    sources: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     def contingency(self) -> np.ndarray:
         """Dense count matrix with rows = distinct sources, cols = distinct targets."""
-        sources = sorted({s for s, _ in self.counts})
-        targets = sorted({t for _, t in self.counts})
-        si = {s: i for i, s in enumerate(sources)}
-        ti = {t: i for i, t in enumerate(targets)}
+        sources, rows = np.unique(self.sources, return_inverse=True)
+        targets, cols = np.unique(self.targets, return_inverse=True)
         m = np.zeros((len(sources), len(targets)), dtype=np.int64)
-        for (s, t), c in self.counts.items():
-            m[si[s], ti[t]] = c
+        m[rows, cols] = self.counts
         return m
 
 
@@ -48,13 +48,16 @@ class AmiRecord:
 
 
 def collect_flow_tables(corpus: SequenceCorpus) -> dict[int, JointFlowTable]:
-    tables: dict[int, JointFlowTable] = {}
-    for s, m, t in corpus_triples(corpus):
-        tab = tables.get(m)
-        if tab is None:
-            tab = tables[m] = JointFlowTable(m, {})
-        tab.counts[(s, t)] = tab.counts.get((s, t), 0) + 1
-    return tables
+    """One table per middle article, keyed by its id in ascending order."""
+    triples = corpus_triples(corpus)
+    # distinct (middle, source) arrivals, then distinct (arrival index, target) keys
+    arrivals, arrival = np.unique(pair_keys(triples[:, 1], triples[:, 0]), return_inverse=True)
+    keys, counts = np.unique(pair_keys(arrival, triples[:, 2]), return_counts=True)
+    arrival, t = unpack_pairs(keys)
+    m, s = unpack_pairs(arrivals[arrival])
+    bounds = np.append(np.flatnonzero(np.diff(m, prepend=-1)), len(m))
+    return {mid: JointFlowTable(mid, s[lo:hi], t[lo:hi], counts[lo:hi])
+            for mid, lo, hi in zip(m[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
 
 
 def entropy_bits(counts: np.ndarray) -> float:
@@ -64,13 +67,8 @@ def entropy_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def mutual_information(table: JointFlowTable) -> float:
-    """MI in bits between sources and targets of the joint flow counts."""
-    m = table.contingency()
-    return _mi_bits(m)
-
-
-def _mi_bits(m: np.ndarray) -> float:
+def mutual_information(m: np.ndarray) -> float:
+    """MI in bits between the rows (sources) and columns (targets) of a count matrix."""
     total = m.sum()
     if total <= 0:
         raise ValueError("empty table")
@@ -133,7 +131,7 @@ def adjusted_mi(table: JointFlowTable) -> AmiRecord:
     a = m.sum(axis=1)
     b = m.sum(axis=0)
     n = int(m.sum())
-    mi = _mi_bits(m)
+    mi = mutual_information(m)
     hs = entropy_bits(a)
     ht = entropy_bits(b)
     emi = expected_mi(a, b, n)
@@ -154,13 +152,8 @@ def ami_survey(corpus: SequenceCorpus, min_triples: int = 100) -> SurveyResult:
 
     Records are ordered by article id for deterministic output.
     """
-    tables = collect_flow_tables(corpus)
-    records = []
-    for m in sorted(tables):
-        tab = tables[m]
-        if tab.total < min_triples:
-            continue
-        records.append(adjusted_mi(tab))
+    tables = collect_flow_tables(corpus).values()
+    records = [adjusted_mi(tab) for tab in tables if tab.total >= min_triples]
     rho = None
     if len(records) >= 3:
         counts = [r.num_triples for r in records]
@@ -172,10 +165,10 @@ def ami_survey(corpus: SequenceCorpus, min_triples: int = 100) -> SurveyResult:
     return SurveyResult(records, rho)
 
 
-def ami_cdf(records: list[AmiRecord], bin_width: float = 0.01) -> list[tuple[float, float]]:
+def ami_cdf(records: list[AmiRecord]) -> list[tuple[float, float]]:
     """Cumulative fraction of records with AMI <= each bin edge in [0, 1]."""
     values = np.array([r.ami for r in records])
-    edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
+    edges = np.round(np.arange(0.0, 1.0 + CDF_BIN_WIDTH / 2, CDF_BIN_WIDTH), 10)
     if len(values) == 0:
         return [(float(e), 0.0) for e in edges]
     return [(float(e), float((values <= e).mean())) for e in edges]

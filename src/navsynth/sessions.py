@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -131,13 +132,18 @@ class SequenceCorpus:
         return len(self.sequences)
 
 
-def corpus_triples(corpus: SequenceCorpus) -> list[tuple[int, int, int]]:
-    """Every window of 3 consecutive pages as (source, middle, target)."""
-    out = []
-    for seq in corpus.sequences:
-        for i in range(len(seq) - 2):
-            out.append((seq[i], seq[i + 1], seq[i + 2]))
-    return out
+def flatten(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """(pages, lengths): every page of `sequences` in order, and each sequence's length."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    pages = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    return pages, lengths
+
+
+def corpus_triples(corpus: SequenceCorpus) -> np.ndarray:
+    """Every window of 3 consecutive pages as a (source, middle, target) row, in corpus order."""
+    pages, lengths = flatten(corpus.sequences)
+    first = np.flatnonzero(np.arange(len(pages)) + 2 < np.repeat(np.cumsum(lengths), lengths))
+    return np.column_stack((pages[first], pages[first + 1], pages[first + 2]))
 
 
 def corpus_from_trees(trees: list[NavigationTree],

@@ -51,14 +51,13 @@ class BootstrapResult:
     estimate: float
     ci_low: float
     ci_high: float
-    num_resamples: int
 
 
 CI_LEVEL = 0.95
+BOOTSTRAP_RESAMPLES = 1000
 
 
-def bootstrap_mean_ci(samples, num_resamples: int = 1000,
-                      rng: np.random.Generator | None = None) -> BootstrapResult:
+def bootstrap_mean_ci(samples, rng: np.random.Generator | None = None) -> BootstrapResult:
     """Percentile bootstrap CI_LEVEL confidence interval for the mean."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -66,11 +65,11 @@ def bootstrap_mean_ci(samples, num_resamples: int = 1000,
         raise ValueError("empty sample")
     if rng is None:
         rng = rng_stream(0)
-    idx = rng.integers(0, n, size=(num_resamples, n))
+    idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     means = samples[idx].mean(axis=1)
     alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return BootstrapResult(float(samples.mean()), float(lo), float(hi), num_resamples)
+    return BootstrapResult(float(samples.mean()), float(lo), float(hi))
 
 
 def f1_micro_macro(predicted: np.ndarray, actual: np.ndarray) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from .sessions import SequenceCorpus
 from .stats import rng_stream
 
 DEFAULT_RETRY_BUDGET = 100
+MIN_STOP_PROB = 0.01  # intrinsic stop probability floor
 
 
 @dataclass
@@ -101,21 +102,20 @@ def generate_sequence_intrinsic(model: TransitionModel, start: int,
     return path
 
 
-def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int,
-                           epsilon: float = 0.01) -> np.ndarray:
+def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarray:
     """Default intrinsic-stop rule from click flow imbalance.
 
-    stop(v) = clamp(1 - out_clicks(v) / in_clicks(v), epsilon, 1) where
-    in_clicks(v) > 0, else epsilon. Pluggable: pass any array of the same
+    stop(v) = clamp(1 - out_clicks(v) / in_clicks(v), MIN_STOP_PROB, 1) where
+    in_clicks(v) > 0, else MIN_STOP_PROB. Pluggable: pass any array of the same
     shape to TransitionModel.with_stops instead.
     """
     sources, targets, counts = table.arrays()
     outgoing = np.bincount(sources, weights=counts, minlength=num_nodes)[:num_nodes]
     incoming = np.bincount(targets, weights=counts, minlength=num_nodes)[:num_nodes]
-    stops = np.full(num_nodes, epsilon)
+    stops = np.full(num_nodes, MIN_STOP_PROB)
     has_in = incoming > 0
     ratio = np.divide(outgoing, incoming, out=np.zeros(num_nodes), where=has_in)
-    stops[has_in] = np.clip(1.0 - ratio[has_in], epsilon, 1.0)
+    stops[has_in] = np.clip(1.0 - ratio[has_in], MIN_STOP_PROB, 1.0)
     return stops
 
 

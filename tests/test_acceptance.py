@@ -85,12 +85,8 @@ def oracle_spearman(xs, ys):
 
 
 def table_from_matrix(m):
-    counts = {}
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if m[i, j]:
-                counts[(i, j + 1000)] = int(m[i, j])
-    return JointFlowTable(0, counts)
+    rows, cols = np.nonzero(m)
+    return JointFlowTable(0, rows, cols + 1000, m[rows, cols])
 
 
 def ci_overlap(lo1, hi1, lo2, hi2):
@@ -194,7 +190,7 @@ def test_criterion_05_mrr_ordering_and_filtering():
     triples = corpus_triples(world.corpus)
     split = make_split(len(triples), seed=5)
     test = [triples[i] for i in split.test]
-    m_ref = fit_markov2(triples[i] for i in split.train)
+    m_ref = fit_markov2(triples[split.train])
 
     priv_model = build_transition_model(world.graph, world.clickstream)
     priv = generate_corpus(priv_model, world.corpus, StoppingRule(), 31,
@@ -218,7 +214,7 @@ def test_criterion_05_mrr_ordering_and_filtering():
     triples2 = corpus_triples(world2.corpus)
     split2 = make_split(len(triples2), seed=5)
     test2 = [triples2[i] for i in split2.test]
-    m_ref2 = fit_markov2(triples2[i] for i in split2.train)
+    m_ref2 = fit_markov2(triples2[split2.train])
 
     pub_table = apply_k_anonymity(world2.clickstream, 5)
     m_priv2 = fit_markov2(corpus_triples(generate_corpus(

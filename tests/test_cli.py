@@ -252,6 +252,26 @@ def test_eval_next_rejects_reference_article_outside_graph(tmp_path, chain_graph
         "error: %s: article 'D' is not in the graph\n" % ref)
 
 
+def test_eval_next_does_not_read_logs_path(tmp_path, chain_graph, reference):
+    # "Logs" trains on the reference's train split, whatever path it names
+    bodies = []
+    for logs in (reference, str(tmp_path / "nonexistent.tsv")):
+        out = tmp_path / ("out%d" % len(bodies))
+        assert main(["eval-next", "--graph", chain_graph, "--reference", reference,
+                     "--train", "Logs=%s" % logs, "--out-dir", str(out)]) == 0
+        bodies.append((out / "next_article.csv").read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
+
+
+def test_eval_link_corpus_without_path_rejected(tmp_path, chain_graph, reference, capsys):
+    new_graph = write(tmp_path / "new.tsv", "A\tB\nB\tC\nC\tA\nA\tC\n")
+    rc = main(["eval-link", "--old-graph", chain_graph, "--new-graph", new_graph,
+               "--reference", reference, "--corpus", "Logs",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--corpus expects name=path, got 'Logs'" in capsys.readouterr().err
+
+
 class TestReport:
     def test_missing_input_errors(self, tmp_path, capsys):
         rc = main(["report", "--inputs", str(tmp_path / "absent.csv"),

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsynth.diffusion import EmbeddingTable
 from navsynth.downstream import (LabeledLinkSet, PathProportions,
                                  build_added_links, corpus_triples,
                                  evaluate_mrr, fit_markov2, logreg_loss_grad,
-                                 make_split, path_proportion, precision_at_k,
-                                 rank_links, rank_next, relatedness_eval,
+                                 make_split, precision_at_k,
+                                 rank_links, relatedness_eval,
                                  relative_difference, topic_classification,
                                  train_logreg)
-from navsynth.graph import load_edge_list
+from navsynth.graph import load_edge_list, unpack_pairs
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 
@@ -33,17 +34,49 @@ def int_graph(tmp_path, edges, num_nodes):
     return g
 
 
+def count_dict(model):
+    """A Markov-2 model's counts as {(prev, current): {next: count}}."""
+    context, nxt = unpack_pairs(model.keys)
+    prev, current = unpack_pairs(model.contexts[context])
+    out = {}
+    for s1, s2, t, c in zip(prev.tolist(), current.tolist(), nxt.tolist(),
+                            model.counts.tolist()):
+        out.setdefault((s1, s2), {})[t] = c
+    return out
+
+
+def oracle_counts(triples):
+    out = {}
+    for s1, s2, t in triples:
+        row = out.setdefault((s1, s2), {})
+        row[t] = row.get(t, 0) + 1
+    return out
+
+
+def oracle_rank_next(counts, graph, s1, s2):
+    """Out-neighbors of s2 by count in context (s1, s2) descending, ties by ascending id."""
+    row = counts.get((s1, s2), {})
+    return sorted((int(t) for t in graph.successors(s2)), key=lambda t: (-row.get(t, 0), t))
+
+
+def ranking(model, graph, s1, s2):
+    """The out-neighbors of s2 in the order evaluate_mrr ranks them in context (s1, s2)."""
+    candidates = [int(t) for t in graph.successors(s2)]
+    rrs = evaluate_mrr(model, graph, [(s1, s2, t) for t in candidates]).reciprocal_ranks
+    return [t for _, t in sorted(zip((-rrs).tolist(), candidates))]
+
+
 class TestMarkov2:
     def test_counting(self):
         corpus = SequenceCorpus([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]], "Logs")
         model = fit_markov2(corpus_triples(corpus))
-        assert model.counts[(0, 1)] == {2: 3, 3: 1}
-        assert model.context_total(0, 1) == 4
+        assert count_dict(model)[(0, 1)] == {2: 3, 3: 1}
+        assert sum(count_dict(model)[(0, 1)].values()) == 4
 
     def test_empty(self):
         model = fit_markov2(corpus_triples(SequenceCorpus([[0, 1]], "Logs")))
-        assert model.counts == {}
-        assert not model.has_context(0, 1)
+        assert count_dict(model) == {}
+        assert (0, 1) not in count_dict(model)
 
     def test_matches_counting_oracle(self):
         rng = rng_stream(80)
@@ -56,14 +89,20 @@ class TestMarkov2:
                 key = (s[i], s[i + 1])
                 oracle.setdefault(key, {}).setdefault(s[i + 2], 0)
                 oracle[key][s[i + 2]] += 1
-        assert model.counts == oracle
+        assert count_dict(model) == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples=st.lists(st.tuples(*[st.integers(0, 2**31 - 1) | st.integers(0, 4)] * 3),
+                            max_size=40))
+    def test_matches_dict_oracle(self, triples):
+        assert count_dict(fit_markov2(triples)) == oracle_counts(triples)
 
 
 class TestRankNext:
     def test_count_order_then_id(self, tmp_path):
         g = int_graph(tmp_path, [(1, 0), (1, 2), (1, 3)], 4)
         model = fit_markov2([(0, 1, 3), (0, 1, 3), (0, 1, 0)])
-        ranked = rank_next(model, g, 0, 1)
+        ranked = ranking(model, g, 0, 1)
         assert ranked[0] == 3 and ranked[1] == 0
         # the remaining zero-count candidates come in id order
         assert ranked[2:] == sorted(ranked[2:])
@@ -75,10 +114,10 @@ class TestRankNext:
         model = fit_markov2(triples)
         for s1 in range(6):
             for s2 in range(6):
-                row = model.counts.get((s1, s2), {})
+                row = count_dict(model).get((s1, s2), {})
                 oracle = sorted((int(t) for t in g.successors(s2)),
                                 key=lambda t: (-row.get(t, 0), t))
-                assert rank_next(model, g, s1, s2) == oracle
+                assert ranking(model, g, s1, s2) == oracle
 
 
 class TestMrr:
@@ -117,21 +156,56 @@ class TestMrr:
                          compared_models=[m_a, m_b])
 
 
+SMALL_TRIPLES = st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=30)
+
+
+class TestMrrOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(edges=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=25),
+           train=SMALL_TRIPLES, other=SMALL_TRIPLES,
+           queries=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=20))
+    def test_reciprocal_ranks_match_rank_next_oracle(self, tmp_path_factory, edges, train,
+                                                     other, queries):
+        # small ids give ties, unseen contexts and targets outside the
+        # candidates; `train` or `other` may be empty
+        g = int_graph(tmp_path_factory.mktemp("g"), sorted(edges), 6)
+        counts, other_counts = oracle_counts(train), oracle_counts(other)
+
+        def oracle(compared):
+            rrs = []
+            for s1, s2, t in queries:
+                if all((s1, s2) in c for c in compared):
+                    ranked = oracle_rank_next(counts, g, s1, s2)
+                    rrs.append(1.0 / (ranked.index(t) + 1) if t in ranked else 0.0)
+            return rrs
+
+        model, other_model = fit_markov2(train), fit_markov2(other)
+        assert evaluate_mrr(model, g, queries).reciprocal_ranks.tolist() == oracle([])
+        expected = oracle([counts, other_counts])
+        if not expected:
+            with pytest.raises(ValueError, match="empty test set"):
+                evaluate_mrr(model, g, queries, "filtered", [model, other_model])
+            return
+        res = evaluate_mrr(model, g, queries, "filtered", [model, other_model])
+        assert res.reciprocal_ranks.tolist() == expected
+        assert res.num_queries == len(expected)
+
+
 class TestPathProportions:
     def corpus(self):
         return SequenceCorpus([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
 
     def test_hand_computed(self):
-        assert path_proportion(self.corpus(), 0, 2) == pytest.approx(2 / 3)
-        assert path_proportion(self.corpus(), 0, 1) == pytest.approx(1 / 3)
+        assert PathProportions(self.corpus()).proportion(0, 2) == pytest.approx(2 / 3)
+        assert PathProportions(self.corpus()).proportion(0, 1) == pytest.approx(1 / 3)
 
     def test_start_itself_excluded(self):
         corpus = SequenceCorpus([[0, 1, 0]], "Logs")
-        assert path_proportion(corpus, 0, 0) == 0.0
+        assert PathProportions(corpus).proportion(0, 0) == 0.0
 
     def test_undefined_start(self):
         with pytest.raises(ValueError, match="proportion undefined"):
-            path_proportion(self.corpus(), 9, 0)
+            PathProportions(self.corpus()).proportion(9, 0)
 
     def test_matches_full_scan_oracle(self):
         rng = rng_stream(82)

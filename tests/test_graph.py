@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream,
-                            load_edge_list, ClickstreamTable)
+                            load_edge_list, pair_keys, unpack_pairs, ClickstreamTable)
 from navsynth.stats import rng_stream
 
 
@@ -317,3 +317,14 @@ def test_interner_round_trip(tmp_path):
     loaded = Interner.read_tsv(str(path))
     assert len(loaded) == 3
     assert loaded.id("Baz qux") == interner.id("Baz qux")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+                      max_size=30))
+def test_pair_keys_round_trip_and_order(pairs):
+    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    keys = pair_keys(ids[:, 0], ids[:, 1])
+    assert list(zip(*(x.tolist() for x in unpack_pairs(keys)))) == pairs
+    assert [pairs[i] for i in np.argsort(keys, kind="stable")] == sorted(pairs)
+    assert len(set(keys.tolist())) == len(set(pairs))

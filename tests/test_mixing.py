@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsynth.mixing import (JointFlowTable, adjusted_mi, ami_survey,
                              collect_flow_tables, entropy_bits, expected_mi,
@@ -11,12 +12,13 @@ from navsynth.stats import rng_stream
 
 
 def table_from_matrix(m, middle=0):
-    counts = {}
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if m[i, j]:
-                counts[(i, j + 100)] = int(m[i, j])
-    return JointFlowTable(middle, counts)
+    rows, cols = np.nonzero(m)
+    return JointFlowTable(middle, rows, cols + 100, m[rows, cols])
+
+
+def flow_dict(table):
+    """A flow table's counts as {(source, target): count}."""
+    return dict(zip(zip(table.sources.tolist(), table.targets.tolist()), table.counts.tolist()))
 
 
 # ------------------------------------------------------------------ oracles
@@ -71,11 +73,11 @@ def oracle_ami(m):
 class TestExtractTriples:
     def test_sliding_window(self):
         corpus = SequenceCorpus([[0, 1, 2, 3]], "Logs")
-        assert corpus_triples(corpus) == [(0, 1, 2), (1, 2, 3)]
+        assert corpus_triples(corpus).tolist() == [[0, 1, 2], [1, 2, 3]]
 
     def test_short_sequence(self):
         corpus = SequenceCorpus([[0, 1]], "Logs")
-        assert corpus_triples(corpus) == []
+        assert corpus_triples(corpus).tolist() == []
 
     def test_count_arithmetic(self):
         rng = rng_stream(31)
@@ -89,11 +91,13 @@ class TestExtractTriples:
 class TestMutualInformation:
     def test_independence_zero(self):
         m = np.array([[5, 5], [5, 5]])
-        assert mutual_information(table_from_matrix(m)) == pytest.approx(0.0, abs=1e-12)
+        mi = mutual_information(table_from_matrix(m).contingency())
+        assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_one_bit(self):
         m = np.array([[10, 0], [0, 10]])
-        assert mutual_information(table_from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
+        mi = mutual_information(table_from_matrix(m).contingency())
+        assert mi == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = rng_stream(32)
@@ -101,7 +105,7 @@ class TestMutualInformation:
             m = rng.integers(0, 20, size=(4, 5))
             if m.sum() == 0:
                 continue
-            assert mutual_information(table_from_matrix(m)) == pytest.approx(
+            assert mutual_information(table_from_matrix(m).contingency()) == pytest.approx(
                 oracle_mi_bits(m), abs=1e-12)
 
     def test_bounds(self):
@@ -110,7 +114,7 @@ class TestMutualInformation:
             m = rng.integers(0, 15, size=(3, 4))
             if m.sum() == 0:
                 continue
-            mi = mutual_information(table_from_matrix(m))
+            mi = mutual_information(table_from_matrix(m).contingency())
             hs = entropy_bits(m.sum(axis=1))
             ht = entropy_bits(m.sum(axis=0))
             assert -1e-12 <= mi <= min(hs, ht) + 1e-12
@@ -238,8 +242,26 @@ class TestSurvey:
     def test_collect_tables(self):
         corpus = SequenceCorpus([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
         tables = collect_flow_tables(corpus)
-        assert tables[1].counts == {(0, 2): 1, (3, 2): 1, (0, 4): 1}
+        assert flow_dict(tables[1]) == {(0, 2): 1, (3, 2): 1, (0, 4): 1}
         assert tables[1].total == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), max_size=30))
+    def test_collect_tables_match_dict_oracle(self, seqs):
+        oracle = {}
+        for seq in seqs:
+            for s, m, t in zip(seq, seq[1:], seq[2:]):
+                row = oracle.setdefault(m, {})
+                row[(s, t)] = row.get((s, t), 0) + 1
+        tables = collect_flow_tables(SequenceCorpus(seqs, "Logs"))
+        assert list(tables) == sorted(oracle)
+        for m, tab in tables.items():
+            assert tab.middle == m and flow_dict(tab) == oracle[m]
+            assert tab.total == sum(oracle[m].values())
+            sources = sorted({s for s, _ in oracle[m]})
+            targets = sorted({t for _, t in oracle[m]})
+            dense = [[oracle[m].get((s, t), 0) for t in targets] for s in sources]
+            assert tab.contingency().tolist() == dense
 
     def test_deterministic_csv(self, tmp_path):
         from navsynth.graph import Interner
