@@ -9,8 +9,7 @@ from .sessions import (PageviewEvent, NavigationTree, SequenceCorpus, build_tree
                        corpus_from_trees, load_corpus, reader_key,
                        sample_root_to_leaf, save_corpus)
 from .synth import (PlantedWorldSpec, StoppingRule, WalkSpec, generate_corpus,
-                    generate_planted_world, generate_sequence,
-                    generate_sequence_intrinsic)
+                    generate_planted_world, generate_sequence)
 
 __all__ = [
     "ClickstreamTable", "HyperlinkGraph", "Interner", "TransitionModel",
@@ -19,5 +18,5 @@ __all__ = [
     "build_trees", "corpus_from_trees", "load_corpus", "reader_key",
     "sample_root_to_leaf", "save_corpus", "PlantedWorldSpec", "StoppingRule",
     "WalkSpec", "generate_corpus", "generate_planted_world",
-    "generate_sequence", "generate_sequence_intrinsic",
+    "generate_sequence",
 ]

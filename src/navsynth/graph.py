@@ -174,8 +174,8 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
     n = len(interner)
-    keys = pair_keys(pairs[~loops, 0], pairs[~loops, 1])
-    unique = np.unique(keys)
+    keys = np.sort(pair_keys(pairs[~loops, 0], pairs[~loops, 1]))
+    unique = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
     sources, targets = unpack_pairs(unique)
     return HyperlinkGraph(interner, _row_offsets(sources, n), targets,
                           int(loops.sum()), len(keys) - len(unique))
@@ -256,12 +256,14 @@ class TransitionModel(_Rows):
     def __post_init__(self):
         if self.stop_probs is None:
             self.stop_probs = np.zeros(self.num_nodes)
-        # each row's own cumulative sum: one sum across rows would round
-        # differently and change the draws
-        self.cum = np.empty_like(self.probs)
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            np.cumsum(self.probs[lo:hi], out=self.cum[lo:hi])
+        # each row's own cumulative sum in np.cumsum's order (one sum across rows would
+        # round differently): pass k adds entry k - 1 into entry k of rows longer than k
+        self.cum = self.probs.copy()
+        degree = np.diff(self.indptr)
+        heads = self.indptr[np.argsort(degree)]  # row starts, shortest rows first
+        longer = np.searchsorted(np.sort(degree), np.arange(degree.max(initial=0)), "right")
+        for k, first in enumerate(longer[1:], 1):
+            self.cum[heads[first:] + k] += self.cum[heads[first:] + k - 1]
 
     def row_probs(self, node: int) -> np.ndarray:
         """Successor probabilities of `node`, a view parallel to `successors(node)`."""
@@ -304,7 +306,7 @@ def build_transition_model(graph: HyperlinkGraph,
 
     sources, targets, counts = weights.arrays()
     keys = pair_keys(sources, targets)
-    on_graph = np.isin(keys, pair_keys(*graph.edge_arrays()))
+    on_graph = np.isin(keys, pair_keys(*graph.edge_arrays()), assume_unique=True)
     if not on_graph.any():
         raise ValueError("empty transition model: no usable weighted entries")
     order = np.argsort(keys[on_graph])

@@ -14,6 +14,21 @@ def rng_stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def counter_uniforms(seed: int, items, draws) -> np.ndarray:
+    """u(seed, item, draw) in [0, 1) (Salmon et al., SC'11): the top 53 bits of output
+    `item << 32 | draw` (each below 2**32; arrays broadcast) of a splitmix64 stream seeded by
+    a hash of `seed`. Array-only arithmetic: numpy scalars warn on the intended uint64 wrap."""
+    counter = np.array(items, np.uint64, ndmin=1) << 32 | np.array(draws, np.uint64, ndmin=1)
+    state = _splitmix64(np.array([seed], dtype=np.uint64))
+    return (_splitmix64(state + (counter + 1) * np.uint64(0x9E3779B97F4A7C15)) >> 11) * 2.0 ** -53
+
+
 def average_ranks(x) -> np.ndarray:
     """1-based ranks of `x`; each group of tied values gets the mean of its ranks."""
     x = np.asarray(x, dtype=float)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .graph import ClickstreamTable, HyperlinkGraph, Interner, TransitionModel
-from .sessions import SequenceCorpus
-from .stats import rng_stream
+from .graph import (ClickstreamTable, HyperlinkGraph, Interner, TransitionModel, _row_offsets,
+                    pair_keys, unpack_pairs)
+from .sessions import SequenceCorpus, flatten
+from .stats import counter_uniforms, rng_stream
 
 DEFAULT_RETRY_BUDGET = 100
 MIN_STOP_PROB = 0.01  # intrinsic stop probability floor
@@ -33,15 +34,14 @@ class StoppingRule:
             raise ValueError("max_length must be >= 2")
 
 
-def generate_sequence(model: TransitionModel, spec: WalkSpec,
-                      rng: np.random.Generator) -> tuple[list[int], bool]:
+def generate_sequence(model: TransitionModel, spec: WalkSpec, rng) -> tuple[list[int], bool]:
     """Walk to exactly `target_length` pages, backtracking out of dead ends.
 
     On reaching a terminal node before the target length, the walk steps
     back to the parent, removes the failing child from that parent's local
     candidate set, and resamples. Returns (pages, flagged); flagged marks
     walks that could not reach the target length (terminal start, or retry
-    budget exhausted).
+    budget exhausted). Each page appended takes one `rng.random()` draw in [0, 1).
     """
     start = spec.start
     if model.is_terminal(start):
@@ -83,23 +83,47 @@ def _step_excluding(model, node, banned, rng):
     return int(succ[keep][cum.searchsorted(r, side="right")])
 
 
-def generate_sequence_intrinsic(model: TransitionModel, start: int,
-                                rng: np.random.Generator,
-                                rule: StoppingRule) -> list[int]:
-    """Walk with a per-node stop decision instead of a length target.
+def _row_search(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-row `lo + cum[lo:hi].searchsorted(r, side="right")`: one pass per halving."""
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) >> 1
+        right = open_ & (cum.take(mid, mode="clip") <= r)
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+    return lo
 
-    At each node the walk stops with the model's stop probability (always at
-    terminal nodes) and is hard-capped at rule.max_length.
-    """
-    path = [start]
-    while len(path) < rule.max_length:
-        node = path[-1]
-        if model.is_terminal(node):
-            break
-        if rng.random() < model.stop_probs[node]:
-            break
-        path.append(model.step(node, rng))
-    return path
+
+def _lockstep(model: TransitionModel, seed: int, starts: np.ndarray, lengths: np.ndarray,
+              first_draw: int = 0, stop_probs=None, memory=None):
+    """Walk w from `starts[w]` to at most `lengths[w]` pages, all walks one step per pass.
+    Step t decides on u(seed, w, first_draw + 2t): stop with `stop_probs`, or (t > 0) follow
+    `memory = (strength, preferred)` from edge e to `preferred[e]`; else u(seed, w, first_draw
+    + 2t + 1) steps as `model.step` does. Returns (sequences, walks ended at a terminal)."""
+    walk = np.flatnonzero(lengths > 1)
+    node, edge = starts[walk], np.zeros(len(walk), dtype=np.int64)
+    chunks, dead = [(np.arange(len(starts)), starts)], [walk[:0]]
+    for t in range(int(lengths.max(initial=1)) - 1):
+        go = model.indptr[node] < model.indptr[node + 1]
+        dead.append(walk[~go])
+        if stop_probs is not None:
+            go &= counter_uniforms(seed, walk, first_draw + 2 * t) >= stop_probs[node]
+        walk, node, edge = walk[go], node[go], edge[go]
+        lo, hi = model.indptr[node], model.indptr[node + 1]
+        u = counter_uniforms(seed, walk, first_draw + 2 * t + 1)
+        nxt = _row_search(model.cum, lo, hi, u * model.cum[hi - 1])
+        if memory is not None and t > 0:
+            recall = counter_uniforms(seed, walk, first_draw + 2 * t) < memory[0]
+            nxt = np.where(recall, memory[1][edge], nxt)
+        node, edge = model.indices[nxt], nxt
+        chunks.append((walk, node))
+        more = lengths[walk] > t + 2
+        walk, node, edge = walk[more], node[more], edge[more]
+    bounds = _row_offsets(np.concatenate([w for w, _ in chunks]), len(starts))
+    flat = np.empty(bounds[-1], dtype=np.int64)
+    while chunks:  # chunk t holds page t of each walk it lists; popping frees it
+        w, pages = chunks.pop()
+        flat[bounds[w] + len(chunks)] = pages
+    flat, b = flat.tolist(), bounds.tolist()
+    return [flat[b[i]:b[i + 1]] for i in range(len(starts))], np.concatenate(dead)
 
 
 def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarray:
@@ -121,32 +145,35 @@ def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarra
 
 def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
                     rule: StoppingRule, seed: int, kind: str) -> SequenceCorpus:
-    """Generate one synthetic sequence per reference sequence.
-
-    Under extrinsic stopping each synthetic sequence copies its reference's
-    start and length. Each sequence draws from an independent RNG substream
-    keyed by (seed, index), so the output is independent of worker layout.
-    """
+    """Generate one synthetic sequence per reference sequence; sequence i reads only
+    u(seed, i, draw). Under extrinsic stopping each copies its reference's start and length,
+    and a walk that meets a dead end is rerun by `generate_sequence`, whose k-th draw is
+    the lockstep's successor draw 2k + 1."""
     if not reference.sequences:
         raise ValueError("empty reference corpus")
-    sequences: list[list[int]] = []
-    flagged: set[int] = set()
-    for i, ref in enumerate(reference.sequences):
-        rng = rng_stream(seed, i)
-        start = ref[0]
-        if start >= model.num_nodes:
-            sequences.append([start])
+    intrinsic = rule.variant == "intrinsic"
+    pages, lengths = flatten(reference.sequences)
+    starts = pages[np.cumsum(lengths) - lengths]
+    lengths = np.full(len(starts), rule.max_length) if intrinsic else lengths
+    missing = starts >= model.num_nodes
+    lengths[missing] = 1
+    sequences, dead = _lockstep(model, seed, starts, lengths,
+                                stop_probs=model.stop_probs if intrinsic else None)
+    dead = [] if intrinsic else dead.tolist()  # a terminal node ends an intrinsic walk
+    flagged = set(np.flatnonzero(missing).tolist()) | {i for i in dead if len(sequences[i]) == 1}
+    rerun, retries = [i for i in dead if len(sequences[i]) > 1], 0  # terminal starts stay
+    for i in rerun:
+        draws = counter_uniforms(seed, i, 2 * np.arange(lengths[i] + DEFAULT_RETRY_BUDGET) + 1)
+        left = iter(draws.tolist())
+        sequences[i], bad = generate_sequence(model, WalkSpec(int(starts[i]), int(lengths[i])),
+                                              SimpleNamespace(random=left.__next__))
+        if bad:
             flagged.add(i)
-            continue
-        if rule.variant == "intrinsic":
-            seq = generate_sequence_intrinsic(model, start, rng, rule)
-        else:
-            seq, bad = generate_sequence(model, WalkSpec(start, len(ref)), rng)
-            if bad:
-                flagged.add(i)
-        sequences.append(seq)
+        # each draw appended a page and each backtrack removed one
+        retries += len(draws) - len([*left]) - (len(sequences[i]) - 1)
     meta = {"seed": seed, "stopping": rule.variant, "flagged_count": len(flagged),
-            "dropped_click_mass": model.dropped_click_mass}
+            "dropped_click_mass": model.dropped_click_mass,
+            "walks_rerun": len(rerun), "backtrack_retries": retries}
     return SequenceCorpus(sequences, kind, flagged, meta)
 
 
@@ -202,33 +229,19 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     graph = HyperlinkGraph(interner, indptr, out.ravel())
 
     # fixed Markov-1 rows with random positive weights
-    probs = np.empty((n, d))
-    for v in range(n):
-        w = rng.gamma(1.0, 1.0, size=d) + 1e-3
-        probs[v] = w / w.sum()
-    markov1 = TransitionModel(interner, indptr, graph.indices, probs.ravel())
+    w = rng.gamma(1.0, 1.0, size=(n, d)) + 1e-3
+    markov1 = TransitionModel(interner, indptr, graph.indices,
+                              (w / w.sum(axis=1, keepdims=True)).ravel())
 
-    preferred: dict[tuple[int, int], int] = {}
+    # edge e = (p, c) prefers c's out-edge preferred_edge[e]
     sources, targets = graph.edge_arrays()
-    for p, c in zip(sources.tolist(), targets.tolist()):
-        preferred[(p, c)] = int(out[c, rng.integers(d)])
+    preferred_edge = indptr[targets] + rng.integers(d, size=n * d)
+    preferred = dict(zip(zip(sources.tolist(), targets.tolist()),
+                         graph.indices[preferred_edge].tolist()))
 
-    lam = spec.memory_strength
-    sequences = []
-    for i in range(spec.corpus_size):
-        seq_rng = rng_stream(spec.seed, i + 1)
-        length = min(2 + int(seq_rng.geometric(spec.length_p)) - 1, spec.max_length)
-        v = int(seq_rng.integers(spec.num_nodes))
-        seq = [v, markov1.step(v, seq_rng)]
-        while len(seq) < length:
-            prev, cur = seq[-2], seq[-1]
-            if lam > 0.0 and seq_rng.random() < lam:
-                seq.append(preferred[(prev, cur)])
-            else:
-                seq.append(markov1.step(cur, seq_rng))
-        sequences.append(seq)
+    sequences = _world_walks(markov1, spec, (spec.memory_strength, preferred_edge))
     corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed,
-                                                         "memory_strength": lam})
+                                                         "memory_strength": spec.memory_strength})
 
     return PlantedWorld(graph, _bigram_table(interner, sequences), corpus, preferred, markov1)
 
@@ -273,36 +286,37 @@ def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
     cos_dist = 1.0 - pos @ pos.T
 
     n, degree = spec.num_nodes, spec.near_links + spec.far_links
+    near = np.argsort(cos_dist + np.diag(np.full(n, np.inf)), axis=1)[:, :spec.near_links]
     out = np.empty((n, degree), dtype=np.int64)
-    probs = np.empty((n, degree))
     for v in range(n):
-        d = cos_dist[v].copy()
-        d[v] = np.inf
-        near = np.argsort(d)[: spec.near_links]
-        pool = np.setdiff1d(np.arange(n), np.append(near, v))
-        far = rng.choice(pool, size=spec.far_links, replace=False)
-        out[v] = np.sort(np.concatenate([near, far]))
-        w = np.exp(-cos_dist[v][out[v]] / spec.locality)
-        probs[v] = w / w.sum()
+        pool = np.setdiff1d(np.arange(n), np.append(near[v], v), assume_unique=True)
+        out[v] = np.sort(np.append(near[v], rng.choice(pool, size=spec.far_links, replace=False)))
+    w = np.exp(-np.take_along_axis(cos_dist, out, axis=1) / spec.locality)
+    probs = w / w.sum(axis=1, keepdims=True)
     indptr = np.arange(0, n * degree + 1, degree)
     graph = HyperlinkGraph(interner, indptr, out.ravel())
     weighted = TransitionModel(interner, indptr, graph.indices, probs.ravel())
 
-    sequences = []
-    for i in range(spec.corpus_size):
-        seq_rng = rng_stream(spec.seed, i + 1)
-        length = min(2 + int(seq_rng.geometric(spec.length_p)) - 1, spec.max_length)
-        v = int(seq_rng.integers(spec.num_nodes))
-        seq = [v]
-        while len(seq) < length:
-            seq.append(weighted.step(seq[-1], seq_rng))
-        sequences.append(seq)
+    sequences = _world_walks(weighted, spec)
     corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed})
 
     return GeometricWorld(graph, _bigram_table(interner, sequences), corpus, pos, weighted)
 
 
+def _world_walks(model: TransitionModel, spec, memory=None) -> list[list[int]]:
+    """A world's corpus: walk i has 2 + k pages with probability (1 - length_p)^k length_p,
+    capped, by inversion of u(seed, i, 0); u(seed, i, 1) picks its start page."""
+    items = np.arange(spec.corpus_size)
+    tail = np.floor(np.log1p(-counter_uniforms(spec.seed, items, 0)) / np.log1p(-spec.length_p))
+    lengths = np.minimum(2 + tail, spec.max_length).astype(np.int64)
+    starts = (counter_uniforms(spec.seed, items, 1) * spec.num_nodes).astype(np.int64)
+    return _lockstep(model, spec.seed, starts, lengths, first_draw=2, memory=memory)[0]
+
+
 def _bigram_table(interner: Interner, sequences) -> ClickstreamTable:
     """Clickstream of a corpus: the count of every consecutive page pair."""
-    return ClickstreamTable(interner, dict(Counter(
-        (a, b) for seq in sequences for a, b in zip(seq, seq[1:]))))
+    pages, lengths = flatten(sequences)
+    first = np.flatnonzero(np.arange(len(pages)) + 1 < np.repeat(np.cumsum(lengths), lengths))
+    keys, counts = np.unique(pair_keys(pages[first], pages[first + 1]), return_counts=True)
+    pairs = zip(*(ids.tolist() for ids in unpack_pairs(keys)))
+    return ClickstreamTable(interner, dict(zip(pairs, counts.tolist())))

@@ -18,15 +18,15 @@ RECORDED_NUMPY = "2.4"
 
 GOLDEN = {
     "geometric/clickstream":
-        "84f5e948869d02bc851b68610228351536c8a2a14bb27a583b3d205063b0aff1",
+        "fbd82e9e964863c9f350cfa50475555a63f44c7dec810e6435d6c0975c16e4b8",
     "geometric/corpus":
-        "393476c5429fd92ded4fe59aeb6c1b491afea93883bb0aa88aa5af3b4aba2f36",
+        "29c5eb9b3acd94291508600bfcbc900cd4e52738a823443de00345ca6b3af189",
     "ingest/clickstream_cache.npz/counts":
-        "aa37980a2e7b8120930ad804775acfde98bd74868e6e39635ffcba18b196b165",
+        "9b66bd3dc04be13a1e5d70a43267d9f8323ea2e0622f252b106ccce4c0246b17",
     "ingest/clickstream_cache.npz/sources":
-        "67e17681aacbac2589dc7002fa3748b1d6d8aaebdad5c61b3c341123dc306378",
+        "f54a63a48f16f6d0d5491b462c0e512ecb96605c319adc54d733ccc6e493c910",
     "ingest/clickstream_cache.npz/targets":
-        "3cfb652c720c8a33d7a5aa9538957d177e911b2a9a46076ac0cc8c35f2b672a7",
+        "9a78143256faadf089f311f546d8c99b09e32a764a28f29e812f3153522bddb4",
     "ingest/graph_cache.npz/num_nodes":
         "1bfbec701b6f0cda39f991c572bf7020204d6651ce691314286a5e48c499fd25",
     "ingest/graph_cache.npz/sources":
@@ -36,31 +36,31 @@ GOLDEN = {
     "ingest/interning.tsv":
         "a8ebb27d9e5c6baa3e4f72b9c26b272d4c0563dad048bd491720caeda94043e4",
     "results/ami_survey.csv":
-        "1ca01198e64ce23fc8b8d217c85b577ba2f39638ae3872fa98b00d1bd42d34a7",
+        "a253201e6bc3383951f158208ae70988588ad61306a437a9fb8911a9430dd9a4",
     "results/link_prediction.csv":
-        "0dab6dde1ae9b008bac72f4026ce1df7c6c88bd5b3879dd21a0eade6de5ebc73",
+        "2e60e358294e1d027b016e505d6266dca28c8d56f8348deb810e1d5241f65c51",
     "results/next_article.csv":
-        "f9d8cd049c2960319f9ac126c08531dbc02e9154db83392675cde9be6b2b14ab",
+        "0bd670619e52e879369726805160778ae008c611ccbf114dd190c15b04e7cd04",
     "synth/clickstream-priv.tsv":
-        "26c7dc7a4e620f7af81946a31f64b297e32b56545199ec239e15e5d6c9d8e9a8",
+        "eba7012a07cbdc98646c77a4c7a097f71a166f1fbed41947a644c3b8c2ba62b9",
     "synth/clickstream-priv.tsv.report.json":
-        "66de89ac5d4455e5a8ba033496adf41fd13c932fbf1b4ff383d0803f2ca0403f",
+        "5ab9af388a53ab992011b777284fe6742014650032f03d018361415a04ded124",
     "synth/clickstream-pub-intrinsic.tsv":
-        "ba06ac18e78f1e391b9bdaf9438ec46693633e7f239fb990683165417a08c7d5",
+        "e3f58117a5db8b22aca24fc1204b4d977dc2bbb7689f0aafbfd0d7a9d8cd41ca",
     "synth/clickstream-pub-intrinsic.tsv.report.json":
-        "51dc2d541568450272ab98a52aa7535dc2ab47166d24aad7398302eaec2320e1",
+        "d7d7fc2c06b2c25f8bf9e95ef2aac2e2bac8d465467cdc5288ea7aa260da9752",
     "synth/clickstream-pub.tsv":
-        "fa4adc195fe80194129e36e731ce13eac391671a82c97257db4c37d9047e99d8",
+        "9460fd3d77174bf72568e1940cf9630793a58639f1134b4ec6b2c0c790ddafc0",
     "synth/clickstream-pub.tsv.report.json":
-        "8eb3ced2b86b71f8c3a723f02d45725215285265bb4b8683beee760525a266e2",
+        "60e97e3c90b065272297c3b22decf732cc9c985148d9c4120fe7c543cb5cace5",
     "synth/graph.tsv":
-        "2d4358577bd7396d0cc49c88d5d9168329df91e9316604328508b0cf91afe0f0",
+        "0f59c50cb6e6f7df7494cd04417c8cc9c51442be9a2092b9e4b87934524193b0",
     "synth/graph.tsv.report.json":
-        "0b285d915c57cc19ccc84c9a60495c1775c8a3fbac9839d7bbc57499e86808ca",
+        "e6c651eab99ba96b665b636a4d6d0a9de76b8dc15749fe122644c3d0e3b50c4f",
     "world/clickstream.tsv":
-        "31ef24280f699e52bd0a455ca249fd631116a38823862150a56ab0743864f0d1",
+        "a98828663c73f33abfce13adc3d4f4ed68eb3febc00791aa5cee8167594ccbd2",
     "world/corpus.tsv":
-        "7e555b455fbeb952caecad3f854eecdb28971d7456599614e1d800dff9e8bf6e",
+        "fed58e4de9c1521deacd93e4227fb1b9971f9aaeb039c66f7a529138be056234",
     "world/graph.tsv":
         "94dfafc64d5e062e95854bc0bf982bb25c78d7f387a1785357b4d576651edb09",
 }

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream,
-                            load_edge_list, pair_keys, unpack_pairs, ClickstreamTable)
+                            load_edge_list, pair_keys, unpack_pairs, ClickstreamTable,
+                            TransitionModel)
 from navsynth.stats import rng_stream
 
 
@@ -328,3 +329,16 @@ def test_pair_keys_round_trip_and_order(pairs):
     assert list(zip(*(x.tolist() for x in unpack_pairs(keys)))) == pairs
     assert [pairs[i] for i in np.argsort(keys, kind="stable")] == sorted(pairs)
     assert len(set(keys.tolist())) == len(set(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(0, 1e6, allow_subnormal=False), max_size=12),
+                     max_size=20))
+def test_row_cumsum_matches_per_row_cumsum(rows):
+    # empty rows, and one row longer than every other
+    rows = rows + [[], [0.1 * (k + 1) for k in range(13)]]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    probs = np.array([p for r in rows for p in r], dtype=float)
+    m = TransitionModel(Interner(), indptr, np.zeros(len(probs), dtype=np.int64), probs)
+    expected = np.concatenate([np.cumsum(r, dtype=float) for r in rows])
+    assert np.array_equal(m.cum, expected)

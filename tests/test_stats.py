@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navsynth.stats import (average_ranks, bootstrap_mean_ci, f1_micro_macro, rng_stream,
-                            spearman)
+from navsynth.stats import (average_ranks, bootstrap_mean_ci, counter_uniforms, f1_micro_macro,
+                            rng_stream, spearman)
 
 
 def avg_ranks(v):
@@ -164,3 +164,25 @@ class TestF1:
 def test_rng_stream_determinism():
     assert rng_stream(1, 2).random() == rng_stream(1, 2).random()
     assert rng_stream(1, 2).random() != rng_stream(1, 3).random()
+
+
+class TestCounterUniforms:
+    def test_range_and_uniformity(self):
+        from scipy.stats import chisquare
+        u = counter_uniforms(3, np.arange(4000)[:, None], np.arange(16)[None, :]).ravel()
+        assert u.min() >= 0.0 and u.max() < 1.0
+        bins = np.bincount((u * 64).astype(np.int64), minlength=64)
+        assert len(bins) == 64
+        assert chisquare(bins).pvalue > 0.001
+
+    def test_no_repeats_across_neighbouring_cells(self):
+        cells = counter_uniforms(5, np.arange(300)[:, None], np.arange(300)[None, :])
+        assert len(np.unique(cells)) == cells.size
+        assert not np.isin(cells, counter_uniforms(6, np.arange(300)[:, None],
+                                                   np.arange(300)[None, :])).any()
+
+    def test_pure_function_of_seed_item_draw(self):
+        grid = counter_uniforms(7, np.arange(50)[:, None], np.arange(40)[None, :])
+        assert grid[13, 29] == counter_uniforms(7, 13, 29)[0]
+        assert np.array_equal(grid[13], counter_uniforms(7, 13, np.arange(40)))
+        assert counter_uniforms(7, 2**32 - 1, 2**32 - 1)[0] < 1.0

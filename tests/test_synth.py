@@ -1,15 +1,17 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from navsynth import stats, synth
 from navsynth.graph import ClickstreamTable, Interner, build_transition_model, load_edge_list
 from navsynth.sessions import SequenceCorpus, save_corpus
-from navsynth.stats import rng_stream
-from navsynth.synth import (PlantedWorldSpec, StoppingRule, WalkSpec,
-                            derive_intrinsic_stops, generate_corpus,
-                            generate_planted_world, generate_sequence,
-                            generate_sequence_intrinsic)
+from navsynth.stats import counter_uniforms, rng_stream
+from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule, WalkSpec,
+                            derive_intrinsic_stops, generate_corpus, generate_geometric_world,
+                            generate_planted_world, generate_sequence)
 
 
 def graph_from(tmp_path, edges):
@@ -74,18 +76,24 @@ class TestGenerateSequence:
                 assert pair in support
 
 
+def intrinsic_walks(m, samples, seed, rule):
+    """`samples` intrinsic walks from node 0: a reference of one-page sequences at node 0."""
+    ref = SequenceCorpus([[0]] * samples, "Logs")
+    return generate_corpus(m, ref, rule, seed, "Clickstream-Pub").sequences
+
+
 class TestIntrinsicStopping:
     def test_stop_probability_one(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g).with_stops(np.array([1.0, 1.0]))
-        seq = generate_sequence_intrinsic(m, 0, rng_stream(0), StoppingRule("intrinsic"))
+        [seq] = intrinsic_walks(m, 1, 0, StoppingRule("intrinsic"))
         assert seq == [0]
 
     def test_cap_binds_with_zero_stop(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
         rule = StoppingRule("intrinsic", max_length=5)
-        seq = generate_sequence_intrinsic(m, 0, rng_stream(1), rule)
+        [seq] = intrinsic_walks(m, 1, 1, rule)
         assert len(seq) == 5
 
     def test_geometric_length_law(self, tmp_path):
@@ -97,10 +105,8 @@ class TestIntrinsicStopping:
         cap = 40
         m = build_transition_model(g).with_stops(np.full(n, q))
         rule = StoppingRule("intrinsic", max_length=cap)
-        rng = rng_stream(25)
         samples = 20_000
-        lengths = np.array([len(generate_sequence_intrinsic(m, 0, rng, rule))
-                            for _ in range(samples)])
+        lengths = np.array([len(seq) for seq in intrinsic_walks(m, samples, 25, rule)])
         support = np.arange(1, cap + 1)
         pmf = (1 - q) ** (support - 1) * q
         pmf[-1] = (1 - q) ** (cap - 1)
@@ -224,3 +230,135 @@ class TestPlantedWorld:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             PlantedWorldSpec(memory_strength=1.5)
+
+
+def fixed_draws(*values):
+    """A `.random()` source that returns `values` in order."""
+    return SimpleNamespace(random=iter(values).__next__)
+
+
+def scalar_extrinsic(m, start, length, seed, item):
+    """Oracle: the backtracking walk fed the successor draws u(seed, item, 2k + 1)."""
+    draws = counter_uniforms(seed, item, 2 * np.arange(length + synth.DEFAULT_RETRY_BUDGET) + 1)
+    return generate_sequence(m, WalkSpec(start, length), fixed_draws(*draws.tolist()))
+
+
+def scalar_intrinsic(m, start, cap, seed, item):
+    """Oracle: step t stops on u(seed, item, 2t) and steps on u(seed, item, 2t + 1)."""
+    path = [start]
+    while len(path) < cap and not m.is_terminal(path[-1]):
+        t = len(path) - 1
+        stop, succ = counter_uniforms(seed, item, [2 * t, 2 * t + 1]).tolist()
+        if stop < m.stop_probs[path[-1]]:
+            break
+        path.append(m.step(path[-1], fixed_draws(succ)))
+    return path
+
+
+def dead_end_graph(tmp_path):
+    """A -> B1..B5; each Bi -> Ci (on to Ei and back to A) or Di, a dead end."""
+    edges = [("A", "B%d" % i) for i in range(5)]
+    for i in range(5):
+        edges += [("B%d" % i, "C%d" % i), ("B%d" % i, "D%d" % i), ("C%d" % i, "E%d" % i),
+                  ("E%d" % i, "A")]
+    return graph_from(tmp_path, edges)
+
+
+class TestLockstepKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 6).map(float), max_size=9), min_size=1,
+                         max_size=12),
+           queries=st.lists(st.tuples(st.integers(0, 11), st.floats(-1, 8) | st.integers(0, 6)),
+                            min_size=1, max_size=20))
+    def test_row_search_matches_searchsorted(self, rows, queries):
+        rows = [sorted(r) for r in rows]  # ties and exact hits included
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        cum = np.array([x for r in rows for x in r], dtype=float)
+        picks = np.array([row % len(rows) for row, _ in queries])
+        r = np.array([float(x) for _, x in queries])
+        got = synth._row_search(cum, indptr[picks], indptr[picks + 1], r)
+        expected = [indptr[p] + np.searchsorted(rows[p], x, side="right")
+                    for p, x in zip(picks.tolist(), r.tolist())]
+        assert got.tolist() == expected
+
+    def test_extrinsic_matches_scalar_oracle(self, tmp_path):
+        g = dead_end_graph(tmp_path)
+        m = build_transition_model(g)
+        a = g.interner.id("A")
+        ref = SequenceCorpus([[a] * (2 + i % 9) for i in range(400)], "Logs")
+        out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
+        for i, ref_seq in enumerate(ref.sequences):
+            assert (out.sequences[i], i in out.flagged) == scalar_extrinsic(
+                m, a, len(ref_seq), 4, i)
+        assert not out.flagged
+        assert out.metadata["backtrack_retries"] >= out.metadata["walks_rerun"] > 50
+
+    def test_rerun_retraces_lockstep_prefix(self, tmp_path):
+        g = dead_end_graph(tmp_path)
+        m = build_transition_model(g)
+        a = g.interner.id("A")
+        ref = SequenceCorpus([[a] * 4] * 300, "Logs")
+        out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
+        prefixes, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
+        # a dead end at page 3 costs one backtrack, to Bi's other child
+        assert out.metadata["walks_rerun"] == out.metadata["backtrack_retries"] == len(dead) > 50
+        for i in dead.tolist():
+            assert g.interner.name(prefixes[i][-1]).startswith("D")
+            assert out.sequences[i][:2] == prefixes[i][:2]
+        assert len({prefixes[i][1] for i in dead.tolist()}) == 5
+
+    def test_intrinsic_matches_scalar_oracle(self, tmp_path):
+        g = dead_end_graph(tmp_path)
+        stops = np.linspace(0.0, 0.4, g.num_nodes)
+        m = build_transition_model(g).with_stops(stops)
+        ref = SequenceCorpus([[v] for v in range(g.num_nodes)] * 20, "Logs")
+        out = generate_corpus(m, ref, StoppingRule("intrinsic", max_length=9), 6, "X")
+        for i, (start,) in enumerate(ref.sequences):
+            assert out.sequences[i] == scalar_intrinsic(m, start, 9, 6, i)
+        assert out.metadata["walks_rerun"] == 0
+
+    @pytest.mark.parametrize("rule", [StoppingRule(), StoppingRule("intrinsic", max_length=6)])
+    def test_sequence_depends_only_on_seed_and_index(self, tmp_path, rule):
+        g = dead_end_graph(tmp_path)
+        m = build_transition_model(g).with_stops(np.full(g.num_nodes, 0.2))
+        ref = SequenceCorpus([[i % g.num_nodes] * (2 + i % 5) for i in range(60)], "Logs")
+        full = generate_corpus(m, ref, rule, 8, "X").sequences
+        for i in (0, 1, 17, 59):
+            head = SequenceCorpus(ref.sequences[:i + 1], "Logs")
+            assert generate_corpus(m, head, rule, 8, "X").sequences[i] == full[i]
+
+    def test_planted_world_matches_scalar_oracle(self):
+        spec = PlantedWorldSpec(num_nodes=25, out_degree=4, memory_strength=0.6,
+                                corpus_size=400, seed=12)
+        world = generate_planted_world(spec)
+        for i, seq in enumerate(world.corpus.sequences):
+            u0, u1 = counter_uniforms(spec.seed, i, [0, 1]).tolist()
+            tail = int(np.floor(np.log1p(-u0) / np.log1p(-spec.length_p)))
+            expected = [int(u1 * spec.num_nodes)]
+            while len(expected) < min(2 + tail, spec.max_length):
+                t = len(expected) - 1
+                recall, succ = counter_uniforms(spec.seed, i, [2 + 2 * t, 3 + 2 * t]).tolist()
+                if t > 0 and recall < spec.memory_strength:
+                    expected.append(world.preferred[(expected[-2], expected[-1])])
+                else:
+                    expected.append(world.markov1.step(expected[-1], fixed_draws(succ)))
+            assert seq == expected
+
+    def test_walks_use_no_rng_streams(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rng_stream(*args)
+
+        for module in (stats, synth):
+            monkeypatch.setattr(module, "rng_stream", counting)
+        g = dead_end_graph(tmp_path)
+        ref = SequenceCorpus([[0, 0, 0, 0]] * 50, "Logs")
+        generate_corpus(build_transition_model(g), ref, StoppingRule(), 1, "Graph")
+        assert calls == []
+        generate_planted_world(PlantedWorldSpec(num_nodes=20, out_degree=3, corpus_size=50))
+        assert len(calls) <= 1
+        calls.clear()
+        generate_geometric_world(GeometricWorldSpec(num_nodes=30, corpus_size=50))
+        assert len(calls) <= 1
