@@ -238,10 +238,18 @@ def cmd_eval_related(args):
 def cmd_eval_topic(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
+    covered = set(emb.articles.tolist())
     labels: dict[int, set[int]] = {}
     for line_no, (name, ids) in _rows(args.labels, 2):
-        labels[interner.intern(name)] = {_parse(int, x, args.labels, line_no, "topic")
-                                         for x in ids.split(",")}
+        topics = {_parse(int, x, args.labels, line_no, "topic") for x in ids.split(",")}
+        outside = sorted(t for t in topics if not 0 <= t < args.num_topics)
+        if outside:
+            raise ParseError(args.labels, line_no, "topic %d outside [0, %d)"
+                             % (outside[0], args.num_topics))
+        article = interner.intern(name)
+        if article not in covered:
+            raise ParseError(args.labels, line_no, "article %r has no vector" % name)
+        labels[article] = topics
     split = ds.make_split(len(labels), seed=args.seed)
     result = ds.topic_classification(emb, labels, split, num_topics=args.num_topics)
     write_csv(_out(args, "topic_classification.csv"), ["dataset", "metric", "value"],

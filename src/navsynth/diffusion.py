@@ -2,65 +2,74 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Interner, ParseError, _parse, open_text, write_csv
-from .sessions import SequenceCorpus
+from .sessions import SequenceCorpus, flatten
 from .stats import BootstrapResult, bootstrap_mean_ci
 
 HISTOGRAM_BIN_WIDTH = 0.02
 
 
+@dataclass(eq=False)
 class EmbeddingTable:
-    """Dense vector per covered article; articles outside coverage have no vector."""
+    """Row i of `vectors` embeds article `articles[i]`; other articles have no vector."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._rows: dict[int, int] = {}
-        self._vectors: list[np.ndarray] = []
+    articles: np.ndarray
+    vectors: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False)
 
-    def add(self, article: int, vector: np.ndarray):
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.dim,):
-            raise ValueError("vector dimension %d, expected %d" % (len(vector), self.dim))
-        if not np.any(vector):
-            raise ValueError("all-zero vector for article %d" % article)
-        if article in self._rows:
-            raise ValueError("duplicate article %d" % article)
-        self._rows[article] = len(self._vectors)
-        self._vectors.append(vector)
-
-    def __contains__(self, article: int) -> bool:
-        return article in self._rows
+    def __post_init__(self):
+        self.articles = np.asarray(self.articles, dtype=np.int64)
+        self.vectors = np.asarray(self.vectors, dtype=float)
+        if self.vectors.ndim != 2 or self.vectors.shape[:1] != self.articles.shape:
+            raise ValueError("vectors of shape %s for articles of shape %s"
+                             % (self.vectors.shape, self.articles.shape))
+        ordered = np.sort(self.articles)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValueError("duplicate article %d" % repeated[0])
+        zero = self.articles[~self.vectors.any(axis=1)]
+        if len(zero):
+            raise ValueError("all-zero vector for article %d" % zero[0])
+        self.norms = np.sqrt(np.vecdot(self.vectors, self.vectors))
 
     def __len__(self):
-        return len(self._vectors)
-
-    def vector(self, article: int) -> np.ndarray:
-        return self._vectors[self._rows[article]]
+        return len(self.articles)
 
     @property
-    def articles(self) -> list[int]:
-        return list(self._rows)
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
-    def scale(self, factor: float) -> "EmbeddingTable":
-        out = EmbeddingTable(self.dim)
-        for a in self._rows:
-            out.add(a, self.vector(a) * factor)
-        return out
+    def rows(self, articles) -> np.ndarray:
+        """Row of each article in `vectors`; -1 for an article without a vector."""
+        order = np.argsort(self.articles)
+        lo = np.searchsorted(self.articles, articles, "left", order)
+        hi = np.searchsorted(self.articles, articles, "right", order)
+        return np.where(hi > lo, np.append(order, -1)[lo], -1)
+
+    def vector(self, article: int) -> np.ndarray:
+        row = self.rows(article)
+        if row < 0:
+            raise KeyError(article)
+        return self.vectors[row]
+
+    def cosines(self, a, b) -> np.ndarray:
+        """Cosine similarity of rows a[i] and b[i]; equals the per-pair np.dot formula bit for bit."""
+        return np.vecdot(self.vectors[a], self.vectors[b]) / (self.norms[a] * self.norms[b])
 
 
 def load_embeddings(path, interner: Interner) -> EmbeddingTable:
     """Read the text format: header "N dim", then "name v1 ... v_dim" rows."""
+    vectors: dict[int, np.ndarray] = {}
     with open_text(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise ParseError(path, 1, "expected 'N dim' header")
         n = _parse(int, header[0], path, 1, "row count")
         dim = _parse(int, header[1], path, 1, "dimension")
-        table = EmbeddingTable(dim)
         for line_no, line in enumerate(f, 2):
             parts = line.split()
             if not parts:
@@ -69,24 +78,29 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
                 raise ParseError(path, line_no,
                                  "expected %d values, got %d" % (dim, len(parts) - 1))
             article = interner.intern(parts[0])
-            if article in table:
+            if article in vectors:
                 raise ParseError(path, line_no, "duplicate article %r" % parts[0])
             try:
                 vector = np.array(parts[1:], dtype=float)
             except ValueError as e:
                 raise ParseError(path, line_no, str(e)) from None
-            table.add(article, vector)
-    if len(table) != n:
-        raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(table)))
-    return table
+            if not vector.any():
+                raise ParseError(path, line_no, "all-zero vector for article %r" % parts[0])
+            if not np.isfinite(vector).all():
+                raise ParseError(path, line_no, "non-finite value for article %r" % parts[0])
+            vectors[article] = vector
+    if len(vectors) != n:
+        raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(vectors)))
+    return EmbeddingTable(list(vectors), np.array(list(vectors.values())).reshape(n, dim))
 
 
 def save_embeddings(table: EmbeddingTable, path, interner: Interner):
     row = "%s" + " %.6f" * table.dim + "\n"
     with open_text(path, "wt") as f:
         f.write("%d %d\n" % (len(table), table.dim))
-        f.writelines(row % (interner.name(a), *table.vector(a).tolist())
-                     for a in table.articles)
+        # one row at a time: a whole-matrix tolist() would raise the peak RSS
+        f.writelines(row % (interner.name(a), *v.tolist())
+                     for a, v in zip(table.articles.tolist(), table.vectors))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -107,14 +121,12 @@ class DiffusionCurve:
 
 
 def _distances_at_k(corpus: SequenceCorpus, emb: EmbeddingTable, k: int) -> np.ndarray:
-    vals = []
-    for seq in corpus.sequences:
-        if len(seq) <= k:
-            continue
-        first, later = seq[0], seq[k]
-        if first in emb and later in emb:
-            vals.append(cosine_distance(emb.vector(first), emb.vector(later)))
-    return np.array(vals)
+    """Cosine distance from first to k-th page of each sequence where both have a vector."""
+    pages, lengths = flatten(corpus.sequences)
+    starts = (np.cumsum(lengths) - lengths)[lengths > k]
+    first, later = emb.rows([pages[starts], pages[starts + k]])
+    covered = (first >= 0) & (later >= 0)
+    return 1.0 - emb.cosines(first[covered], later[covered])
 
 
 def diffusion_curve(corpus: SequenceCorpus, emb: EmbeddingTable, k_max: int,
@@ -160,14 +172,12 @@ def diffusion_histogram(corpus: SequenceCorpus, emb: EmbeddingTable, k: int):
 def random_pair_baseline(emb: EmbeddingTable, num_pairs: int,
                          rng: np.random.Generator) -> BootstrapResult:
     """Mean cosine distance between uniformly drawn distinct article pairs."""
-    articles = emb.articles
-    if len(articles) < 2:
+    if len(emb) < 2:
         raise ValueError("need at least 2 embedded articles")
-    vals = []
-    for _ in range(num_pairs):
-        i, j = rng.choice(len(articles), size=2, replace=False)
-        vals.append(cosine_distance(emb.vector(articles[i]), emb.vector(articles[j])))
-    return bootstrap_mean_ci(vals, rng=rng)
+    first = rng.integers(0, len(emb), size=num_pairs)
+    second = rng.integers(0, len(emb) - 1, size=num_pairs)
+    second += second >= first
+    return bootstrap_mean_ci(1.0 - emb.cosines(first, second), rng=rng)
 
 
 def write_curve_csv(curve: DiffusionCurve, path, header_comment: str = ""):

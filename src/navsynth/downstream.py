@@ -226,19 +226,15 @@ def relatedness_eval(emb: EmbeddingTable, pairs) -> RelatednessResult:
     Pairs with either article missing from the embedding are dropped and
     counted; fewer than 3 surviving pairs is an error.
     """
-    sims = []
-    scores = []
-    dropped = 0
-    for a, b, score in pairs:
-        if a not in emb or b not in emb:
-            dropped += 1
-            continue
-        va, vb = emb.vector(a), emb.vector(b)
-        sims.append(float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))))
-        scores.append(float(score))
-    if len(sims) < 3:
+    pairs = np.array(pairs, dtype=object).reshape(-1, 3)
+    rows = emb.rows(pairs[:, :2].astype(np.int64))
+    covered = (rows >= 0).all(axis=1)
+    used = int(covered.sum())
+    if used < 3:
         raise ValueError("fewer than 3 pairs covered by the embedding")
-    return RelatednessResult(spearman(sims, scores), len(sims), dropped)
+    sims = emb.cosines(rows[covered, 0], rows[covered, 1])
+    return RelatednessResult(spearman(sims, pairs[covered, 2].astype(float)),
+                             used, len(pairs) - used)
 
 
 # ---------------------------------------------------------------- topic classification
@@ -311,14 +307,15 @@ def topic_classification(emb: EmbeddingTable, labels: dict[int, set[int]],
     labeled articles.
     """
     articles = sorted(labels)
-    missing = [a for a in articles if a not in emb]
-    if missing:
-        raise ValueError("articles without embeddings: %r" % missing[:5])
-    x = np.vstack([emb.vector(a) for a in articles])
+    rows = emb.rows(articles)
+    if (rows < 0).any():
+        raise ValueError("articles without embeddings: %r"
+                         % np.asarray(articles)[rows < 0][:5].tolist())
+    x = emb.vectors[rows]
     y = np.zeros((len(articles), num_topics), dtype=bool)
     for i, a in enumerate(articles):
         for topic in labels[a]:
-            if topic >= num_topics:
+            if not 0 <= topic < num_topics:
                 raise ValueError("topic id %d out of range" % topic)
             y[i, topic] = True
 

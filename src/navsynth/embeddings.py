@@ -147,10 +147,7 @@ class SgnsTrainer:
                 self.w_in[in_rows] -= lr * g_in
                 self.w_out[out_rows] -= lr * g_out
             self.epoch_losses.append(total_loss / len(centers))
-        table = EmbeddingTable(cfg.dim)
-        for a, vec in zip(self.vocab, self.w_in.copy()):
-            table.add(a, vec)
-        return table
+        return EmbeddingTable(self.vocab, self.w_in.copy())
 
 
 def train_sequence_embeddings(corpus: SequenceCorpus,

@@ -145,13 +145,6 @@ class HyperlinkGraph(_Rows):
     def num_edges(self) -> int:
         return len(self.indices)
 
-    def has_edge(self, s: int, t: int) -> bool:
-        if s < 0 or s >= self.num_nodes:
-            return False
-        row = self.successors(s)
-        i = row.searchsorted(t)
-        return bool(i < len(row) and row[i] == t)
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) of every edge, ordered by source, then target."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr)), self.indices

@@ -152,9 +152,7 @@ def test_criterion_03_memoryless_world_has_no_mixing():
 
 def test_criterion_04_diffusion_null_equivalence():
     world = generate_geometric_world(GeometricWorldSpec(seed=3))
-    emb = EmbeddingTable(world.positions.shape[1])
-    for node in range(world.positions.shape[0]):
-        emb.add(node, world.positions[node])
+    emb = EmbeddingTable(np.arange(len(world.positions)), world.positions)
 
     priv = generate_corpus(world.weighted, world.corpus, StoppingRule(), 11,
                            "Clickstream-Priv")
@@ -312,8 +310,10 @@ def test_criterion_07_link_prediction(tmp_path):
     rlabels = build_added_links(old_g, new_g, SequenceCorpus(rseqs, "Logs"),
                                 min_paths=10)
 
+    old_edges = {(int(s), int(t)) for s, t in zip(*old_g.edge_arrays())}
+
     def path_count(s, t):
-        if old_g.has_edge(s, t):
+        if (s, t) in old_edges:
             return 0
         total = 0
         for q in rseqs:
@@ -323,13 +323,12 @@ def test_criterion_07_link_prediction(tmp_path):
                     break
         return total
 
-    o_added = {(int(s), int(t)) for s, t in zip(*new_g.edge_arrays())
-               if not old_g.has_edge(s, t)}
+    o_added = {(int(s), int(t)) for s, t in zip(*new_g.edge_arrays())} - old_edges
     o_pos = {e for e in o_added if path_count(*e) >= 10}
     o_neg = set()
     for s in {s for s, _ in o_pos}:
         for t in {t for _, t in o_pos}:
-            if s != t and (s, t) not in o_pos and not old_g.has_edge(s, t) \
+            if s != t and (s, t) not in o_pos and (s, t) not in old_edges \
                     and path_count(s, t) >= 10:
                 o_neg.add((s, t))
     assert rlabels.positives == o_pos and o_pos

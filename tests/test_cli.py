@@ -222,8 +222,31 @@ MALFORMED_ROWS = {
     "embeddings-value": ("2 2\nA 1.0 x\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
                          lambda f: ["eval-related", "--embeddings", f["input"],
                                     "--pairs", f["graph"], "--out-dir", f["out"]]),
+    "embeddings-zero": ("2 2\nA 0.0 0.0\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
+                        lambda f: ["eval-related", "--embeddings", f["input"],
+                                   "--pairs", f["graph"], "--out-dir", f["out"]]),
+    "embeddings-nan": ("2 2\nA 1.0 nan\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
+                       lambda f: ["diffusion", "--embeddings", f["input"],
+                                  "--corpus", f["graph"], "--out-dir", f["out"]]),
+    "labels-topic-negative": ("A\t1\nB\t-1\n", None,
+                              lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                         "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-topic-high": ("A\t1\nB\t0,64\n", None,
+                          lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                     "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-no-vector": ("A\t1\nC\t1\n", None,
+                         lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                    "--labels", f["input"], "--out-dir", f["out"]]),
     "report-row": ("Logs,mrr_all,0.5\nLogs,mrr_all\n", None,
                    lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+}
+# the whole message after "path:2: ", where a case pins it
+MALFORMED_MESSAGES = {
+    "embeddings-zero": "all-zero vector for article 'A'\n",
+    "embeddings-nan": "non-finite value for article 'A'\n",
+    "labels-topic-negative": "topic -1 outside [0, 64)\n",
+    "labels-topic-high": "topic 64 outside [0, 64)\n",
+    "labels-no-vector": "article 'C' has no vector\n",
 }
 
 
@@ -239,7 +262,8 @@ def test_malformed_row_cites_path_and_line(tmp_path, capsys, case):
                  "graph": write(tmp_path / "graph.tsv", "A\tB\n"),
                  "emb": write(tmp_path / "emb.txt", "2 2\nA 1.0 0.0\nB 0.0 1.0\n")}
         assert main(argv(files)) == 1
-        assert "error: %s:2: " % path in capsys.readouterr().err
+        assert "error: %s:2: %s" % (path, MALFORMED_MESSAGES.get(case, "")) \
+            in capsys.readouterr().err
 
 
 def test_eval_next_rejects_reference_article_outside_graph(tmp_path, chain_graph, capsys):

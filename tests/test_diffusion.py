@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from navsynth.diffusion import (EmbeddingTable, cosine_distance, diffusion_curve,
-                                diffusion_histogram, load_embeddings,
+from navsynth.diffusion import (EmbeddingTable, _distances_at_k, cosine_distance,
+                                diffusion_curve, diffusion_histogram, load_embeddings,
                                 random_pair_baseline, save_embeddings)
 from navsynth.graph import Interner, ParseError
 from navsynth.sessions import SequenceCorpus
@@ -10,10 +10,7 @@ from navsynth.stats import rng_stream
 
 
 def make_table(vectors):
-    table = EmbeddingTable(len(next(iter(vectors.values()))))
-    for a, v in vectors.items():
-        table.add(a, np.asarray(v, dtype=float))
-    return table
+    return EmbeddingTable(list(vectors), list(vectors.values()))
 
 
 class TestEmbeddingIO:
@@ -35,9 +32,8 @@ class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = rng_stream(50)
         interner = Interner()
-        table = EmbeddingTable(4)
-        for i in range(5):
-            table.add(interner.intern("a%d" % i), rng.normal(size=4))
+        table = EmbeddingTable([interner.intern("a%d" % i) for i in range(5)],
+                               rng.normal(size=(5, 4)))
         path = str(tmp_path / "emb.txt")
         save_embeddings(table, path, interner)
         loaded = load_embeddings(path, interner)
@@ -49,9 +45,7 @@ class TestEmbeddingIO:
         interner = Interner()
         vectors = rng.normal(size=(12, 9))
         vectors[::2, 0] = [4e-7, -4e-7, 1e-12, -1e-12, -0.0, 5e-7]
-        table = EmbeddingTable(9)
-        for i, v in enumerate(vectors):
-            table.add(interner.intern("a%d" % i), v)
+        table = EmbeddingTable([interner.intern("a%d" % i) for i in range(12)], vectors)
         path = tmp_path / "emb.txt"
         save_embeddings(table, str(path), interner)
         expected = "12 9\n" + "".join(
@@ -60,20 +54,69 @@ class TestEmbeddingIO:
         assert "-0.000000" in expected and " 0.000000" in expected
 
     def test_duplicate_article_rejected(self, tmp_path):
-        table = EmbeddingTable(2)
-        table.add(0, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="duplicate article 0"):
-            table.add(0, np.array([0.0, 1.0]))
-        assert len(table) == 1
+            EmbeddingTable([0, 0], [[1.0, 0.0], [0.0, 1.0]])
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nA 1 0\nA 0 1\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":3: duplicate article 'A'"):
             load_embeddings(str(path), Interner())
 
     def test_zero_vector_rejected(self):
-        table = EmbeddingTable(3)
         with pytest.raises(ValueError, match="all-zero"):
-            table.add(0, np.zeros(3))
+            EmbeddingTable([0], np.zeros((1, 3)))
+
+
+class TestTable:
+    def test_rows(self):
+        emb = make_table({5: [1.0, 0.0], 2: [0.0, 1.0], 9: [1.0, 1.0]})
+        assert emb.rows([9, 5, 7, 2, -1, 10]).tolist() == [2, 0, -1, 1, -1, -1]
+        assert emb.rows(2) == 1
+        empty = EmbeddingTable(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert empty.rows([0, 1]).tolist() == [-1, -1]
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="vectors of shape"):
+            EmbeddingTable([0, 1], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="vectors of shape"):
+            EmbeddingTable([0, 1], np.ones(2))
+
+    def test_cosines_equal_per_pair_formula(self):
+        rng = rng_stream(62)
+        for dim in range(1, 131):
+            vectors = rng.normal(size=(20, dim)) * 10.0 ** rng.uniform(-3, 3, size=(20, 1))
+            emb = EmbeddingTable(rng.permutation(20), vectors)
+            a, b = rng.integers(0, 20, size=(2, 40))
+            expected = [np.dot(vectors[i], vectors[j])
+                        / (np.linalg.norm(vectors[i]) * np.linalg.norm(vectors[j]))
+                        for i, j in zip(a, b)]
+            assert np.array_equal(emb.norms, [np.linalg.norm(v) for v in vectors])
+            assert np.array_equal(emb.cosines(a, b), expected), dim
+
+
+def distances_oracle(corpus, emb, k):
+    """The per-sequence loop that `_distances_at_k` replaces."""
+    covered = set(emb.articles.tolist())
+    vals = []
+    for seq in corpus.sequences:
+        if len(seq) <= k:
+            continue
+        first, later = seq[0], seq[k]
+        if first in covered and later in covered:
+            vals.append(cosine_distance(emb.vector(first), emb.vector(later)))
+    return np.array(vals)
+
+
+def test_distances_at_k_equal_per_sequence_loop():
+    rng = rng_stream(63)
+    for dim in (1, 2, 7, 32, 128):
+        # articles 0..39 appear in sequences; 30 of them have vectors
+        emb = EmbeddingTable(rng.permutation(40)[:30], rng.normal(size=(30, dim)))
+        seqs = [rng.integers(0, 40, size=int(rng.integers(1, 9))).tolist() for _ in range(300)]
+        corpus = SequenceCorpus(seqs, "Logs")
+        for k in range(1, 10):
+            expected = distances_oracle(corpus, emb, k)
+            assert np.array_equal(_distances_at_k(corpus, emb, k), expected), (dim, k)
+    assert len(_distances_at_k(SequenceCorpus([], "Logs"), emb, 1)) == 0
 
 
 class TestCosineDistance:
@@ -129,7 +172,7 @@ class TestDiffusionCurve:
         seqs = [[int(x) for x in rng.integers(0, 5, size=5)] for _ in range(20)]
         corpus = SequenceCorpus(seqs, "Logs")
         c1 = diffusion_curve(corpus, emb, 3, rng=rng_stream(3))
-        c2 = diffusion_curve(corpus, emb.scale(7.5), 3, rng=rng_stream(3))
+        c2 = diffusion_curve(corpus, EmbeddingTable(emb.articles, emb.vectors * 7.5), 3, rng=rng_stream(3))
         assert np.allclose(c1.means, c2.means, atol=1e-12)
 
     def test_bootstrap_deterministic(self):
@@ -168,7 +211,6 @@ class TestHistogram:
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(50)]
         corpus = SequenceCorpus(seqs, "Logs")
-        from navsynth.diffusion import _distances_at_k
         vals = _distances_at_k(corpus, emb, 2)
         curve = diffusion_curve(corpus, emb, 2, rng=rng_stream(0))
         assert vals.mean() == pytest.approx(curve.means[1], abs=1e-9)

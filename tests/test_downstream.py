@@ -285,8 +285,10 @@ class TestAddedLinks:
         labels = build_added_links(old, new, corpus, min_paths=10)
 
         # independent re-derivation straight from the labeling rules
+        old_edge_set = {(int(s), int(t)) for s, t in zip(*old.edge_arrays())}
+
         def path_count(s, t):
-            if old.has_edge(s, t):
+            if (s, t) in old_edge_set:
                 return 0
             total = 0
             for q in seqs:
@@ -299,7 +301,7 @@ class TestAddedLinks:
             return total
 
         new_edge_set = {(int(s), int(t)) for s, t in zip(*new.edge_arrays())}
-        oracle_added = {e for e in new_edge_set if not old.has_edge(*e)}
+        oracle_added = new_edge_set - old_edge_set
         oracle_pos = {e for e in oracle_added if path_count(*e) >= 10}
         srcs = {s for s, _ in oracle_pos}
         tgts = {t for _, t in oracle_pos}
@@ -307,7 +309,7 @@ class TestAddedLinks:
         for s in srcs:
             for t in tgts:
                 pair = (s, t)
-                if s == t or pair in oracle_pos or old.has_edge(s, t):
+                if s == t or pair in oracle_pos or pair in old_edge_set:
                     continue
                 if path_count(s, t) >= 10:
                     oracle_neg.add(pair)
@@ -355,10 +357,7 @@ class TestPrecisionAtK:
 
 class TestRelatedness:
     def emb(self, vectors):
-        table = EmbeddingTable(2)
-        for a, v in vectors.items():
-            table.add(a, np.asarray(v, dtype=float))
-        return table
+        return EmbeddingTable(list(vectors), list(vectors.values()))
 
     def test_perfect_agreement(self):
         emb = self.emb({0: [1, 0], 1: [1, 0.2], 2: [1, 1], 3: [0, 1]})
@@ -372,9 +371,7 @@ class TestRelatedness:
 
     def test_matches_spearman_oracle(self):
         rng = rng_stream(86)
-        table = EmbeddingTable(4)
-        for a in range(12):
-            table.add(a, rng.normal(size=4))
+        table = EmbeddingTable(range(12), rng.normal(size=(12, 4)))
         pairs = []
         for _ in range(20):
             a, b = (int(x) for x in rng.choice(12, size=2, replace=False))
@@ -431,13 +428,10 @@ class TestLogisticRegression:
 
     def test_topic_classification_separable(self):
         rng = rng_stream(89)
-        table = EmbeddingTable(2)
-        labels = {}
-        for a in range(40):
-            topic = a % 2
-            center = np.array([3.0, 0.0]) if topic == 0 else np.array([-3.0, 0.0])
-            table.add(a, center + 0.1 * rng.normal(size=2))
-            labels[a] = {topic}
+        topics = np.arange(40) % 2
+        centers = np.where(topics[:, None] == 0, [3.0, 0.0], [-3.0, 0.0])
+        table = EmbeddingTable(range(40), centers + 0.1 * rng.normal(size=(40, 2)))
+        labels = {a: {int(topic)} for a, topic in enumerate(topics)}
         split = make_split(40, seed=1)
         res = topic_classification(table, labels, split, num_topics=2,
                                    l2=0.01, epochs=300, lr=0.5)
@@ -446,15 +440,18 @@ class TestLogisticRegression:
 
     def test_degenerate_topic_all_negative(self):
         rng = rng_stream(90)
-        table = EmbeddingTable(2)
-        labels = {}
-        for a in range(20):
-            table.add(a, rng.normal(size=2))
-            labels[a] = {0}
+        table = EmbeddingTable(range(20), rng.normal(size=(20, 2)))
+        labels = {a: {0} for a in range(20)}
         split = make_split(20, seed=2)
         res = topic_classification(table, labels, split, num_topics=3,
                                    epochs=50)
         assert set(res.degenerate_topics) == {1, 2}
+
+    def test_topic_id_out_of_range(self):
+        table = EmbeddingTable([0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        for topic in (-1, 3):
+            with pytest.raises(ValueError, match="topic id %d out of range" % topic):
+                topic_classification(table, {0: {0}, 1: {topic}}, make_split(2), num_topics=3)
 
 
 class TestSplit:

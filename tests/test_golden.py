@@ -17,6 +17,16 @@ from navsynth.synth import GeometricWorldSpec, generate_geometric_world
 RECORDED_NUMPY = "2.4"
 
 GOLDEN = {
+    "embed/diffusion_curve.csv":
+        "f71ddb989f97fceda780efab5b30236fc2a1e520c71de8aaccdcbed96edf575c",
+    "embed/diffusion_hist_k2.csv":
+        "fee8fd26625b4eebbe8dd93e544752f4570cf1321a45f2bf8ffa48a3b84aa10f",
+    "embed/emb.txt":
+        "53f8b8d75d346c24ce85b230004ea6895a4a3dcc6054f9b31afdfbb6940e6476",
+    "embed/relatedness.csv":
+        "09bd784e2d03932c6dcce971fd720ac8dfb3f426ce31c2ceb98f362272ac2228",
+    "embed/topic_classification.csv":
+        "3de7438f8bdc3a63e34a4e8afb0db7a6326cc8779c7f7bb14be86917f324338f",
     "geometric/clickstream":
         "fbd82e9e964863c9f350cfa50475555a63f44c7dec810e6435d6c0975c16e4b8",
     "geometric/corpus":
@@ -79,6 +89,11 @@ def _run(*argv):
     assert main([str(a) for a in argv]) == 0
 
 
+def write(path, rows):
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
 def output_digests(base):
     world, results, cache = base / "world", base / "results", base / "cache"
     graph, clicks, corpus = (world / name for name in ("graph.tsv", "clickstream.tsv",
@@ -119,6 +134,29 @@ def output_digests(base):
          "--min-paths", 5, "--ks", "5,20,100", "--out-dir", results)
     for name in ("ami_survey.csv", "next_article.csv", "link_prediction.csv"):
         digests["results/" + name] = _sha(_body(results / name))
+
+    emb, embed = base / "emb.txt", base / "embed"
+    _run("train-emb", "--corpus", corpus, "--dim", 24, "--window", 3, "--epochs", 3,
+         "--seed", 4, "--out", emb)
+    digests["embed/emb.txt"] = _sha(emb.read_bytes())
+    rows = [line.split(" ") for line in emb.read_text().splitlines()[1:]]
+    names = [row[0] for row in rows]
+    # "Nowhere" has no vector: its pair is dropped and counted
+    pairs = write(base / "pairs.tsv", [(names[i], names[(7 * i + 3) % len(names)],
+                                        "%.1f" % (i * 37 % 11 / 10)) for i in range(30)]
+                  + [(names[1], "Nowhere", "0.5")])
+    # the signs of an article's first two coordinates give its topic
+    labels = write(base / "labels.tsv", [(row[0], str(2 * row[1].startswith("-")
+                                                      + row[2].startswith("-")))
+                                         for row in rows])
+    _run("diffusion", "--corpus", corpus, "--embeddings", emb, "--k-max", 4, "--hist-k", 2,
+         "--seed", 6, "--out-dir", embed)
+    _run("eval-related", "--embeddings", emb, "--pairs", pairs, "--out-dir", embed)
+    _run("eval-topic", "--embeddings", emb, "--labels", labels, "--num-topics", 4,
+         "--seed", 8, "--out-dir", embed)
+    for name in ("diffusion_curve.csv", "diffusion_hist_k2.csv", "relatedness.csv",
+                 "topic_classification.csv"):
+        digests["embed/" + name] = _sha(_body(embed / name))
 
     geo = generate_geometric_world(GeometricWorldSpec(num_nodes=80, corpus_size=600, seed=2))
     digests["geometric/corpus"] = _sha(repr(geo.corpus.sequences).encode())

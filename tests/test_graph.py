@@ -268,9 +268,6 @@ class TestCsrProperties:
             assert g.successors(v).tolist() == sorted(t for s, t in oracle if s == v)
         sources, targets = g.edge_arrays()
         assert list(zip(sources.tolist(), targets.tolist())) == sorted(oracle)
-        for s in range(-2, len(ids) + 2):
-            for t in range(len(ids) + 1):
-                assert g.has_edge(s, t) == ((s, t) in oracle)
 
         uniform = build_transition_model(g)
         assert uniform.indptr is g.indptr and uniform.indices is g.indices
@@ -286,10 +283,11 @@ class TestCsrProperties:
         g = load_edge_list(_edge_file(tmp_path_factory, edges))
         interner = g.interner
         entries = {(interner.intern(s), interner.intern(t)): c for (s, t), c in clicks.items()}
+        edge_set = set(zip(*(a.tolist() for a in g.edge_arrays())))
         rows: dict[int, dict[int, int]] = {}
         dropped = 0
         for (s, t), c in entries.items():
-            if g.has_edge(s, t):
+            if (s, t) in edge_set:
                 rows.setdefault(s, {})[t] = c
             else:
                 dropped += c
@@ -306,7 +304,7 @@ class TestCsrProperties:
             total = sum(row.values())
             assert m.successors(v).tolist() == sorted(row)
             assert m.row_probs(v).tolist() == [row[t] / total for t in sorted(row)]
-            assert all(g.has_edge(v, t) for t in m.successors(v).tolist())
+            assert all((v, t) in edge_set for t in m.successors(v).tolist())
 
 
 def test_interner_round_trip(tmp_path):

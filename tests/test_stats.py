@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navsynth.stats import (average_ranks, bootstrap_mean_ci, counter_uniforms, f1_micro_macro,
-                            rng_stream, spearman)
+from navsynth.stats import (BOOTSTRAP_RESAMPLES, CI_LEVEL, average_ranks, bootstrap_mean_ci,
+                            counter_uniforms, f1_micro_macro, rng_stream, spearman)
 
 
 def avg_ranks(v):
@@ -110,6 +110,17 @@ class TestBootstrap:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             bootstrap_mean_ci([])
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 999, 4099])
+    def test_equals_whole_matrix_means(self, n):
+        # the resample means, taken over the full (B, n) gather in one pass
+        rng = rng_stream(7, n)
+        samples = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        idx = rng_stream(8, n).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+        alpha = (1.0 - CI_LEVEL) / 2.0
+        lo, hi = np.quantile(samples[idx].mean(axis=1), [alpha, 1.0 - alpha])
+        res = bootstrap_mean_ci(samples, rng=rng_stream(8, n))
+        assert (res.estimate, res.ci_low, res.ci_high) == (samples.mean(), lo, hi)
 
 
 def oracle_f1(pred, actual):
