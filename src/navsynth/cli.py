@@ -17,7 +17,8 @@ from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, train_sequence_embeddings
 from .graph import (Interner, ParseError, _parse, _rows, apply_k_anonymity,
-                    build_transition_model, load_clickstream, load_edge_list, write_csv)
+                    build_transition_model, load_clickstream, load_edge_list, unpack_pairs,
+                    write_csv)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
                        load_pageview_events, save_corpus)
 from .stats import rng_stream
@@ -52,10 +53,9 @@ def cmd_ingest(args):
         table = load_clickstream(args.clickstream, interner=interner)
         print("clickstream: %d entries, %d total clicks, %d rows skipped"
               % (len(table.entries), table.total_clicks, table.skipped_rows))
-        sources, targets, counts = table.arrays()
-        order = np.lexsort((targets, sources))
-        np.savez(_out(args, "clickstream_cache.npz"), sources=sources[order],
-                 targets=targets[order], counts=counts[order])
+        sources, targets = unpack_pairs(table.entries)
+        np.savez(_out(args, "clickstream_cache.npz"), sources=sources, targets=targets,
+                 counts=table.counts)
     interner.write_tsv(_out(args, "interning.tsv"))
     sources, targets = graph.edge_arrays()
     np.savez(_out(args, "graph_cache.npz"), sources=sources, targets=targets,
@@ -190,7 +190,7 @@ def cmd_eval_link(args):
             print("--corpus expects name=path, got %r" % item, file=sys.stderr)
             return 2
         corpus = load_corpus(path, interner)
-        ranked, _ = ds.rank_links(corpus, sorted(labels.positives | labels.negatives))
+        ranked, _ = ds.rank_links(corpus, np.union1d(labels.positives, labels.negatives))
         for r in ds.precision_at_k(ranked, labels, ks):
             rows.append((name, "precision_at_%d" % r.k, "%.6f" % r.precision))
     write_csv(_out(args, "link_prediction.csv"), ["dataset", "metric", "value"],

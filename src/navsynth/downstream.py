@@ -92,8 +92,10 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
 
 @dataclass
 class LabeledLinkSet:
-    positives: set[tuple[int, int]]
-    negatives: set[tuple[int, int]]
+    """Sorted packed (source, target) keys of the positive and negative links."""
+
+    positives: np.ndarray
+    negatives: np.ndarray
 
 
 def _indirect_path_counts(corpus: SequenceCorpus, candidates: np.ndarray) -> np.ndarray:
@@ -112,10 +114,6 @@ def _indirect_path_counts(corpus: SequenceCorpus, candidates: np.ndarray) -> np.
         hit = found < len(candidates)
         hits.append(pair_keys(found[hit], sequence[pos[hit]]))
     return np.bincount(unpack_pairs(np.unique(np.concatenate(hits)))[0], minlength=len(candidates))
-
-
-def _pair_set(keys: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(*(ids.tolist() for ids in unpack_pairs(keys))))
 
 
 def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
@@ -138,7 +136,7 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
     excluded = np.hstack([positives, old_keys, pair_keys(sources, sources)])  # disjoint parts
     candidates = np.setdiff1d(grid, excluded, assume_unique=True)
     negatives = candidates[_indirect_path_counts(corpus, candidates) >= min_paths]
-    return LabeledLinkSet(_pair_set(positives), _pair_set(negatives))
+    return LabeledLinkSet(positives, negatives)
 
 
 class PathProportions:
@@ -171,19 +169,19 @@ class PathProportions:
         return _count_of(self._starts, self._start_counts, sources) > 0
 
 
-def rank_links(corpus: SequenceCorpus, pairs) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Rank links by path proportion descending, ties by (s, t) id order.
+def rank_links(corpus: SequenceCorpus, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Rank packed (s, t) link keys by path proportion descending, ties by (s, t) id order.
 
-    Returns (ranked, excluded) where excluded holds the pairs with no
-    sequence starting at s (no prediction can be made).
+    Returns (ranked, excluded) key arrays where excluded holds the links with
+    no sequence starting at s (no prediction can be made).
     """
     props = PathProportions(corpus)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    defined = props.defined(pairs[:, 0])
-    scored = pairs[defined]
-    p = props.proportion(scored[:, 0], scored[:, 1])
-    ranked = scored[np.lexsort((scored[:, 1], scored[:, 0], -p))]
-    return list(map(tuple, ranked.tolist())), list(map(tuple, pairs[~defined].tolist()))
+    keys = np.asarray(keys, dtype=np.int64)
+    sources, targets = unpack_pairs(keys)
+    defined = props.defined(sources)
+    scored = keys[defined]
+    p = props.proportion(sources[defined], targets[defined])
+    return scored[np.lexsort((scored, -p))], keys[~defined]
 
 
 @dataclass
@@ -194,11 +192,9 @@ class PrecisionAtK:
     truncated: bool
 
 
-def precision_at_k(ranked_links, labels: LabeledLinkSet, ks) -> list[PrecisionAtK]:
-    """Fraction of positives among the top-k ranked links, per requested k."""
-    ranked = np.asarray(ranked_links, dtype=np.int64).reshape(-1, 2)
-    positives = np.asarray(list(labels.positives), dtype=np.int64).reshape(-1, 2)
-    hits = np.cumsum(np.isin(pair_keys(*ranked.T), pair_keys(*positives.T)))
+def precision_at_k(ranked, labels: LabeledLinkSet, ks) -> list[PrecisionAtK]:
+    """Fraction of positives among the top-k ranked link keys, per requested k."""
+    hits = np.cumsum(np.isin(ranked, labels.positives))
     results = []
     for k in ks:
         if k < 1:

@@ -176,25 +176,22 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
 
 @dataclass
 class ClickstreamTable:
-    """Aggregate (source, target) -> click count table over interned ids."""
+    """Aggregate (source, target) -> click count table over interned ids: the sorted unique
+    packed pair keys `entries` (see `pair_keys`) and their int64 click `counts`."""
 
     interner: Interner
-    entries: dict[tuple[int, int], int]
+    entries: np.ndarray
+    counts: np.ndarray
     skipped_rows: int = 0
 
     @property
     def total_clicks(self) -> int:
-        return sum(self.entries.values())
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sources, targets, counts) as int64 arrays, in entry order."""
-        pairs = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
-        counts = np.fromiter(self.entries.values(), dtype=np.int64, count=len(self.entries))
-        return pairs[:, 0], pairs[:, 1], counts
+        return int(self.counts.sum())
 
     def write_tsv(self, path, link_type: str = "link"):
+        sources, targets = unpack_pairs(self.entries)
         with open_text(path, "wt") as f:
-            for (s, t), c in sorted(self.entries.items()):
+            for s, t, c in zip(sources.tolist(), targets.tolist(), self.counts.tolist()):
                 f.write("%s\t%s\t%s\t%d\n"
                         % (self.interner.name(s), self.interner.name(t), link_type, c))
 
@@ -206,12 +203,13 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
     """Read a 4-column "prev<TAB>curr<TAB>type<TAB>count" clickstream dump.
 
     Rows whose type is outside CLICK_LINK_TYPES are skipped and counted.
-    Repeated (prev, curr) rows are summed.
+    Repeated (prev, curr) rows are summed. A file whose click total reaches
+    2**63 is rejected at the row where it does, so no int64 sum can wrap.
     """
     if interner is None:
         interner = Interner()
-    entries: dict[tuple[int, int], int] = {}
-    skipped = 0
+    ids, counts = [], []
+    skipped = total = 0
     for line_no, (prev, curr, row_type, count_str) in _rows(path, 4):
         if row_type not in CLICK_LINK_TYPES:
             skipped += 1
@@ -219,17 +217,26 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
         count = _parse(int, count_str, path, line_no, "count")
         if count < 1:
             raise ParseError(path, line_no, "non-positive count %d" % count)
-        key = (interner.intern(prev), interner.intern(curr))
-        entries[key] = entries.get(key, 0) + count
-    return ClickstreamTable(interner, entries, skipped)
+        total += count
+        if total >= 2**63:
+            raise ParseError(path, line_no, "click total reaches 2**63")
+        ids.append(interner.intern(prev))
+        ids.append(interner.intern(curr))
+        counts.append(count)
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    entries, pair = np.unique(pair_keys(pairs[:, 0], pairs[:, 1]), return_inverse=True)
+    sums = np.zeros(len(entries), dtype=np.int64)
+    np.add.at(sums, pair, np.array(counts, dtype=np.int64))
+    return ClickstreamTable(interner, entries, sums, skipped)
 
 
 def apply_k_anonymity(table: ClickstreamTable, threshold: int = 10) -> ClickstreamTable:
     """Drop entries with `threshold` or fewer observations (strict: count > threshold kept)."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    kept = {pair: c for pair, c in table.entries.items() if c > threshold}
-    return ClickstreamTable(table.interner, kept, table.skipped_rows)
+    kept = table.counts > threshold
+    return ClickstreamTable(table.interner, table.entries[kept], table.counts[kept],
+                            table.skipped_rows)
 
 
 @dataclass
@@ -297,14 +304,11 @@ def build_transition_model(graph: HyperlinkGraph,
         probs = np.repeat(1.0 / np.maximum(degree, 1), degree)
         return TransitionModel(graph.interner, graph.indptr, graph.indices, probs)
 
-    sources, targets, counts = weights.arrays()
-    keys = pair_keys(sources, targets)
-    on_graph = np.isin(keys, pair_keys(*graph.edge_arrays()), assume_unique=True)
+    on_graph = np.isin(weights.entries, pair_keys(*graph.edge_arrays()), assume_unique=True)
     if not on_graph.any():
         raise ValueError("empty transition model: no usable weighted entries")
-    order = np.argsort(keys[on_graph])
-    s, t, c = sources[on_graph][order], targets[on_graph][order], counts[on_graph][order]
+    (s, t), c = unpack_pairs(weights.entries[on_graph]), weights.counts[on_graph]
     # float sums of integer counts are exact below 2**53
     totals = np.bincount(s, weights=c, minlength=n)
     return TransitionModel(graph.interner, _row_offsets(s, n), t, c / totals[s],
-                           dropped_click_mass=int(counts[~on_graph].sum()))
+                           dropped_click_mass=int(weights.counts[~on_graph].sum()))

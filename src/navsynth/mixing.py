@@ -81,7 +81,11 @@ def mutual_information(m: np.ndarray) -> float:
 
 
 def expected_mi(row_sums, col_sums, total: int) -> float:
-    """Expected MI (bits) under the fixed-marginal permutation null, summed exactly."""
+    """Expected MI (bits) under the fixed-marginal permutation null, summed exactly:
+    E[MI] = sum_{i,j} sum_{nij} (nij/n) log2(n*nij/(ai*bj)) * P_hypergeom(nij)
+    (Vinh, Epps & Bailey, JMLR 2010). A cell depends only on (ai, bj), so the sum
+    runs over distinct marginal values weighted by their multiplicities. Zero
+    marginals have empty support and are dropped."""
     a = np.asarray(row_sums, dtype=np.int64)
     b = np.asarray(col_sums, dtype=np.int64)
     n = int(total)
@@ -89,20 +93,11 @@ def expected_mi(row_sums, col_sums, total: int) -> float:
         raise ValueError("marginals inconsistent with total")
     if len(a) <= 1 and len(b) <= 1:
         return 0.0
-    return _expected_mi_exact(a, b, n)
-
-
-def _expected_mi_exact(a: np.ndarray, b: np.ndarray, n: int) -> float:
-    # E[MI] = sum_{i,j} sum_{nij} (nij/n) log2(n*nij/(ai*bj)) * P_hypergeom(nij)
-    # (Vinh, Epps & Bailey, JMLR 2010). A cell depends only on (ai, bj), so the
-    # sum runs over distinct marginal values weighted by their multiplicities.
-    # Zero marginals have empty support and are dropped.
-    lg = gammaln
     log_n = np.log(n)
     a_vals, a_mult = np.unique(a[a > 0], return_counts=True)
     b_vals, b_mult = np.unique(b[b > 0], return_counts=True)
     b_col = b_vals[:, None]
-    lg_b = (lg(b_vals + 1) + lg(n - b_vals + 1))[:, None]
+    lg_b = (gammaln(b_vals + 1) + gammaln(n - b_vals + 1))[:, None]
     emi = 0.0
     for ai, wa in zip(a_vals, a_mult):
         # one row per distinct bj: the support lo..hi, padded to the widest
@@ -112,9 +107,9 @@ def _expected_mi_exact(a: np.ndarray, b: np.ndarray, n: int) -> float:
         nij = lo[:, None] + offsets
         inside = nij <= hi[:, None]
         nij = np.minimum(nij, hi[:, None])
-        log_pmf = (lg(ai + 1) + lg(n - ai + 1) - lg(n + 1) + lg_b
-                   - lg(nij + 1) - lg(ai - nij + 1)
-                   - lg(b_col - nij + 1) - lg(n - ai - b_col + nij + 1))
+        log_pmf = (gammaln(ai + 1) + gammaln(n - ai + 1) - gammaln(n + 1) + lg_b
+                   - gammaln(nij + 1) - gammaln(ai - nij + 1)
+                   - gammaln(b_col - nij + 1) - gammaln(n - ai - b_col + nij + 1))
         term = (nij / n) * (np.log(nij) + log_n - np.log(ai) - np.log(b_col)) / LOG2
         cell = np.where(inside, term * np.exp(log_pmf), 0.0).sum(axis=1)
         emi += float(wa * (cell @ b_mult))

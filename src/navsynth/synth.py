@@ -133,9 +133,9 @@ def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarra
     in_clicks(v) > 0, else MIN_STOP_PROB. Pluggable: pass any array of the same
     shape to TransitionModel.with_stops instead.
     """
-    sources, targets, counts = table.arrays()
-    outgoing = np.bincount(sources, weights=counts, minlength=num_nodes)[:num_nodes]
-    incoming = np.bincount(targets, weights=counts, minlength=num_nodes)[:num_nodes]
+    sources, targets = unpack_pairs(table.entries)
+    outgoing = np.bincount(sources, weights=table.counts, minlength=num_nodes)[:num_nodes]
+    incoming = np.bincount(targets, weights=table.counts, minlength=num_nodes)[:num_nodes]
     stops = np.full(num_nodes, MIN_STOP_PROB)
     has_in = incoming > 0
     ratio = np.divide(outgoing, incoming, out=np.zeros(num_nodes), where=has_in)
@@ -192,8 +192,10 @@ class PlantedWorldSpec:
     def __post_init__(self):
         if not (0.0 <= self.memory_strength <= 1.0):
             raise ValueError("memory_strength must lie in [0, 1]")
-        if self.out_degree >= self.num_nodes:
-            raise ValueError("out_degree must be < num_nodes")
+        if not 1 <= self.out_degree < self.num_nodes:
+            raise ValueError("out_degree must be >= 1 and < num_nodes")
+        if self.corpus_size < 0:
+            raise ValueError("corpus_size must be >= 0")
 
 
 @dataclass
@@ -201,8 +203,8 @@ class PlantedWorld:
     graph: HyperlinkGraph
     clickstream: ClickstreamTable
     corpus: SequenceCorpus
-    # ground truth for evaluation: per-(prev, current) preferred successor
-    preferred: dict[tuple[int, int], int]
+    # ground truth for evaluation: edge e = (p, c) prefers c's out-edge preferred_edge[e]
+    preferred_edge: np.ndarray
     markov1: TransitionModel
 
 
@@ -233,17 +235,14 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     markov1 = TransitionModel(interner, indptr, graph.indices,
                               (w / w.sum(axis=1, keepdims=True)).ravel())
 
-    # edge e = (p, c) prefers c's out-edge preferred_edge[e]
-    sources, targets = graph.edge_arrays()
-    preferred_edge = indptr[targets] + rng.integers(d, size=n * d)
-    preferred = dict(zip(zip(sources.tolist(), targets.tolist()),
-                         graph.indices[preferred_edge].tolist()))
+    preferred_edge = indptr[graph.indices] + rng.integers(d, size=n * d)
 
     sequences = _world_walks(markov1, spec, (spec.memory_strength, preferred_edge))
     corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed,
                                                          "memory_strength": spec.memory_strength})
 
-    return PlantedWorld(graph, _bigram_table(interner, sequences), corpus, preferred, markov1)
+    return PlantedWorld(graph, _bigram_table(interner, sequences), corpus, preferred_edge,
+                        markov1)
 
 
 @dataclass
@@ -317,6 +316,5 @@ def _bigram_table(interner: Interner, sequences) -> ClickstreamTable:
     """Clickstream of a corpus: the count of every consecutive page pair."""
     pages, lengths = flatten(sequences)
     first = np.flatnonzero(np.arange(len(pages)) + 1 < np.repeat(np.cumsum(lengths), lengths))
-    keys, counts = np.unique(pair_keys(pages[first], pages[first + 1]), return_counts=True)
-    pairs = zip(*(ids.tolist() for ids in unpack_pairs(keys)))
-    return ClickstreamTable(interner, dict(zip(pairs, counts.tolist())))
+    return ClickstreamTable(interner, *np.unique(pair_keys(pages[first], pages[first + 1]),
+                                                 return_counts=True))

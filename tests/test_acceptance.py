@@ -20,7 +20,7 @@ from navsynth.downstream import (build_added_links, corpus_triples,
                                  relative_difference)
 from navsynth.embeddings import sgns_pair_gradients, sgns_pair_loss
 from navsynth.graph import (apply_k_anonymity, build_transition_model,
-                            load_edge_list)
+                            load_edge_list, pair_keys, unpack_pairs)
 from navsynth.mixing import JointFlowTable, adjusted_mi, ami_survey
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import bootstrap_mean_ci, f1_micro_macro, rng_stream, spearman
@@ -242,6 +242,11 @@ def test_criterion_06_relative_difference_reference_value():
     announce(6, "relative_difference(0.369, 0.316) = %.2f%%" % value)
 
 
+def link_pairs(keys):
+    """The set of (s, t) pairs of packed link keys."""
+    return set(zip(*(ids.tolist() for ids in unpack_pairs(keys))))
+
+
 def test_criterion_07_link_prediction(tmp_path):
     # fabricated world: 5 added links, each supported by 20 start-anchored
     # indirect-path sequences; 20 endpoint-sharing negatives supported by 11
@@ -276,11 +281,12 @@ def test_criterion_07_link_prediction(tmp_path):
     expected_pos = {(ids.id("s%d" % i), ids.id("t%d" % i)) for i in range(5)}
     expected_neg = {(ids.id("s%d" % i), ids.id("t%d" % j))
                     for i in range(5) for j in range(5) if i != j}
-    assert labels.positives == expected_pos
-    assert labels.negatives == expected_neg
+    assert link_pairs(labels.positives) == expected_pos
+    assert link_pairs(labels.negatives) == expected_neg
 
-    ranked, excluded = rank_links(corpus, sorted(expected_pos | expected_neg))
-    assert not excluded
+    candidates = np.array(sorted(expected_pos | expected_neg), dtype=np.int64)
+    ranked, excluded = rank_links(corpus, pair_keys(candidates[:, 0], candidates[:, 1]))
+    assert not len(excluded)
     for res in precision_at_k(ranked, labels, range(1, 6)):
         assert res.precision == 1.0
     [overall] = precision_at_k(ranked, labels, [25])
@@ -331,8 +337,8 @@ def test_criterion_07_link_prediction(tmp_path):
             if s != t and (s, t) not in o_pos and (s, t) not in old_edges \
                     and path_count(s, t) >= 10:
                 o_neg.add((s, t))
-    assert rlabels.positives == o_pos and o_pos
-    assert rlabels.negatives == o_neg and o_neg
+    assert link_pairs(rlabels.positives) == o_pos and o_pos
+    assert link_pairs(rlabels.negatives) == o_neg and o_neg
     announce(7, "added-link labeling matches the enumeration oracle and the "
                 "fabricated world scores precision 1.0 through k = 5")
 

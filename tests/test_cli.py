@@ -196,6 +196,14 @@ MALFORMED_ROWS = {
     "clickstream": ("A\tB\tlink\t20\nA\tB\tlink\tmany\n", load_clickstream,
                     lambda f: ["ingest", "--graph", f["graph"], "--clickstream", f["input"],
                                "--out-dir", f["out"]]),
+    "clickstream-huge-count": ("A\tB\tlink\t20\nB\tA\tlink\t99999999999999999999\n",
+                               load_clickstream,
+                               lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
+                                          f["input"], "--out-dir", f["out"]]),
+    "clickstream-total-overflow": ("A\tB\tlink\t%d\nB\tA\tlink\t%d\n" % (2**62, 2**62),
+                                   load_clickstream,
+                                   lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
+                                              f["input"], "--out-dir", f["out"]]),
     "events": ("00ff\t100\tA\t-\n00ff\tlater\tB\tA\n",
                lambda p: load_pageview_events(p, Interner()),
                lambda f: ["build-sessions", "--events", f["input"],
@@ -242,6 +250,8 @@ MALFORMED_ROWS = {
 }
 # the whole message after "path:2: ", where a case pins it
 MALFORMED_MESSAGES = {
+    "clickstream-huge-count": "click total reaches 2**63\n",
+    "clickstream-total-overflow": "click total reaches 2**63\n",
     "embeddings-zero": "all-zero vector for article 'A'\n",
     "embeddings-nan": "non-finite value for article 'A'\n",
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
@@ -264,6 +274,16 @@ def test_malformed_row_cites_path_and_line(tmp_path, capsys, case):
         assert main(argv(files)) == 1
         assert "error: %s:2: %s" % (path, MALFORMED_MESSAGES.get(case, "")) \
             in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--out-degree", "0", "out_degree must be >= 1 and < num_nodes"),
+    ("--corpus-size", "-3", "corpus_size must be >= 0"),
+], ids=["out-degree-0", "corpus-size-negative"])
+def test_planted_world_rejects_bad_sizes(tmp_path, capsys, flag, value, message):
+    rc = main(["planted-world", "--nodes", "10", flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_eval_next_rejects_reference_article_outside_graph(tmp_path, chain_graph, capsys):

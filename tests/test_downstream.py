@@ -10,7 +10,7 @@ from navsynth.downstream import (LabeledLinkSet, PathProportions,
                                  rank_links, relatedness_eval,
                                  relative_difference, topic_classification,
                                  train_logreg)
-from navsynth.graph import load_edge_list, unpack_pairs
+from navsynth.graph import load_edge_list, pair_keys, unpack_pairs
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 
@@ -32,6 +32,17 @@ def int_graph(tmp_path, edges, num_nodes):
     g = load_edge_list(str(path))
     assert all(g.interner.id(str(i)) == i for i in range(num_nodes))
     return g
+
+
+def keys_of(pairs):
+    """Packed keys of (s, t) pairs, in the order given."""
+    ids = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return pair_keys(ids[:, 0], ids[:, 1])
+
+
+def pairs_of(keys):
+    """The (s, t) pairs of packed keys, in key order."""
+    return list(zip(*(ids.tolist() for ids in unpack_pairs(keys))))
 
 
 def count_dict(model):
@@ -249,7 +260,7 @@ class TestAddedLinks:
         old, new = self.worlds(tmp_path)
         corpus = SequenceCorpus([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
-        assert labels.positives == {(0, 2)}
+        assert set(pairs_of(labels.positives)) == {(0, 2)}
 
     def test_too_few_paths_raises(self, tmp_path):
         old, new = self.worlds(tmp_path)
@@ -263,7 +274,7 @@ class TestAddedLinks:
         # but (0,2) stays a positive via the indirect co-occurrence
         corpus = SequenceCorpus([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
-        assert (0, 1) not in labels.positives and (0, 1) not in labels.negatives
+        assert (0, 1) not in pairs_of(labels.positives) + pairs_of(labels.negatives)
 
     def test_matches_rule_by_rule_oracle(self, tmp_path):
         rng = rng_stream(84)
@@ -313,23 +324,23 @@ class TestAddedLinks:
                     continue
                 if path_count(s, t) >= 10:
                     oracle_neg.add(pair)
-        assert labels.positives == oracle_pos
-        assert labels.negatives == oracle_neg
+        assert set(pairs_of(labels.positives)) == oracle_pos
+        assert set(pairs_of(labels.negatives)) == oracle_neg
         assert oracle_pos and oracle_neg  # scenario actually exercises both
 
 
 class TestPrecisionAtK:
     def labels(self):
-        return LabeledLinkSet(positives={(0, 1), (0, 2)}, negatives={(0, 3)})
+        return LabeledLinkSet(positives=keys_of([(0, 1), (0, 2)]), negatives=keys_of([(0, 3)]))
 
     def test_hand_computed(self):
-        ranked = [(0, 1), (0, 3), (0, 2)]
+        ranked = keys_of([(0, 1), (0, 3), (0, 2)])
         [res] = precision_at_k(ranked, self.labels(), [3])
         assert res.precision == pytest.approx(2 / 3)
         assert not res.truncated
 
     def test_all_positive_prefix(self):
-        ranked = [(0, 1), (0, 2), (0, 3)]
+        ranked = keys_of([(0, 1), (0, 2), (0, 3)])
         [res] = precision_at_k(ranked, self.labels(), [2])
         assert res.precision == 1.0
 
@@ -337,22 +348,22 @@ class TestPrecisionAtK:
         rng = rng_stream(85)
         pairs = [(0, i) for i in range(20)]
         pos = {p for p in pairs if rng.random() < 0.4}
-        labels = LabeledLinkSet(pos, set(pairs) - pos)
+        labels = LabeledLinkSet(keys_of(sorted(pos)), keys_of(sorted(set(pairs) - pos)))
         ranked = [pairs[i] for i in rng.permutation(20)]
-        for res in precision_at_k(ranked, labels, range(1, 21)):
+        for res in precision_at_k(keys_of(ranked), labels, range(1, 21)):
             expected = sum(p in pos for p in ranked[:res.k]) / res.k
             assert res.precision == pytest.approx(expected, abs=1e-12)
 
     def test_truncation_flag(self):
-        ranked = [(0, 1)]
+        ranked = keys_of([(0, 1)])
         [res] = precision_at_k(ranked, self.labels(), [5])
         assert res.truncated and res.effective_k == 1
 
     def test_rank_links_order_and_exclusion(self):
         corpus = SequenceCorpus([[0, 1, 2], [0, 2], [0, 3]], "Logs")
-        ranked, excluded = rank_links(corpus, [(0, 2), (0, 3), (9, 1)])
-        assert ranked == [(0, 2), (0, 3)]  # 2/3 before 1/3
-        assert excluded == [(9, 1)]
+        ranked, excluded = rank_links(corpus, keys_of([(0, 2), (0, 3), (9, 1)]))
+        assert pairs_of(ranked) == [(0, 2), (0, 3)]  # 2/3 before 1/3
+        assert pairs_of(excluded) == [(9, 1)]
 
 
 class TestRelatedness:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from navsynth.cli import SYNTH_KINDS, main
+from navsynth.graph import unpack_pairs
 from navsynth.synth import GeometricWorldSpec, generate_geometric_world
 
 # Generator streams may differ between numpy feature releases (NEP 19)
@@ -160,7 +161,9 @@ def output_digests(base):
 
     geo = generate_geometric_world(GeometricWorldSpec(num_nodes=80, corpus_size=600, seed=2))
     digests["geometric/corpus"] = _sha(repr(geo.corpus.sequences).encode())
-    digests["geometric/clickstream"] = _sha(repr(sorted(geo.clickstream.entries.items())).encode())
+    clicks = zip(zip(*(ids.tolist() for ids in unpack_pairs(geo.clickstream.entries))),
+                 geo.clickstream.counts.tolist())
+    digests["geometric/clickstream"] = _sha(repr(list(clicks)).encode())
     return digests
 
 

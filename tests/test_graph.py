@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream,
-                            load_edge_list, pair_keys, unpack_pairs, ClickstreamTable,
-                            TransitionModel)
+                            load_edge_list, pair_keys, unpack_pairs, TransitionModel)
 from navsynth.stats import rng_stream
 
 
@@ -75,16 +74,16 @@ class TestLoadEdgeList:
 
 
 class TestLoadClickstream:
-    def test_basic_row(self, tmp_path):
+    def test_basic_row(self, tmp_path, click_counts):
         path = write(tmp_path, "c.tsv", "A\tB\tlink\t25\n")
         t = load_clickstream(path)
         a, b = t.interner.id("A"), t.interner.id("B")
-        assert t.entries[(a, b)] == 25
+        assert click_counts(t)[(a, b)] == 25
 
     def test_type_filter(self, tmp_path):
         path = write(tmp_path, "c.tsv", "other-search\tB\texternal\t100\n")
         t = load_clickstream(path)
-        assert not t.entries
+        assert not len(t.entries)
         assert t.skipped_rows == 1
 
     def test_kept_rows_match_grep(self, tmp_path):
@@ -115,21 +114,21 @@ class TestLoadClickstream:
 
 
 class TestKAnonymity:
-    def test_strict_threshold(self):
+    def test_strict_threshold(self, click_table, click_counts):
         interner = Interner()
         a, b, c = (interner.intern(x) for x in "ABC")
-        table = ClickstreamTable(interner, {(a, b): 10, (a, c): 11})
+        table = click_table(interner, {(a, b): 10, (a, c): 11})
         out = apply_k_anonymity(table, 10)
-        assert out.entries == {(a, c): 11}
-        assert table.entries == {(a, b): 10, (a, c): 11}  # input unmodified
+        assert click_counts(out) == {(a, c): 11}
+        assert click_counts(table) == {(a, b): 10, (a, c): 11}  # input unmodified
 
-    def test_threshold_zero_identity(self):
+    def test_threshold_zero_identity(self, click_table, click_counts):
         interner = Interner()
         a, b = interner.intern("A"), interner.intern("B")
-        table = ClickstreamTable(interner, {(a, b): 1})
-        assert apply_k_anonymity(table, 0).entries == table.entries
+        table = click_table(interner, {(a, b): 1})
+        assert click_counts(apply_k_anonymity(table, 0)) == click_counts(table)
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, click_table, click_counts):
         rng = rng_stream(5)
         interner = Interner()
         ids = [interner.intern("n%d" % i) for i in range(30)]
@@ -137,23 +136,23 @@ class TestKAnonymity:
         while len(entries) < 100:
             s, t = rng.choice(30, size=2, replace=False)
             entries[(ids[s], ids[t])] = int(rng.integers(1, 30))
-        table = ClickstreamTable(interner, entries)
+        table = click_table(interner, entries)
         thr = 12
         out = apply_k_anonymity(table, thr)
         expected = {k: v for k, v in entries.items() if v > thr}
-        assert out.entries == expected
+        assert click_counts(out) == expected
 
-    def test_monotone_and_idempotent(self):
+    def test_monotone_and_idempotent(self, click_table, click_counts):
         rng = rng_stream(6)
         interner = Interner()
         ids = [interner.intern("n%d" % i) for i in range(10)]
         entries = {(ids[i], ids[(i + 1) % 10]): int(rng.integers(1, 25))
                    for i in range(10)}
-        table = ClickstreamTable(interner, entries)
+        table = click_table(interner, entries)
         t5 = apply_k_anonymity(table, 5)
         t9 = apply_k_anonymity(table, 9)
-        assert set(t9.entries) <= set(t5.entries)
-        assert apply_k_anonymity(t5, 5).entries == t5.entries
+        assert set(click_counts(t9)) <= set(click_counts(t5))
+        assert click_counts(apply_k_anonymity(t5, 5)) == click_counts(t5)
 
 
 class TestTransitionModel:
@@ -163,17 +162,17 @@ class TestTransitionModel:
         a = g.interner.id("A")
         assert m.row_probs(a) == pytest.approx([0.5, 0.5])
 
-    def test_weighted_proportional(self, tmp_path):
+    def test_weighted_proportional(self, tmp_path, click_table):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nA\tC\n"))
         interner = g.interner
         a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
-        table = ClickstreamTable(interner, {(a, b): 30, (a, c): 10})
+        table = click_table(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
         row = dict(zip(m.successors(a).tolist(), m.row_probs(a)))
         assert row[b] == pytest.approx(0.75)
         assert row[c] == pytest.approx(0.25)
 
-    def test_random_rows_normalized_and_match_oracle(self, tmp_path):
+    def test_random_rows_normalized_and_match_oracle(self, tmp_path, click_table):
         rng = rng_stream(7)
         names = ["n%d" % i for i in range(50)]
         lines, weights = [], {}
@@ -186,7 +185,7 @@ class TestTransitionModel:
         path = write(tmp_path, "e.tsv", "\n".join(lines) + "\n")
         g = load_edge_list(path)
         interner = g.interner
-        table = ClickstreamTable(
+        table = click_table(
             interner, {(interner.id(s), interner.id(t)): c
                        for (s, t), c in weights.items()})
         m = build_transition_model(g, table)
@@ -201,25 +200,25 @@ class TestTransitionModel:
                 key = (interner.name(node), interner.name(int(t)))
                 assert p == pytest.approx(weights[key] / totals[key[0]])
 
-    def test_uniform_equals_equal_count_weighted(self, tmp_path):
+    def test_uniform_equals_equal_count_weighted(self, tmp_path, click_table):
         path = write(tmp_path, "e.tsv", "A\tB\nA\tC\nB\tC\nC\tA\n")
         g = load_edge_list(path)
         uniform = build_transition_model(g)
-        table = ClickstreamTable(g.interner, {(int(s), int(t)): 7 for s, t in zip(*g.edge_arrays())})
+        table = click_table(g.interner, {(int(s), int(t)): 7 for s, t in zip(*g.edge_arrays())})
         weighted = build_transition_model(g, table)
         for node in range(g.num_nodes):
             assert np.allclose(uniform.row_probs(node), weighted.row_probs(node), atol=1e-12)
             assert np.array_equal(uniform.successors(node), weighted.successors(node))
 
-    def test_dropped_mass_and_empty_error(self, tmp_path):
+    def test_dropped_mass_and_empty_error(self, tmp_path, click_table):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\n"))
         interner = g.interner
         a, b = interner.id("A"), interner.id("B")
         z = interner.intern("Z")
-        table = ClickstreamTable(interner, {(a, b): 5, (a, z): 9})
+        table = click_table(interner, {(a, b): 5, (a, z): 9})
         m = build_transition_model(g, table)
         assert m.dropped_click_mass == 9
-        only_bad = ClickstreamTable(interner, {(a, z): 9})
+        only_bad = click_table(interner, {(a, z): 9})
         with pytest.raises(ValueError, match="empty transition model"):
             build_transition_model(g, only_bad)
 
@@ -279,7 +278,8 @@ class TestCsrProperties:
     @given(edges=EDGE_LISTS,
            clicks=st.dictionaries(st.tuples(NAMES | st.just("off-graph"), NAMES),
                                   st.integers(1, 10**9), max_size=30))
-    def test_weighted_model_matches_dict_oracle(self, tmp_path_factory, edges, clicks):
+    def test_weighted_model_matches_dict_oracle(self, tmp_path_factory, click_table, edges,
+                                                clicks):
         g = load_edge_list(_edge_file(tmp_path_factory, edges))
         interner = g.interner
         entries = {(interner.intern(s), interner.intern(t)): c for (s, t), c in clicks.items()}
@@ -291,7 +291,7 @@ class TestCsrProperties:
                 rows.setdefault(s, {})[t] = c
             else:
                 dropped += c
-        table = ClickstreamTable(interner, entries)
+        table = click_table(interner, entries)
         if not rows:
             with pytest.raises(ValueError, match="empty transition model"):
                 build_transition_model(g, table)
@@ -316,6 +316,51 @@ def test_interner_round_trip(tmp_path):
     loaded = Interner.read_tsv(str(path))
     assert len(loaded) == 3
     assert loaded.id("Baz qux") == interner.id("Baz qux")
+
+
+# article names as clickstream rows can carry them: no tab or line break
+ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(ARTICLES, min_size=1, max_size=8, unique=True), data=st.data())
+def test_clickstream_write_read_round_trip(tmp_path_factory, click_table, names, data):
+    interner = Interner()
+    for name in names:
+        interner.intern(name)
+    ids = st.integers(0, len(names) - 1)
+    counts = data.draw(st.dictionaries(st.tuples(ids, ids), st.integers(1, 2**40), max_size=30))
+    table = click_table(interner, counts)
+    path = str(tmp_path_factory.mktemp("clicks") / "c.tsv")
+    table.write_tsv(path)
+    reread = Interner()
+    for name in names:
+        reread.intern(name)
+    loaded = load_clickstream(path, reread)
+    assert [reread.name(i) for i in range(len(reread))] == names
+    assert loaded.entries.tolist() == table.entries.tolist()
+    assert loaded.counts.tolist() == table.counts.tolist()
+    assert loaded.skipped_rows == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(NAMES, NAMES, st.sampled_from(["link", "external", "other"]),
+                               st.integers(1, 2**40)), max_size=40))
+def test_clickstream_sums_match_dict_oracle(tmp_path_factory, click_counts, rows):
+    path = tmp_path_factory.mktemp("clicks") / "c.tsv"
+    path.write_text("".join("%s\t%s\t%s\t%d\n" % row for row in rows), encoding="utf-8")
+    table = load_clickstream(str(path))
+    oracle: dict[tuple[str, str], int] = {}
+    for s, t, row_type, count in rows:
+        if row_type == "link":
+            oracle[(s, t)] = oracle.get((s, t), 0) + count
+    named = {(table.interner.name(s), table.interner.name(t)): c
+             for (s, t), c in click_counts(table).items()}
+    assert named == oracle
+    assert table.skipped_rows == sum(row[2] != "link" for row in rows)
+    assert table.total_clicks == sum(oracle.values())
+    assert np.all(np.diff(table.entries) > 0)  # sorted and unique
 
 
 @settings(max_examples=200, deadline=None)

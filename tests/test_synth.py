@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navsynth import stats, synth
-from navsynth.graph import ClickstreamTable, Interner, build_transition_model, load_edge_list
+from navsynth.graph import Interner, build_transition_model, load_edge_list
 from navsynth.sessions import SequenceCorpus, save_corpus
 from navsynth.stats import counter_uniforms, rng_stream
 from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule, WalkSpec,
@@ -40,11 +40,11 @@ class TestGenerateSequence:
             assert not flagged
             assert [names.name(x) for x in seq] == ["A", "C", "D"]
 
-    def test_first_step_frequencies(self, tmp_path):
+    def test_first_step_frequencies(self, tmp_path, click_table):
         g = graph_from(tmp_path, [("A", "B"), ("A", "C")])
         interner = g.interner
         a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
-        table = ClickstreamTable(interner, {(a, b): 30, (a, c): 10})
+        table = click_table(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
         rng = rng_stream(23)
         hits = Counter(generate_sequence(m, WalkSpec(a, 2), rng)[0][1]
@@ -160,24 +160,25 @@ class TestGenerateCorpus:
 
 
 class TestDeriveIntrinsicStops:
-    def table(self, entries):
+    @pytest.fixture
+    def table(self, click_table):
         interner = Interner()
         for i in range(3):
             interner.intern("n%d" % i)
-        return ClickstreamTable(interner, entries)
+        return lambda entries: click_table(interner, entries)
 
-    def test_balanced_flow_hits_floor(self):
-        t = self.table({(0, 1): 100, (1, 2): 100})  # node 1: in=100, out=100
+    def test_balanced_flow_hits_floor(self, table):
+        t = table({(0, 1): 100, (1, 2): 100})  # node 1: in=100, out=100
         stops = derive_intrinsic_stops(t, 3)
         assert stops[1] == pytest.approx(0.01)
 
-    def test_pure_sink(self):
-        t = self.table({(0, 2): 100})  # node 2: in=100, out=0
+    def test_pure_sink(self, table):
+        t = table({(0, 2): 100})  # node 2: in=100, out=0
         stops = derive_intrinsic_stops(t, 3)
         assert stops[2] == pytest.approx(1.0)
 
-    def test_formula(self):
-        t = self.table({(0, 1): 200, (1, 2): 150})  # node 1: in=200, out=150
+    def test_formula(self, table):
+        t = table({(0, 1): 200, (1, 2): 150})  # node 1: in=200, out=150
         stops = derive_intrinsic_stops(t, 3)
         assert stops[1] == pytest.approx(0.25)
 
@@ -206,7 +207,7 @@ class TestPlantedWorld:
             checked += 1
         assert checked > 0
 
-    def test_pair_counts_match_bigram_oracle(self):
+    def test_pair_counts_match_bigram_oracle(self, click_counts):
         world = generate_planted_world(PlantedWorldSpec(
             num_nodes=20, out_degree=3, memory_strength=0.5,
             corpus_size=500, seed=9))
@@ -214,7 +215,7 @@ class TestPlantedWorld:
         for seq in world.corpus.sequences:
             for pair in zip(seq, seq[1:]):
                 oracle[pair] += 1
-        assert dict(oracle) == world.clickstream.entries
+        assert dict(oracle) == click_counts(world.clickstream)
 
     def test_memory_raises_ami(self):
         from navsynth.mixing import ami_survey
@@ -230,6 +231,11 @@ class TestPlantedWorld:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             PlantedWorldSpec(memory_strength=1.5)
+
+    def test_empty_corpus(self):
+        world = generate_planted_world(PlantedWorldSpec(num_nodes=10, out_degree=2,
+                                                        corpus_size=0))
+        assert world.corpus.sequences == [] and not len(world.clickstream.entries)
 
 
 def fixed_draws(*values):
@@ -339,7 +345,9 @@ class TestLockstepKernel:
                 t = len(expected) - 1
                 recall, succ = counter_uniforms(spec.seed, i, [2 + 2 * t, 3 + 2 * t]).tolist()
                 if t > 0 and recall < spec.memory_strength:
-                    expected.append(world.preferred[(expected[-2], expected[-1])])
+                    edge = world.graph.indptr[expected[-2]] + np.searchsorted(
+                        world.graph.successors(expected[-2]), expected[-1])
+                    expected.append(int(world.graph.indices[world.preferred_edge[edge]]))
                 else:
                     expected.append(world.markov1.step(expected[-1], fixed_draws(succ)))
             assert seq == expected
