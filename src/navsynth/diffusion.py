@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Interner, ParseError, _parse, open_text, write_csv
-from .sessions import SequenceCorpus, flatten
+from .sessions import SequenceCorpus
 from .stats import BootstrapResult, bootstrap_mean_ci
 
 HISTOGRAM_BIN_WIDTH = 0.02
@@ -122,9 +122,8 @@ class DiffusionCurve:
 
 def _distances_at_k(corpus: SequenceCorpus, emb: EmbeddingTable, k: int) -> np.ndarray:
     """Cosine distance from first to k-th page of each sequence where both have a vector."""
-    pages, lengths = flatten(corpus.sequences)
-    starts = (np.cumsum(lengths) - lengths)[lengths > k]
-    first, later = emb.rows([pages[starts], pages[starts + k]])
+    starts = corpus.offsets[:-1][np.diff(corpus.offsets) > k]
+    first, later = emb.rows([corpus.pages[starts], corpus.pages[starts + k]])
     covered = (first >= 0) & (later >= 0)
     return 1.0 - emb.cosines(first[covered], later[covered])
 

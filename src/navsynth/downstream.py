@@ -8,7 +8,7 @@ import numpy as np
 
 from .diffusion import EmbeddingTable
 from .graph import HyperlinkGraph, pair_keys, unpack_pairs
-from .sessions import SequenceCorpus, corpus_triples, flatten  # noqa: F401 (re-exported)
+from .sessions import SequenceCorpus, corpus_triples  # noqa: F401 (re-exported)
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
@@ -67,7 +67,8 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
         raise ValueError("filtered mode requires the list of compared models")
     test = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
     if mode == "filtered":
-        seen = [np.isin(pair_keys(test[:, 0], test[:, 1]), m.contexts) for m in compared_models]
+        keys = pair_keys(test[:, 0], test[:, 1])
+        seen = [_lookup(m.contexts, keys) < len(m.contexts) for m in compared_models]
         test = test[np.logical_and.reduce(seen)]
     if not len(test):
         raise ValueError("empty test set after filtering")
@@ -103,9 +104,9 @@ def _indirect_path_counts(corpus: SequenceCorpus, candidates: np.ndarray) -> np.
 
     Callers pass no old-graph edge: those never qualify as indirect paths.
     """
-    pages, lengths = flatten(corpus.sequences)
+    pages, lengths = corpus.pages, np.diff(corpus.offsets)
     sequence = np.repeat(np.arange(len(lengths)), lengths)
-    ends = np.repeat(np.cumsum(lengths), lengths)
+    ends = corpus.offsets[1:][sequence]
     pos = np.arange(len(pages))
     hits = [np.zeros(0, dtype=np.int64)]  # packed (candidate index, sequence) keys
     for offset in range(1, int(lengths.max(initial=0))):
@@ -147,10 +148,9 @@ class PathProportions:
     """
 
     def __init__(self, corpus: SequenceCorpus):
-        pages, lengths = flatten(corpus.sequences)
-        first = pages[np.cumsum(lengths) - lengths]
+        pages, first = corpus.pages, corpus.pages[corpus.offsets[:-1]]
         self._starts, self._start_counts = np.unique(first, return_counts=True)
-        sequence = np.repeat(np.arange(len(lengths)), lengths)
+        sequence = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
         later = pages != first[sequence]
         # the distinct later pages of each sequence, then their (start, page) keys
         seq, page = unpack_pairs(np.unique(pair_keys(sequence[later], pages[later])))

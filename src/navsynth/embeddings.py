@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.special import expit, log_expit
 
 from .diffusion import EmbeddingTable
-from .sessions import SequenceCorpus, flatten
+from .sessions import SequenceCorpus
 from .stats import rng_stream
 
 UNIGRAM_POWER = 0.75  # negatives are drawn from the unigram distribution to this power
@@ -86,18 +86,21 @@ def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
 
 
 class SgnsTrainer:
+    sequences = SequenceCorpus.sequences  # the kept sequences, from `pages` and `offsets`
+
     def __init__(self, corpus: SequenceCorpus, config: SgnsConfig):
-        sequences = [s for s in corpus.sequences if len(s) >= 2]
-        if not sequences:
+        lengths = np.diff(corpus.offsets)
+        pages = corpus.pages[np.repeat(lengths >= 2, lengths)]
+        lengths = lengths[lengths >= 2]
+        if not len(lengths):
             raise ValueError("no sequences of length >= 2 to train on")
-        self.sequences = sequences
+        self.pages, self.offsets = pages, np.cumsum(np.append(0, lengths))
         self.config = config
-        pages, lengths = flatten(sequences)
         vocab, self._ids, counts = np.unique(pages, return_inverse=True,
                                              return_counts=True)
         self.vocab = vocab.tolist()
         # room to the left and right of each page within its sequence
-        self._left = np.arange(len(pages)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self._left = np.arange(len(pages)) - np.repeat(self.offsets[:-1], lengths)
         self._right = np.repeat(lengths, lengths) - 1 - self._left
         weights = counts ** UNIGRAM_POWER
         self._neg_cum = np.cumsum(weights)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph import Interner, _parse, _rows, open_text
+from .graph import Interner, ParseError, _parse, _rows, open_text
 
 DEFAULT_INACTIVITY_MS = 60 * 60 * 1000  # new tree if the parent is older than this
 
@@ -121,52 +120,54 @@ def sample_root_to_leaf(tree: NavigationTree,
 
 @dataclass
 class SequenceCorpus:
-    """A homogeneous set of navigation sequences (lists of article ids)."""
+    """A homogeneous set of navigation sequences as one flat ragged array: sequence i is
+    `pages[offsets[i]:offsets[i + 1]]`, both int64, offsets[0] == 0, offsets[-1] == len(pages)."""
 
-    sequences: list[list[int]]
+    pages: np.ndarray
+    offsets: np.ndarray
     kind: str
     flagged: set[int] = field(default_factory=set)
     metadata: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_sequences(cls, sequences, kind: str) -> "SequenceCorpus":
+        offsets = np.cumsum([0, *map(len, sequences)])
+        pages = np.fromiter((a for s in sequences for a in s), dtype=np.int64, count=offsets[-1])
+        return cls(pages, offsets, kind)
+
     def __len__(self):
-        return len(self.sequences)
+        return len(self.offsets) - 1
 
-
-def flatten(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """(pages, lengths): every page of `sequences` in order, and each sequence's length."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    pages = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
-    return pages, lengths
+    @property
+    def sequences(self) -> list[list[int]]:
+        """Each sequence as a list, built on each access. No navsynth module reads it: it is kept
+        for the tests and the benchmark tracer, until the tracer reads a run record instead."""
+        pages, b = self.pages.tolist(), self.offsets.tolist()
+        return [pages[lo:hi] for lo, hi in zip(b, b[1:])]
 
 
 def corpus_triples(corpus: SequenceCorpus) -> np.ndarray:
     """Every window of 3 consecutive pages as a (source, middle, target) row, in corpus order."""
-    pages, lengths = flatten(corpus.sequences)
-    first = np.flatnonzero(np.arange(len(pages)) + 2 < np.repeat(np.cumsum(lengths), lengths))
+    pages, lengths = corpus.pages, np.diff(corpus.offsets)
+    first = np.flatnonzero(np.arange(len(pages)) + 2 < np.repeat(corpus.offsets[1:], lengths))
     return np.column_stack((pages[first], pages[first + 1], pages[first + 2]))
 
 
 def corpus_from_trees(trees: list[NavigationTree],
                       rng: np.random.Generator) -> SequenceCorpus:
-    sequences = []
-    for tree in trees:
-        seq = sample_root_to_leaf(tree, rng)
-        if seq is not None:
-            sequences.append(seq)
-    return SequenceCorpus(sequences, "Logs")
+    paths = [sample_root_to_leaf(tree, rng) for tree in trees]
+    return SequenceCorpus.from_sequences([p for p in paths if p is not None], "Logs")
 
 
 def save_corpus(corpus: SequenceCorpus, path, interner: Interner):
+    names, b = [interner.name(a) for a in corpus.pages.tolist()], corpus.offsets.tolist()
     with open_text(path, "wt") as f:
         f.write("#kind=%s\n" % corpus.kind)
-        for seq in corpus.sequences:
-            f.write("\t".join(interner.name(a) for a in seq))
-            f.write("\n")
+        f.writelines("\t".join(names[lo:hi]) + "\n" for lo, hi in zip(b, b[1:]))
 
 
 def load_corpus(path, interner: Interner) -> SequenceCorpus:
-    sequences = []
-    kind = "Logs"
+    tokens, offsets, kind, seen = [], [0], "Logs", {}
     with open_text(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -176,8 +177,15 @@ def load_corpus(path, interner: Interner) -> SequenceCorpus:
                 if line.startswith("#kind="):
                     kind = line[len("#kind="):]
                 continue
-            sequences.append([interner.intern(name) for name in line.split("\t")])
-    return SequenceCorpus(sequences, kind)
+            names = line.split("\t")
+            if "" in names:
+                raise ParseError(path, line_no, "empty article name")
+            tokens += map(seen.setdefault, names, names)  # one str object per distinct name
+            offsets.append(len(tokens))
+    # `seen` is in first-appearance order: the ids that interning one token at a time gives
+    ids = {name: interner.intern(name) for name in seen}
+    pages = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return SequenceCorpus(pages, np.array(offsets, dtype=np.int64), kind)
 
 
 def load_pageview_events(path, interner: Interner) -> list[PageviewEvent]:

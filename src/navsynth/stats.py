@@ -80,9 +80,10 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator | None = None) -> Bootst
         raise ValueError("empty sample")
     if rng is None:
         rng = rng_stream(0)
-    idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    # row means block by block: a whole (B, n) gather would set the command's peak memory
-    means = np.concatenate([samples[block].mean(axis=1) for block in np.array_split(idx, 16)])
+    # resamples in 16 blocks, each drawn as its rows of one (B, n) draw would be: the whole
+    # (B, n) index matrix would set the command's peak memory
+    means = np.concatenate([samples[rng.integers(0, n, size=(len(b), n))].mean(axis=1)
+                            for b in np.array_split(range(BOOTSTRAP_RESAMPLES), 16)])
     alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return BootstrapResult(float(samples.mean()), float(lo), float(hi))

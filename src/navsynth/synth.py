@@ -9,7 +9,7 @@ import numpy as np
 
 from .graph import (ClickstreamTable, HyperlinkGraph, Interner, TransitionModel, _row_offsets,
                     pair_keys, unpack_pairs)
-from .sessions import SequenceCorpus, flatten
+from .sessions import SequenceCorpus
 from .stats import counter_uniforms, rng_stream
 
 DEFAULT_RETRY_BUDGET = 100
@@ -97,7 +97,7 @@ def _lockstep(model: TransitionModel, seed: int, starts: np.ndarray, lengths: np
     """Walk w from `starts[w]` to at most `lengths[w]` pages, all walks one step per pass.
     Step t decides on u(seed, w, first_draw + 2t): stop with `stop_probs`, or (t > 0) follow
     `memory = (strength, preferred)` from edge e to `preferred[e]`; else u(seed, w, first_draw
-    + 2t + 1) steps as `model.step` does. Returns (sequences, walks ended at a terminal)."""
+    + 2t + 1) steps as `model.step` does. Returns (pages, offsets, walks ended at a terminal)."""
     walk = np.flatnonzero(lengths > 1)
     node, edge = starts[walk], np.zeros(len(walk), dtype=np.int64)
     chunks, dead = [(np.arange(len(starts)), starts)], [walk[:0]]
@@ -122,8 +122,7 @@ def _lockstep(model: TransitionModel, seed: int, starts: np.ndarray, lengths: np
     while chunks:  # chunk t holds page t of each walk it lists; popping frees it
         w, pages = chunks.pop()
         flat[bounds[w] + len(chunks)] = pages
-    flat, b = flat.tolist(), bounds.tolist()
-    return [flat[b[i]:b[i + 1]] for i in range(len(starts))], np.concatenate(dead)
+    return flat, bounds, np.concatenate(dead)
 
 
 def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarray:
@@ -149,32 +148,36 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
     u(seed, i, draw). Under extrinsic stopping each copies its reference's start and length,
     and a walk that meets a dead end is rerun by `generate_sequence`, whose k-th draw is
     the lockstep's successor draw 2k + 1."""
-    if not reference.sequences:
+    if not len(reference):
         raise ValueError("empty reference corpus")
     intrinsic = rule.variant == "intrinsic"
-    pages, lengths = flatten(reference.sequences)
-    starts = pages[np.cumsum(lengths) - lengths]
-    lengths = np.full(len(starts), rule.max_length) if intrinsic else lengths
+    starts = reference.pages[reference.offsets[:-1]]
+    lengths = np.full(len(starts), rule.max_length) if intrinsic else np.diff(reference.offsets)
     missing = starts >= model.num_nodes
     lengths[missing] = 1
-    sequences, dead = _lockstep(model, seed, starts, lengths,
-                                stop_probs=model.stop_probs if intrinsic else None)
-    dead = [] if intrinsic else dead.tolist()  # a terminal node ends an intrinsic walk
-    flagged = set(np.flatnonzero(missing).tolist()) | {i for i in dead if len(sequences[i]) == 1}
-    rerun, retries = [i for i in dead if len(sequences[i]) > 1], 0  # terminal starts stay
+    pages, offsets, dead = _lockstep(model, seed, starts, lengths,
+                                     stop_probs=model.stop_probs if intrinsic else None)
+    dead = np.sort(dead[:0] if intrinsic else dead)  # a terminal node ends an intrinsic walk
+    walked = np.diff(offsets)
+    flagged = set(np.flatnonzero(missing).tolist()) | set(dead[walked[dead] == 1].tolist())
+    rerun, retries = dead[walked[dead] > 1].tolist(), 0  # terminal starts stay
+    pieces, done = [], 0  # the pages before each rerun walk, then the walk
     for i in rerun:
         draws = counter_uniforms(seed, i, 2 * np.arange(lengths[i] + DEFAULT_RETRY_BUDGET) + 1)
         left = iter(draws.tolist())
-        sequences[i], bad = generate_sequence(model, WalkSpec(int(starts[i]), int(lengths[i])),
-                                              SimpleNamespace(random=left.__next__))
+        seq, bad = generate_sequence(model, WalkSpec(int(starts[i]), int(lengths[i])),
+                                     SimpleNamespace(random=left.__next__))
         if bad:
             flagged.add(i)
         # each draw appended a page and each backtrack removed one
-        retries += len(draws) - len([*left]) - (len(sequences[i]) - 1)
+        retries += len(draws) - len([*left]) - (len(seq) - 1)
+        pieces += [pages[done:offsets[i]], seq]
+        done, walked[i] = offsets[i + 1], len(seq)
+    pages = np.concatenate(pieces + [pages[done:]], dtype=np.int64)
     meta = {"seed": seed, "stopping": rule.variant, "flagged_count": len(flagged),
             "dropped_click_mass": model.dropped_click_mass,
             "walks_rerun": len(rerun), "backtrack_retries": retries}
-    return SequenceCorpus(sequences, kind, flagged, meta)
+    return SequenceCorpus(pages, np.cumsum(np.append(0, walked)), kind, flagged, meta)
 
 
 @dataclass
@@ -237,12 +240,11 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
 
     preferred_edge = indptr[graph.indices] + rng.integers(d, size=n * d)
 
-    sequences = _world_walks(markov1, spec, (spec.memory_strength, preferred_edge))
-    corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed,
-                                                         "memory_strength": spec.memory_strength})
+    corpus = SequenceCorpus(*_world_walks(markov1, spec, (spec.memory_strength, preferred_edge)),
+                            "Logs", metadata={"seed": spec.seed,
+                                              "memory_strength": spec.memory_strength})
 
-    return PlantedWorld(graph, _bigram_table(interner, sequences), corpus, preferred_edge,
-                        markov1)
+    return PlantedWorld(graph, _bigram_table(interner, corpus), corpus, preferred_edge, markov1)
 
 
 @dataclass
@@ -296,25 +298,24 @@ def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
     graph = HyperlinkGraph(interner, indptr, out.ravel())
     weighted = TransitionModel(interner, indptr, graph.indices, probs.ravel())
 
-    sequences = _world_walks(weighted, spec)
-    corpus = SequenceCorpus(sequences, "Logs", metadata={"seed": spec.seed})
+    corpus = SequenceCorpus(*_world_walks(weighted, spec), "Logs", metadata={"seed": spec.seed})
 
-    return GeometricWorld(graph, _bigram_table(interner, sequences), corpus, pos, weighted)
+    return GeometricWorld(graph, _bigram_table(interner, corpus), corpus, pos, weighted)
 
 
-def _world_walks(model: TransitionModel, spec, memory=None) -> list[list[int]]:
-    """A world's corpus: walk i has 2 + k pages with probability (1 - length_p)^k length_p,
-    capped, by inversion of u(seed, i, 0); u(seed, i, 1) picks its start page."""
+def _world_walks(model: TransitionModel, spec, memory=None) -> tuple[np.ndarray, np.ndarray]:
+    """A world's (pages, offsets): walk i has 2 + k pages with probability (1 - length_p)^k
+    length_p, capped, by inversion of u(seed, i, 0); u(seed, i, 1) picks its start page."""
     items = np.arange(spec.corpus_size)
     tail = np.floor(np.log1p(-counter_uniforms(spec.seed, items, 0)) / np.log1p(-spec.length_p))
     lengths = np.minimum(2 + tail, spec.max_length).astype(np.int64)
     starts = (counter_uniforms(spec.seed, items, 1) * spec.num_nodes).astype(np.int64)
-    return _lockstep(model, spec.seed, starts, lengths, first_draw=2, memory=memory)[0]
+    return _lockstep(model, spec.seed, starts, lengths, first_draw=2, memory=memory)[:2]
 
 
-def _bigram_table(interner: Interner, sequences) -> ClickstreamTable:
+def _bigram_table(interner: Interner, corpus: SequenceCorpus) -> ClickstreamTable:
     """Clickstream of a corpus: the count of every consecutive page pair."""
-    pages, lengths = flatten(sequences)
-    first = np.flatnonzero(np.arange(len(pages)) + 1 < np.repeat(np.cumsum(lengths), lengths))
+    pages, lengths = corpus.pages, np.diff(corpus.offsets)
+    first = np.flatnonzero(np.arange(len(pages)) + 1 < np.repeat(corpus.offsets[1:], lengths))
     return ClickstreamTable(interner, *np.unique(pair_keys(pages[first], pages[first + 1]),
                                                  return_counts=True))

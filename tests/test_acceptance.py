@@ -275,7 +275,7 @@ def test_criterion_07_link_prediction(tmp_path):
         for j in range(5):
             if j != i:
                 seqs.extend([[s, m, ids.id("t%d" % j)]] * 11)
-    corpus = SequenceCorpus(seqs, "Logs")
+    corpus = SequenceCorpus.from_sequences(seqs, "Logs")
 
     labels = build_added_links(old, new, corpus, min_paths=10)
     expected_pos = {(ids.id("s%d" % i), ids.id("t%d" % i)) for i in range(5)}
@@ -313,7 +313,7 @@ def test_criterion_07_link_prediction(tmp_path):
     new_g = write_graph(tmp_path / "rn.tsv", extra | added)
     rseqs = [[int(x) for x in rng.integers(0, n, size=int(rng.integers(2, 10)))]
              for _ in range(3000)]
-    rlabels = build_added_links(old_g, new_g, SequenceCorpus(rseqs, "Logs"),
+    rlabels = build_added_links(old_g, new_g, SequenceCorpus.from_sequences(rseqs, "Logs"),
                                 min_paths=10)
 
     old_edges = {(int(s), int(t)) for s, t in zip(*old_g.edge_arrays())}

@@ -11,7 +11,7 @@ from navsynth.cli import _load_pairs, main
 from navsynth.diffusion import load_embeddings
 from navsynth.graph import (Interner, ParseError, load_clickstream,
                             load_edge_list)
-from navsynth.sessions import load_pageview_events
+from navsynth.sessions import load_corpus, load_pageview_events
 from navsynth.stats import rng_stream
 
 
@@ -204,6 +204,8 @@ MALFORMED_ROWS = {
                                    load_clickstream,
                                    lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
                                               f["input"], "--out-dir", f["out"]]),
+    "corpus-empty-name": ("A\tB\nA\t\tB\n", lambda p: load_corpus(p, Interner()),
+                          lambda f: ["mixing", "--corpus", f["input"], "--out-dir", f["out"]]),
     "events": ("00ff\t100\tA\t-\n00ff\tlater\tB\tA\n",
                lambda p: load_pageview_events(p, Interner()),
                lambda f: ["build-sessions", "--events", f["input"],
@@ -252,6 +254,7 @@ MALFORMED_ROWS = {
 MALFORMED_MESSAGES = {
     "clickstream-huge-count": "click total reaches 2**63\n",
     "clickstream-total-overflow": "click total reaches 2**63\n",
+    "corpus-empty-name": "empty article name\n",
     "embeddings-zero": "all-zero vector for article 'A'\n",
     "embeddings-nan": "non-finite value for article 'A'\n",
     "labels-topic-negative": "topic -1 outside [0, 64)\n",

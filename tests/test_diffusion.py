@@ -112,11 +112,11 @@ def test_distances_at_k_equal_per_sequence_loop():
         # articles 0..39 appear in sequences; 30 of them have vectors
         emb = EmbeddingTable(rng.permutation(40)[:30], rng.normal(size=(30, dim)))
         seqs = [rng.integers(0, 40, size=int(rng.integers(1, 9))).tolist() for _ in range(300)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         for k in range(1, 10):
             expected = distances_oracle(corpus, emb, k)
             assert np.array_equal(_distances_at_k(corpus, emb, k), expected), (dim, k)
-    assert len(_distances_at_k(SequenceCorpus([], "Logs"), emb, 1)) == 0
+    assert len(_distances_at_k(SequenceCorpus.from_sequences([], "Logs"), emb, 1)) == 0
 
 
 class TestCosineDistance:
@@ -144,7 +144,7 @@ class TestCosineDistance:
 class TestDiffusionCurve:
     def test_self_repeating_zero(self):
         emb = make_table({0: [1.0, 1.0]})
-        corpus = SequenceCorpus([[0, 0, 0]] * 4, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 0, 0]] * 4, "Logs")
         curve = diffusion_curve(corpus, emb, 2, rng=rng_stream(0))
         assert curve.means == pytest.approx([0.0, 0.0], abs=1e-12)
 
@@ -152,7 +152,7 @@ class TestDiffusionCurve:
         rng = rng_stream(52)
         emb = make_table({i: rng.normal(size=3) for i in range(6)})
         seqs = [[int(x) for x in rng.integers(0, 6, size=4)] for _ in range(30)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         curve = diffusion_curve(corpus, emb, 1, rng=rng_stream(1))
         expected = np.mean([cosine_distance(emb.vector(s[0]), emb.vector(s[1]))
                             for s in seqs])
@@ -163,14 +163,15 @@ class TestDiffusionCurve:
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(2, 8)))]
                 for _ in range(40)]
-        curve = diffusion_curve(SequenceCorpus(seqs, "Logs"), emb, 6, rng=rng_stream(2))
+        curve = diffusion_curve(SequenceCorpus.from_sequences(seqs, "Logs"), emb, 6,
+                                rng=rng_stream(2))
         assert all(a >= b for a, b in zip(curve.counts, curve.counts[1:]))
 
     def test_scale_invariance(self):
         rng = rng_stream(54)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=5)] for _ in range(20)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         c1 = diffusion_curve(corpus, emb, 3, rng=rng_stream(3))
         c2 = diffusion_curve(corpus, EmbeddingTable(emb.articles, emb.vectors * 7.5), 3, rng=rng_stream(3))
         assert np.allclose(c1.means, c2.means, atol=1e-12)
@@ -179,14 +180,14 @@ class TestDiffusionCurve:
         rng = rng_stream(55)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(25)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         c1 = diffusion_curve(corpus, emb, 3, rng=rng_stream(9))
         c2 = diffusion_curve(corpus, emb, 3, rng=rng_stream(9))
         assert c1.ci_low == c2.ci_low and c1.ci_high == c2.ci_high
 
     def test_unembedded_sequences_skipped(self):
         emb = make_table({0: [1.0, 0.0], 1: [0.0, 1.0]})
-        corpus = SequenceCorpus([[0, 1], [0, 9]], "Logs")  # 9 not embedded
+        corpus = SequenceCorpus.from_sequences([[0, 1], [0, 9]], "Logs")  # 9 not embedded
         curve = diffusion_curve(corpus, emb, 1, rng=rng_stream(0))
         assert curve.counts == [1]
 
@@ -194,7 +195,7 @@ class TestDiffusionCurve:
 class TestHistogram:
     def test_degenerate_mass_in_first_bin(self):
         emb = make_table({0: [1.0, 1.0]})
-        corpus = SequenceCorpus([[0, 0]] * 3, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 0]] * 3, "Logs")
         edges, fracs = diffusion_histogram(corpus, emb, 1)
         assert fracs[0] == pytest.approx(1.0)
         assert fracs[1:].sum() == pytest.approx(0.0)
@@ -203,14 +204,14 @@ class TestHistogram:
         rng = rng_stream(56)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(50)]
-        _, fracs = diffusion_histogram(SequenceCorpus(seqs, "Logs"), emb, 2)
+        _, fracs = diffusion_histogram(SequenceCorpus.from_sequences(seqs, "Logs"), emb, 2)
         assert fracs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_consistency_with_curve(self):
         rng = rng_stream(57)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(50)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         vals = _distances_at_k(corpus, emb, 2)
         curve = diffusion_curve(corpus, emb, 2, rng=rng_stream(0))
         assert vals.mean() == pytest.approx(curve.means[1], abs=1e-9)

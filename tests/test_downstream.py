@@ -79,13 +79,14 @@ def ranking(model, graph, s1, s2):
 
 class TestMarkov2:
     def test_counting(self):
-        corpus = SequenceCorpus([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]],
+                                               "Logs")
         model = fit_markov2(corpus_triples(corpus))
         assert count_dict(model)[(0, 1)] == {2: 3, 3: 1}
         assert sum(count_dict(model)[(0, 1)].values()) == 4
 
     def test_empty(self):
-        model = fit_markov2(corpus_triples(SequenceCorpus([[0, 1]], "Logs")))
+        model = fit_markov2(corpus_triples(SequenceCorpus.from_sequences([[0, 1]], "Logs")))
         assert count_dict(model) == {}
         assert (0, 1) not in count_dict(model)
 
@@ -93,7 +94,7 @@ class TestMarkov2:
         rng = rng_stream(80)
         seqs = [[int(x) for x in rng.integers(0, 6, size=int(rng.integers(1, 8)))]
                 for _ in range(50)]
-        model = fit_markov2(corpus_triples(SequenceCorpus(seqs, "Logs")))
+        model = fit_markov2(corpus_triples(SequenceCorpus.from_sequences(seqs, "Logs")))
         oracle = {}
         for s in seqs:
             for i in range(len(s) - 2):
@@ -204,14 +205,14 @@ class TestMrrOracle:
 
 class TestPathProportions:
     def corpus(self):
-        return SequenceCorpus([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
+        return SequenceCorpus.from_sequences([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
 
     def test_hand_computed(self):
         assert PathProportions(self.corpus()).proportion(0, 2) == pytest.approx(2 / 3)
         assert PathProportions(self.corpus()).proportion(0, 1) == pytest.approx(1 / 3)
 
     def test_start_itself_excluded(self):
-        corpus = SequenceCorpus([[0, 1, 0]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 0]], "Logs")
         assert PathProportions(corpus).proportion(0, 0) == 0.0
 
     def test_undefined_start(self):
@@ -222,7 +223,7 @@ class TestPathProportions:
         rng = rng_stream(82)
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 7)))]
                 for _ in range(60)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         props = PathProportions(corpus)
         for s in range(5):
             starting = [q for q in seqs if q[0] == s]
@@ -237,7 +238,7 @@ class TestPathProportions:
     def test_bounded(self):
         rng = rng_stream(83)
         seqs = [[int(x) for x in rng.integers(0, 4, size=5)] for _ in range(30)]
-        props = PathProportions(SequenceCorpus(seqs, "Logs"))
+        props = PathProportions(SequenceCorpus.from_sequences(seqs, "Logs"))
         for s in range(4):
             if not props.defined(s):
                 continue
@@ -258,13 +259,13 @@ class TestAddedLinks:
 
     def test_positive_needs_indirect_paths(self, tmp_path):
         old, new = self.worlds(tmp_path)
-        corpus = SequenceCorpus([[0, 1, 2]] * 10, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
         assert set(pairs_of(labels.positives)) == {(0, 2)}
 
     def test_too_few_paths_raises(self, tmp_path):
         old, new = self.worlds(tmp_path)
-        corpus = SequenceCorpus([[0, 1, 2]] * 9, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 9, "Logs")
         with pytest.raises(ValueError, match="no positive"):
             build_added_links(old, new, corpus, min_paths=10)
 
@@ -272,7 +273,7 @@ class TestAddedLinks:
         old, new = self.worlds(tmp_path)
         # direct traversal of the old edge 0->1 must not make (0,1) anything;
         # but (0,2) stays a positive via the indirect co-occurrence
-        corpus = SequenceCorpus([[0, 1, 2]] * 10, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
         assert (0, 1) not in pairs_of(labels.positives) + pairs_of(labels.negatives)
 
@@ -292,7 +293,7 @@ class TestAddedLinks:
         new = int_graph(tmp_path / "new", sorted((old_edges | added) - base_edges), n)
         seqs = [[int(x) for x in rng.integers(0, n, size=int(rng.integers(2, 10)))]
                 for _ in range(3000)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
 
         # independent re-derivation straight from the labeling rules
@@ -360,7 +361,7 @@ class TestPrecisionAtK:
         assert res.truncated and res.effective_k == 1
 
     def test_rank_links_order_and_exclusion(self):
-        corpus = SequenceCorpus([[0, 1, 2], [0, 2], [0, 3]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [0, 2], [0, 3]], "Logs")
         ranked, excluded = rank_links(corpus, keys_of([(0, 2), (0, 3), (9, 1)]))
         assert pairs_of(ranked) == [(0, 2), (0, 3)]  # 2/3 before 1/3
         assert pairs_of(excluded) == [(9, 1)]

@@ -97,14 +97,14 @@ def clustered_corpus(seed=72, n=400):
         group = int(rng.integers(2))
         base = 0 if group == 0 else 5
         seqs.append([base + int(x) for x in rng.integers(0, 5, size=6)])
-    return SequenceCorpus(seqs, "Logs")
+    return SequenceCorpus.from_sequences(seqs, "Logs")
 
 
 def zipf_corpus(seed=78, articles=1000, n=300, length=6):
     rng = rng_stream(seed)
     popularity = 1.0 / np.arange(1, articles + 1) ** 1.5
     seqs = rng.choice(articles, size=(n, length), p=popularity / popularity.sum())
-    return SequenceCorpus(seqs.tolist(), "Logs")
+    return SequenceCorpus.from_sequences(seqs.tolist(), "Logs")
 
 
 def per_pair_sgd(trainer):
@@ -170,7 +170,7 @@ class TestTraining:
 
     def test_requires_pairs(self):
         with pytest.raises(ValueError, match="length >= 2"):
-            SgnsTrainer(SequenceCorpus([[0], [1]], "Logs"), SgnsConfig())
+            SgnsTrainer(SequenceCorpus.from_sequences([[0], [1]], "Logs"), SgnsConfig())
 
     def test_vocab_covers_corpus(self):
         corpus = clustered_corpus(n=40)

@@ -345,6 +345,39 @@ def test_clickstream_write_read_round_trip(tmp_path_factory, click_table, names,
 
 
 @settings(max_examples=80, deadline=None)
+@given(names=st.lists(ARTICLES, min_size=1, max_size=8, unique=True), data=st.data())
+def test_edge_list_write_read_round_trip(tmp_path_factory, names, data):
+    ids = st.integers(0, len(names) - 1)
+    edges = data.draw(st.sets(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=30))
+    path = tmp_path_factory.mktemp("edges") / "e.tsv"
+    path.write_text("".join("%s\t%s\n" % (names[s], names[t]) for s, t in edges),
+                    encoding="utf-8")
+    graph = load_edge_list(str(path))
+    interner = graph.interner
+    pairs = [(interner.name(s), interner.name(t)) for s, t in zip(*graph.edge_arrays())]
+    assert set(pairs) == {(names[s], names[t]) for s, t in edges}
+    # written back as `planted-world` writes its graph, then read again
+    path.write_text("".join("%s\t%s\n" % p for p in pairs), encoding="utf-8")
+    reread = load_edge_list(str(path), interner)
+    assert (graph.self_loops_dropped, graph.duplicates_dropped) == (0, 0)
+    assert reread.indptr.tolist() == graph.indptr.tolist()
+    assert reread.indices.tolist() == graph.indices.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(ARTICLES, max_size=12, unique=True), suffix=st.sampled_from([".tsv", ".gz"]))
+def test_interner_write_read_round_trip(tmp_path_factory, names, suffix):
+    interner = Interner()
+    for name in names:
+        interner.intern(name)
+    path = str(tmp_path_factory.mktemp("interning") / ("interning" + suffix))
+    interner.write_tsv(path)
+    reread = Interner.read_tsv(path)
+    assert [reread.name(i) for i in range(len(reread))] == names
+    assert all(reread.id(name) == i for i, name in enumerate(names))
+
+
+@settings(max_examples=80, deadline=None)
 @given(rows=st.lists(st.tuples(NAMES, NAMES, st.sampled_from(["link", "external", "other"]),
                                st.integers(1, 2**40)), max_size=40))
 def test_clickstream_sums_match_dict_oracle(tmp_path_factory, click_counts, rows):

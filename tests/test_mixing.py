@@ -72,18 +72,18 @@ def oracle_ami(m):
 
 class TestExtractTriples:
     def test_sliding_window(self):
-        corpus = SequenceCorpus([[0, 1, 2, 3]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2, 3]], "Logs")
         assert corpus_triples(corpus).tolist() == [[0, 1, 2], [1, 2, 3]]
 
     def test_short_sequence(self):
-        corpus = SequenceCorpus([[0, 1]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1]], "Logs")
         assert corpus_triples(corpus).tolist() == []
 
     def test_count_arithmetic(self):
         rng = rng_stream(31)
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 9)))]
                 for _ in range(40)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         expected = sum(max(0, len(s) - 2) for s in seqs)
         assert len(corpus_triples(corpus)) == expected
 
@@ -236,11 +236,11 @@ class TestAdjustedMi:
 
 class TestSurvey:
     def test_threshold_filters_everything(self):
-        corpus = SequenceCorpus([[0, 1, 2]] * 5, "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 5, "Logs")
         assert ami_survey(corpus, min_triples=100).records == []
 
     def test_collect_tables(self):
-        corpus = SequenceCorpus([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
+        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
         tables = collect_flow_tables(corpus)
         assert flow_dict(tables[1]) == {(0, 2): 1, (3, 2): 1, (0, 4): 1}
         assert tables[1].total == 3
@@ -253,7 +253,7 @@ class TestSurvey:
             for s, m, t in zip(seq, seq[1:], seq[2:]):
                 row = oracle.setdefault(m, {})
                 row[(s, t)] = row.get((s, t), 0) + 1
-        tables = collect_flow_tables(SequenceCorpus(seqs, "Logs"))
+        tables = collect_flow_tables(SequenceCorpus.from_sequences(seqs, "Logs"))
         assert list(tables) == sorted(oracle)
         for m, tab in tables.items():
             assert tab.middle == m and flow_dict(tab) == oracle[m]
@@ -271,7 +271,7 @@ class TestSurvey:
         for i in range(6):
             interner.intern("n%d" % i)
         seqs = [[int(x) for x in rng.integers(0, 6, size=5)] for _ in range(300)]
-        corpus = SequenceCorpus(seqs, "Logs")
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         outputs = []
         for run in range(2):
             res = ami_survey(corpus, min_triples=10)
@@ -285,6 +285,6 @@ class TestSurvey:
     def test_reports_volume_spearman(self):
         rng = rng_stream(43)
         seqs = [[int(x) for x in rng.integers(0, 5, size=6)] for _ in range(400)]
-        res = ami_survey(SequenceCorpus(seqs, "Logs"), min_triples=20)
+        res = ami_survey(SequenceCorpus.from_sequences(seqs, "Logs"), min_triples=20)
         assert len(res.records) >= 3
         assert res.volume_ami_spearman is None or -1 <= res.volume_ami_spearman <= 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
-from navsynth.graph import Interner
+from navsynth.graph import Interner, ParseError
 from navsynth.sessions import (PageviewEvent, SequenceCorpus, build_forest,
                                build_trees, load_corpus, load_pageview_events,
                                reader_key, sample_root_to_leaf, save_corpus)
@@ -162,7 +163,7 @@ def test_build_forest_groups_readers():
 def test_corpus_round_trip(tmp_path):
     interner = Interner()
     ids = [interner.intern(n) for n in ("A", "B", "C")]
-    corpus = SequenceCorpus([[ids[0], ids[1]], [ids[1], ids[2], ids[0]]], "Logs")
+    corpus = SequenceCorpus.from_sequences([[ids[0], ids[1]], [ids[1], ids[2], ids[0]]], "Logs")
     path = str(tmp_path / "corpus.tsv")
     save_corpus(corpus, path, interner)
     text = open(path, encoding="utf-8").read()
@@ -170,6 +171,57 @@ def test_corpus_round_trip(tmp_path):
     loaded = load_corpus(path, interner)
     assert loaded.kind == "Logs"
     assert loaded.sequences == corpus.sequences
+
+
+@pytest.mark.parametrize("row", ["A\t\tB", "\tA", "A\t", "\t"])
+def test_load_corpus_rejects_empty_name(tmp_path, row):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("#kind=Logs\nA\tB\n%s\n" % row, encoding="utf-8")
+    with pytest.raises(ParseError, match=r":3: empty article name$"):
+        load_corpus(str(path), Interner())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seqs=st.lists(st.lists(st.integers(0, 2**31 - 1), max_size=6), max_size=12))
+def test_from_sequences_round_trip(seqs):
+    corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+    assert corpus.sequences == seqs
+    assert len(corpus) == len(seqs)
+    assert corpus.pages.dtype == corpus.offsets.dtype == np.int64
+    assert len(corpus.offsets) == len(seqs) + 1
+    assert corpus.offsets[0] == 0 and corpus.offsets[-1] == len(corpus.pages)
+    assert np.diff(corpus.offsets).tolist() == [len(s) for s in seqs]
+
+
+# article names a corpus row can carry: no tab or line break, and no leading "#",
+# which marks a comment line
+ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   min_size=1, max_size=8).filter(lambda name: not name.startswith("#"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(ARTICLES, min_size=4, max_size=4, unique=True),
+       seqs=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), max_size=12),
+       suffix=st.sampled_from([".tsv", ".tsv.gz"]))
+@example(names=["a", "b", "c", "d"], seqs=[], suffix=".tsv.gz")
+@example(names=["a", "b", "c", "d"], seqs=[[3], [1], [1, 3]], suffix=".tsv")
+def test_corpus_save_load_round_trip(tmp_path_factory, names, seqs, suffix):
+    interner = Interner()
+    for name in names:
+        interner.intern(name)
+    corpus = SequenceCorpus.from_sequences(seqs, "Clickstream-Pub")
+    path = str(tmp_path_factory.mktemp("corpus") / ("corpus" + suffix))
+    save_corpus(corpus, path, interner)
+    loaded = load_corpus(path, interner)
+    assert (loaded.kind, loaded.sequences, len(interner)) == ("Clickstream-Pub", seqs, 4)
+    assert loaded.pages.dtype == loaded.offsets.dtype == np.int64
+    # a fresh interner numbers the names as interning them one token at a time would
+    oracle = Interner()
+    expected = [[oracle.intern(names[a]) for a in s] for s in seqs]
+    fresh = Interner()
+    assert load_corpus(path, fresh).sequences == expected
+    assert [fresh.name(i) for i in range(len(fresh))] == [oracle.name(i)
+                                                          for i in range(len(oracle))]
 
 
 def test_load_pageview_events(tmp_path):

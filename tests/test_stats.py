@@ -111,9 +111,9 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_mean_ci([])
 
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 999, 4099])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 999, 1000, 1001, 4099])
     def test_equals_whole_matrix_means(self, n):
-        # the resample means, taken over the full (B, n) gather in one pass
+        # the CI from one (B, n) index draw and its gather, against 16 block draws
         rng = rng_stream(7, n)
         samples = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
         idx = rng_stream(8, n).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))

@@ -78,7 +78,7 @@ class TestGenerateSequence:
 
 def intrinsic_walks(m, samples, seed, rule):
     """`samples` intrinsic walks from node 0: a reference of one-page sequences at node 0."""
-    ref = SequenceCorpus([[0]] * samples, "Logs")
+    ref = SequenceCorpus.from_sequences([[0]] * samples, "Logs")
     return generate_corpus(m, ref, rule, seed, "Clickstream-Pub").sequences
 
 
@@ -120,7 +120,7 @@ class TestIntrinsicStopping:
 
 class TestGenerateCorpus:
     def reference(self):
-        return SequenceCorpus([[0, 1], [0, 1, 0], [1, 0, 1, 0]], "Logs")
+        return SequenceCorpus.from_sequences([[0, 1], [0, 1, 0], [1, 0, 1, 0]], "Logs")
 
     def test_matched_starts_and_lengths(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
@@ -136,12 +136,13 @@ class TestGenerateCorpus:
         g = graph_from(tmp_path, [("A", "B")])
         m = build_transition_model(g)
         with pytest.raises(ValueError, match="empty reference"):
-            generate_corpus(m, SequenceCorpus([], "Logs"), StoppingRule(), 1, "Graph")
+            generate_corpus(m, SequenceCorpus.from_sequences([], "Logs"), StoppingRule(), 1,
+                            "Graph")
 
     def test_missing_start_flagged_length_one(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
-        ref = SequenceCorpus([[5, 0, 1]], "Logs")  # 5 not in the model
+        ref = SequenceCorpus.from_sequences([[5, 0, 1]], "Logs")  # 5 not in the model
         out = generate_corpus(m, ref, StoppingRule(), 1, "Graph")
         assert out.sequences == [[5]]
         assert out.flagged == {0}
@@ -149,7 +150,7 @@ class TestGenerateCorpus:
     def test_deterministic_corpus_file(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A"), ("A", "A2"), ("A2", "A")])
         m = build_transition_model(g)
-        ref = SequenceCorpus([[0, 1, 0, 1]] * 20, "Logs")
+        ref = SequenceCorpus.from_sequences([[0, 1, 0, 1]] * 20, "Logs")
         paths = []
         for run in range(2):
             out = generate_corpus(m, ref, StoppingRule(), 99, "Graph")
@@ -291,21 +292,23 @@ class TestLockstepKernel:
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
         a = g.interner.id("A")
-        ref = SequenceCorpus([[a] * (2 + i % 9) for i in range(400)], "Logs")
+        ref = SequenceCorpus.from_sequences([[a] * (2 + i % 9) for i in range(400)], "Logs")
         out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
         for i, ref_seq in enumerate(ref.sequences):
             assert (out.sequences[i], i in out.flagged) == scalar_extrinsic(
                 m, a, len(ref_seq), 4, i)
         assert not out.flagged
+        assert out.offsets[-1] == len(out.pages)
         assert out.metadata["backtrack_retries"] >= out.metadata["walks_rerun"] > 50
 
     def test_rerun_retraces_lockstep_prefix(self, tmp_path):
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
         a = g.interner.id("A")
-        ref = SequenceCorpus([[a] * 4] * 300, "Logs")
+        ref = SequenceCorpus.from_sequences([[a] * 4] * 300, "Logs")
         out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
-        prefixes, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
+        pages, offsets, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
+        prefixes = SequenceCorpus(pages, offsets, "Graph").sequences
         # a dead end at page 3 costs one backtrack, to Bi's other child
         assert out.metadata["walks_rerun"] == out.metadata["backtrack_retries"] == len(dead) > 50
         for i in dead.tolist():
@@ -317,7 +320,7 @@ class TestLockstepKernel:
         g = dead_end_graph(tmp_path)
         stops = np.linspace(0.0, 0.4, g.num_nodes)
         m = build_transition_model(g).with_stops(stops)
-        ref = SequenceCorpus([[v] for v in range(g.num_nodes)] * 20, "Logs")
+        ref = SequenceCorpus.from_sequences([[v] for v in range(g.num_nodes)] * 20, "Logs")
         out = generate_corpus(m, ref, StoppingRule("intrinsic", max_length=9), 6, "X")
         for i, (start,) in enumerate(ref.sequences):
             assert out.sequences[i] == scalar_intrinsic(m, start, 9, 6, i)
@@ -327,10 +330,11 @@ class TestLockstepKernel:
     def test_sequence_depends_only_on_seed_and_index(self, tmp_path, rule):
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g).with_stops(np.full(g.num_nodes, 0.2))
-        ref = SequenceCorpus([[i % g.num_nodes] * (2 + i % 5) for i in range(60)], "Logs")
+        ref = SequenceCorpus.from_sequences([[i % g.num_nodes] * (2 + i % 5) for i in range(60)],
+                                            "Logs")
         full = generate_corpus(m, ref, rule, 8, "X").sequences
         for i in (0, 1, 17, 59):
-            head = SequenceCorpus(ref.sequences[:i + 1], "Logs")
+            head = SequenceCorpus.from_sequences(ref.sequences[:i + 1], "Logs")
             assert generate_corpus(m, head, rule, 8, "X").sequences[i] == full[i]
 
     def test_planted_world_matches_scalar_oracle(self):
@@ -362,7 +366,7 @@ class TestLockstepKernel:
         for module in (stats, synth):
             monkeypatch.setattr(module, "rng_stream", counting)
         g = dead_end_graph(tmp_path)
-        ref = SequenceCorpus([[0, 0, 0, 0]] * 50, "Logs")
+        ref = SequenceCorpus.from_sequences([[0, 0, 0, 0]] * 50, "Logs")
         generate_corpus(build_transition_model(g), ref, StoppingRule(), 1, "Graph")
         assert calls == []
         generate_planted_world(PlantedWorldSpec(num_nodes=20, out_degree=3, corpus_size=50))
