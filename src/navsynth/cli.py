@@ -293,6 +293,8 @@ def cmd_report(args):
                 if len(fields) != 3:
                     raise ParseError(path, line_no, "expected 3 columns")
                 key = (fields[0], fields[1])
+                if key in values:
+                    raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
                 values[key] = _parse(float, fields[2], path, line_no, "value")
                 order.append(key)
     rows = []
@@ -315,14 +317,14 @@ def cmd_report(args):
 
 
 def _apply_config_file(parser_args, argv):
-    """Fill args from a flat key=value config file; explicit flags win."""
+    """Fill the command's options from a flat key=value config file; explicit flags win."""
     path = parser_args.config
     if not path:
         return parser_args
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token.split("=")[0][2:].replace("-", "_"))
+    explicit = {token.split("=")[0][2:].replace("-", "_")
+                for token in argv if token.startswith("--")}
+    # besides `command` and `func`, the namespace holds exactly the command's options
+    settable = vars(parser_args).keys() - {"command", "func"} - explicit
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -331,7 +333,7 @@ def _apply_config_file(parser_args, argv):
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in explicit or not hasattr(parser_args, key):
+            if key not in settable:
                 continue
             current = getattr(parser_args, key)
             if isinstance(current, bool):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .graph import Interner, ParseError, _parse, open_text, write_csv
 from .sessions import SequenceCorpus
-from .stats import BootstrapResult, bootstrap_mean_ci
+from .stats import bootstrap_mean_ci
 
 HISTOGRAM_BIN_WIDTH = 0.02
 
@@ -49,12 +49,6 @@ class EmbeddingTable:
         lo = np.searchsorted(self.articles, articles, "left", order)
         hi = np.searchsorted(self.articles, articles, "right", order)
         return np.where(hi > lo, np.append(order, -1)[lo], -1)
-
-    def vector(self, article: int) -> np.ndarray:
-        row = self.rows(article)
-        if row < 0:
-            raise KeyError(article)
-        return self.vectors[row]
 
     def cosines(self, a, b) -> np.ndarray:
         """Cosine similarity of rows a[i] and b[i]; equals the per-pair np.dot formula bit for bit."""
@@ -101,14 +95,6 @@ def save_embeddings(table: EmbeddingTable, path, interner: Interner):
         # one row at a time: a whole-matrix tolist() would raise the peak RSS
         f.writelines(row % (interner.name(a), *v.tolist())
                      for a, v in zip(table.articles.tolist(), table.vectors))
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    return float(1.0 - np.dot(a, b) / (na * nb))
 
 
 @dataclass
@@ -166,17 +152,6 @@ def diffusion_histogram(corpus: SequenceCorpus, emb: EmbeddingTable, k: int):
         return edges, np.zeros(len(edges) - 1)
     hist, _ = np.histogram(vals, bins=edges)
     return edges, hist / hist.sum()
-
-
-def random_pair_baseline(emb: EmbeddingTable, num_pairs: int,
-                         rng: np.random.Generator) -> BootstrapResult:
-    """Mean cosine distance between uniformly drawn distinct article pairs."""
-    if len(emb) < 2:
-        raise ValueError("need at least 2 embedded articles")
-    first = rng.integers(0, len(emb), size=num_pairs)
-    second = rng.integers(0, len(emb) - 1, size=num_pairs)
-    second += second >= first
-    return bootstrap_mean_ci(1.0 - emb.cosines(first, second), rng=rng)
 
 
 def write_curve_csv(curve: DiffusionCurve, path, header_comment: str = ""):

@@ -36,25 +36,6 @@ class SgnsConfig:
     seed: int = 0
 
 
-def sgns_pair_loss(center_vec: np.ndarray, pos_out: np.ndarray,
-                   neg_outs: np.ndarray) -> float:
-    """Loss of one (center, positive, negatives) example:
-    -log sigma(u_pos . v) - sum_n log sigma(-u_n . v).
-    """
-    loss = -log_expit(pos_out @ center_vec) - log_expit(-(neg_outs @ center_vec)).sum()
-    return float(loss)
-
-
-def sgns_pair_gradients(center_vec, pos_out, neg_outs):
-    """Analytic gradients of sgns_pair_loss w.r.t. (center, positive, negatives)."""
-    g_pos_score = expit(pos_out @ center_vec) - 1.0
-    g_neg_score = expit(neg_outs @ center_vec)  # shape (negatives,)
-    g_center = g_pos_score * pos_out + g_neg_score @ neg_outs
-    g_pos = g_pos_score * center_vec
-    g_negs = g_neg_score[:, None] * center_vec[None, :]
-    return g_center, g_pos, g_negs
-
-
 def _sum_rows(ids, cols, weights, vectors):
     """The distinct ids and, for each id r, the sum of weights[i] * vectors[cols[i]]
     over the entries i with ids[i] == r."""
@@ -66,10 +47,10 @@ def _sum_rows(ids, cols, weights, vectors):
 def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
     """Total loss and summed gradients of a batch of examples.
 
-    Example b is sgns_pair_loss(w_in[centers[b]], w_out[contexts[b]],
-    w_out[negatives[b]]). Returns (loss, (in_rows, g_in), (out_rows, g_out)):
-    the rows of each matrix that the batch touches, each with the sum of its
-    sgns_pair_gradients over the batch.
+    Example b, with v = w_in[centers[b]], u = w_out[contexts[b]] and u_n =
+    w_out[negatives[b, n]], has loss -log sigma(u . v) - sum_n log sigma(-u_n . v).
+    Returns (loss, (in_rows, g_in), (out_rows, g_out)): the rows of each matrix
+    that the batch touches, each with the sum of its gradients over the batch.
     """
     out_ids = np.column_stack([contexts, negatives])  # (B, 1 + negatives)
     v = w_in[centers]

@@ -79,9 +79,6 @@ class Interner:
     def __len__(self):
         return len(self._names)
 
-    def __contains__(self, name):
-        return name in self._ids
-
     def write_tsv(self, path):
         with open_text(path, "wt") as f:
             for i, name in enumerate(self._names):
@@ -268,15 +265,6 @@ class TransitionModel(_Rows):
     def row_probs(self, node: int) -> np.ndarray:
         """Successor probabilities of `node`, a view parallel to `successors(node)`."""
         return self.probs[self.indptr[node]:self.indptr[node + 1]]
-
-    def is_terminal(self, node: int) -> bool:
-        return node >= self.num_nodes or self.indptr[node] == self.indptr[node + 1]
-
-    def step(self, node: int, rng: np.random.Generator) -> int:
-        """Sample a successor conditional on not stopping."""
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        r = rng.random() * self.cum[hi - 1]
-        return int(self.indices[lo + self.cum[lo:hi].searchsorted(r, side="right")])
 
     def with_stops(self, stop_probs: np.ndarray) -> "TransitionModel":
         """Attach per-node stop mass, scaling successor probabilities by (1 - stop)."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,17 +9,6 @@ import numpy as np
 from .graph import Interner, ParseError, _parse, _rows, open_text
 
 DEFAULT_INACTIVITY_MS = 60 * 60 * 1000  # new tree if the parent is older than this
-
-
-def reader_key(ip: str, user_agent: str) -> bytes:
-    """Approximate reader id: MD5 digest of ip concatenated with user agent.
-
-    Concatenation is ambiguous across the boundary ("a"+"bc" == "ab"+"c");
-    callers should treat the key as a lossy grouping heuristic.
-    """
-    if not ip or not user_agent:
-        raise ValueError("ip and user_agent must be non-empty")
-    return hashlib.md5((ip + user_agent).encode("utf-8")).digest()
 
 
 @dataclass
@@ -131,7 +119,10 @@ class SequenceCorpus:
 
     @classmethod
     def from_sequences(cls, sequences, kind: str) -> "SequenceCorpus":
-        offsets = np.cumsum([0, *map(len, sequences)])
+        lengths = [*map(len, sequences)]
+        if 0 in lengths:
+            raise ValueError("empty sequence %d" % lengths.index(0))
+        offsets = np.cumsum([0, *lengths])
         pages = np.fromiter((a for s in sequences for a in s), dtype=np.int64, count=offsets[-1])
         return cls(pages, offsets, kind)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from types import SimpleNamespace
+from itertools import accumulate
 
 import numpy as np
 
@@ -14,12 +15,6 @@ from .stats import counter_uniforms, rng_stream
 
 DEFAULT_RETRY_BUDGET = 100
 MIN_STOP_PROB = 0.01  # intrinsic stop probability floor
-
-
-@dataclass
-class WalkSpec:
-    start: int
-    target_length: int  # ignored under intrinsic stopping
 
 
 @dataclass
@@ -34,28 +29,21 @@ class StoppingRule:
             raise ValueError("max_length must be >= 2")
 
 
-def generate_sequence(model: TransitionModel, spec: WalkSpec, rng) -> tuple[list[int], bool]:
-    """Walk to exactly `target_length` pages, backtracking out of dead ends.
+def generate_sequence(model: TransitionModel, start: int, length: int,
+                      draw) -> tuple[list[int], bool]:
+    """Walk from `start` to exactly `length` pages, backtracking out of dead ends.
 
     On reaching a terminal node before the target length, the walk steps
     back to the parent, removes the failing child from that parent's local
     candidate set, and resamples. Returns (pages, flagged); flagged marks
     walks that could not reach the target length (terminal start, or retry
-    budget exhausted). Each page appended takes one `rng.random()` draw in [0, 1).
+    budget exhausted). Each page appended takes one `draw()` in [0, 1).
     """
-    start = spec.start
-    if model.is_terminal(start):
-        return [start], spec.target_length > 1
     path = [start]
     failed: list[set[int]] = [set()]
     retries = 0
-    while len(path) < spec.target_length:
-        node = path[-1]
-        banned = failed[-1]
-        if not banned and not model.is_terminal(node):
-            nxt = model.step(node, rng)
-        else:
-            nxt = _step_excluding(model, node, banned, rng)
+    while len(path) < length:
+        nxt = _step_excluding(model, path[-1], failed[-1], draw)
         if nxt is None:
             # dead end: back-track, or give up at the root
             if len(path) == 1:
@@ -63,24 +51,25 @@ def generate_sequence(model: TransitionModel, spec: WalkSpec, rng) -> tuple[list
             retries += 1
             if retries > DEFAULT_RETRY_BUDGET:
                 return path, True
-            child = path.pop()
             failed.pop()
-            failed[-1].add(child)
+            failed[-1].add(path.pop())
             continue
         path.append(nxt)
         failed.append(set())
     return path, False
 
 
-def _step_excluding(model, node, banned, rng):
-    """Sample a successor of `node` outside `banned`; None if there is none."""
-    succ = model.successors(node)
-    keep = np.array([s not in banned for s in succ.tolist()], dtype=bool)
-    if not keep.any():
+def _step_excluding(model, node, banned, draw):
+    """Sample a successor of `node` outside `banned` on one `draw()`; None if there is none.
+    The running sums add left to right as `np.cumsum` does, so with nothing banned the row
+    sums are `model.cum`'s and the pick is the lockstep's."""
+    row = zip(model.successors(node).tolist(), model.row_probs(node).tolist())
+    kept = [(s, p) for s, p in row if s not in banned]
+    if not kept:
         return None
-    cum = np.cumsum(model.row_probs(node)[keep])
-    r = rng.random() * cum[-1]
-    return int(succ[keep][cum.searchsorted(r, side="right")])
+    succ, probs = zip(*kept)
+    cum = list(accumulate(probs))
+    return succ[bisect_right(cum, draw() * cum[-1])]
 
 
 def _row_search(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -97,7 +86,8 @@ def _lockstep(model: TransitionModel, seed: int, starts: np.ndarray, lengths: np
     """Walk w from `starts[w]` to at most `lengths[w]` pages, all walks one step per pass.
     Step t decides on u(seed, w, first_draw + 2t): stop with `stop_probs`, or (t > 0) follow
     `memory = (strength, preferred)` from edge e to `preferred[e]`; else u(seed, w, first_draw
-    + 2t + 1) steps as `model.step` does. Returns (pages, offsets, walks ended at a terminal)."""
+    + 2t + 1) picks the successor as `_step_excluding` does with nothing banned. Returns
+    (pages, offsets, walks ended at a terminal)."""
     walk = np.flatnonzero(lengths > 1)
     node, edge = starts[walk], np.zeros(len(walk), dtype=np.int64)
     chunks, dead = [(np.arange(len(starts)), starts)], [walk[:0]]
@@ -165,8 +155,7 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
     for i in rerun:
         draws = counter_uniforms(seed, i, 2 * np.arange(lengths[i] + DEFAULT_RETRY_BUDGET) + 1)
         left = iter(draws.tolist())
-        seq, bad = generate_sequence(model, WalkSpec(int(starts[i]), int(lengths[i])),
-                                     SimpleNamespace(random=left.__next__))
+        seq, bad = generate_sequence(model, int(starts[i]), int(lengths[i]), left.__next__)
         if bad:
             flagged.add(i)
         # each draw appended a page and each backtrack removed one

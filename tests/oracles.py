@@ -1,0 +1,46 @@
+"""Per-item reference implementations that the tests check the vectorized code against."""
+
+import numpy as np
+from scipy.special import expit, log_expit
+
+
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        raise ValueError("cosine distance undefined for zero vectors")
+    return float(1.0 - np.dot(a, b) / (na * nb))
+
+
+def vector(table, article: int) -> np.ndarray:
+    """The embedding of one article in an EmbeddingTable."""
+    row = table.rows(article)
+    if row < 0:
+        raise KeyError(article)
+    return table.vectors[row]
+
+
+def sgns_pair_loss(center_vec: np.ndarray, pos_out: np.ndarray,
+                   neg_outs: np.ndarray) -> float:
+    """Loss of one (center, positive, negatives) example:
+    -log sigma(u_pos . v) - sum_n log sigma(-u_n . v).
+    """
+    loss = -log_expit(pos_out @ center_vec) - log_expit(-(neg_outs @ center_vec)).sum()
+    return float(loss)
+
+
+def sgns_pair_gradients(center_vec, pos_out, neg_outs):
+    """Analytic gradients of sgns_pair_loss w.r.t. (center, positive, negatives)."""
+    g_pos_score = expit(pos_out @ center_vec) - 1.0
+    g_neg_score = expit(neg_outs @ center_vec)  # shape (negatives,)
+    g_center = g_pos_score * pos_out + g_neg_score @ neg_outs
+    g_pos = g_pos_score * center_vec
+    g_negs = g_neg_score[:, None] * center_vec[None, :]
+    return g_center, g_pos, g_negs
+
+
+def step(model, node: int, u: float) -> int:
+    """The successor of `node` that uniform `u` picks: a search of the model's cumulative row."""
+    lo, hi = model.indptr[node], model.indptr[node + 1]
+    return int(model.indices[lo + model.cum[lo:hi].searchsorted(u * model.cum[hi - 1],
+                                                                 side="right")])

@@ -18,7 +18,7 @@ from navsynth.downstream import (build_added_links, corpus_triples,
                                  evaluate_mrr, fit_markov2, logreg_loss_grad,
                                  make_split, precision_at_k, rank_links,
                                  relative_difference)
-from navsynth.embeddings import sgns_pair_gradients, sgns_pair_loss
+from navsynth.embeddings import sgns_batch_gradients
 from navsynth.graph import (apply_k_anonymity, build_transition_model,
                             load_edge_list, pair_keys, unpack_pairs)
 from navsynth.mixing import JointFlowTable, adjusted_mi, ami_survey
@@ -361,13 +361,17 @@ def test_criterion_08_gradient_checks():
         v = rng.normal(size=5)
         u_pos = rng.normal(size=5)
         u_negs = rng.normal(size=(3, 5))
-        g_v, g_pos, g_negs = sgns_pair_gradients(v, u_pos, u_negs)
-        analytic = np.concatenate([g_v, g_pos, g_negs.ravel()])
+        # two examples on one center row: out row 0 is a positive and a negative, and
+        # out row 2 is drawn twice as a negative
+        w_in, w_out = v[None, :], np.vstack([u_pos, u_negs])
+        batch = (np.array([0, 0]), np.array([0, 1]), np.array([[1, 2, 3], [0, 2, 2]]))
+        _, (in_rows, g_in), (out_rows, g_out) = sgns_batch_gradients(w_in, w_out, *batch)
+        grad_in, grad_out = np.zeros_like(w_in), np.zeros_like(w_out)
+        grad_in[in_rows], grad_out[out_rows] = g_in, g_out
+        analytic = np.concatenate([grad_in.ravel(), grad_out.ravel()])
         fd = np.concatenate([
-            central(lambda x: sgns_pair_loss(x, u_pos, u_negs), v),
-            central(lambda x: sgns_pair_loss(v, x, u_negs), u_pos),
-            central(lambda x: sgns_pair_loss(v, u_pos, x.reshape(3, 5)),
-                    u_negs.ravel())])
+            central(lambda x: sgns_batch_gradients(x, w_out, *batch)[0], w_in).ravel(),
+            central(lambda x: sgns_batch_gradients(w_in, x, *batch)[0], w_out).ravel()])
         rel = np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max())
         worst_sgns = max(worst_sgns, rel)
     assert worst_sgns < 1e-5

@@ -1,0 +1,64 @@
+"""The public surface: every public name in src/navsynth is used there or documented."""
+
+import ast
+import pathlib
+import re
+import subprocess
+import sys
+
+import navsynth
+
+PACKAGE = pathlib.Path(navsynth.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
+
+
+def public_definitions():
+    """(module, qualified name) of each public top-level def or class and public method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            yield path.stem, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        yield path.stem, "%s.%s" % (node.name, item.name)
+
+
+def referenced_names():
+    """Every name that src/navsynth loads, as a variable or as an attribute."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def library_names():
+    """Every word in the code blocks and `code` spans of the README's Library section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n"):]
+    section = section[:section.find("\n## ", 1)]
+    blocks = re.findall(r"```.*?```", section, re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.DOTALL))
+    return set(re.findall(r"\w+", " ".join(blocks + spans)))
+
+
+def test_every_public_name_is_used_or_documented():
+    known = referenced_names() | library_names()
+    unused = ["%s.%s" % (module, name) for module, name in public_definitions()
+              if name.rsplit(".", 1)[-1] not in known]
+    assert unused == []
+
+
+def test_exports_are_library_names():
+    assert set(navsynth.__all__) <= library_names()
+    assert all(hasattr(navsynth, name) for name in navsynth.__all__)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys; sys.path.insert(0, %r); import navsynth; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])" % str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

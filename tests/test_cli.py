@@ -249,6 +249,8 @@ MALFORMED_ROWS = {
                                     "--labels", f["input"], "--out-dir", f["out"]]),
     "report-row": ("Logs,mrr_all,0.5\nLogs,mrr_all\n", None,
                    lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+    "report-duplicate": ("Logs,mrr_all,0.5\nLogs,mrr_all,0.7\n", None,
+                         lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
 }
 # the whole message after "path:2: ", where a case pins it
 MALFORMED_MESSAGES = {
@@ -260,6 +262,7 @@ MALFORMED_MESSAGES = {
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
     "labels-topic-high": "topic 64 outside [0, 64)\n",
     "labels-no-vector": "article 'C' has no vector\n",
+    "report-duplicate": "duplicate row 'Logs,mrr_all'\n",
 }
 
 
@@ -340,6 +343,12 @@ class TestConfigFile:
     def test_config_fills_defaults(self, tmp_path, chain_graph):
         out = tmp_path / "from_cfg"
         cfg = write(tmp_path / "run.cfg", "out-dir=%s\n" % out)
+        assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
+        assert (out / "graph_cache.npz").exists()
+
+    def test_non_option_keys_ignored(self, tmp_path, chain_graph):
+        out = tmp_path / "from_cfg"
+        cfg = write(tmp_path / "run.cfg", "func=x\ncommand=mixing\nout_dir=%s\n" % out)
         assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
         assert (out / "graph_cache.npz").exists()
 

@@ -13,6 +13,7 @@ from navsynth.downstream import (LabeledLinkSet, PathProportions,
 from navsynth.graph import load_edge_list, pair_keys, unpack_pairs
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
+from oracles import vector
 
 
 def graph_from(tmp_path, edges):
@@ -392,7 +393,7 @@ class TestRelatedness:
         from navsynth.stats import spearman
         sims = []
         for a, b, _ in pairs:
-            va, vb = table.vector(a), table.vector(b)
+            va, vb = vector(table, a), vector(table, b)
             sims.append(float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))))
         assert res.rho == pytest.approx(spearman(sims, [p[2] for p in pairs]), abs=1e-12)
 

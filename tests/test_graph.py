@@ -193,7 +193,7 @@ class TestTransitionModel:
         for (s, _), c in weights.items():
             totals[s] = totals.get(s, 0) + c
         for node in range(m.num_nodes):
-            if m.is_terminal(node):
+            if not len(m.successors(node)):
                 continue
             assert m.row_probs(node).sum() == pytest.approx(1.0, abs=1e-9)
             for t, p in zip(m.successors(node), m.row_probs(node)):
@@ -228,7 +228,7 @@ class TestTransitionModel:
         stops = np.array([0.3, 0.5, 0.0])
         ms = m.with_stops(stops)
         for node in range(ms.num_nodes):
-            if ms.is_terminal(node):
+            if not len(ms.successors(node)):
                 continue
             assert ms.row_probs(node).sum() + ms.stop_probs[node] == pytest.approx(1.0, abs=1e-9)
 

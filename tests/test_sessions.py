@@ -6,7 +6,7 @@ from scipy.stats import chisquare
 from navsynth.graph import Interner, ParseError
 from navsynth.sessions import (PageviewEvent, SequenceCorpus, build_forest,
                                build_trees, load_corpus, load_pageview_events,
-                               reader_key, sample_root_to_leaf, save_corpus)
+                               sample_root_to_leaf, save_corpus)
 from navsynth.stats import rng_stream
 
 KEY = b"\x00" * 16
@@ -14,24 +14,6 @@ KEY = b"\x00" * 16
 
 def ev(article, ts, referrer=None):
     return PageviewEvent(KEY, ts, article, referrer)
-
-
-class TestReaderKey:
-    def test_deterministic(self):
-        assert reader_key("1.2.3.4", "agentA") == reader_key("1.2.3.4", "agentA")
-
-    def test_distinct_agents(self):
-        assert reader_key("1.2.3.4", "agentA") != reader_key("1.2.3.4", "agentB")
-
-    def test_concatenation_ambiguity(self):
-        # known limitation of digesting the raw concatenation
-        assert reader_key("a", "bc") == reader_key("ab", "c")
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            reader_key("", "ua")
-        with pytest.raises(ValueError):
-            reader_key("ip", "")
 
 
 class TestBuildTrees:
@@ -182,7 +164,7 @@ def test_load_corpus_rejects_empty_name(tmp_path, row):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seqs=st.lists(st.lists(st.integers(0, 2**31 - 1), max_size=6), max_size=12))
+@given(seqs=st.lists(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6), max_size=12))
 def test_from_sequences_round_trip(seqs):
     corpus = SequenceCorpus.from_sequences(seqs, "Logs")
     assert corpus.sequences == seqs
@@ -191,6 +173,13 @@ def test_from_sequences_round_trip(seqs):
     assert len(corpus.offsets) == len(seqs) + 1
     assert corpus.offsets[0] == 0 and corpus.offsets[-1] == len(corpus.pages)
     assert np.diff(corpus.offsets).tolist() == [len(s) for s in seqs]
+
+
+@pytest.mark.parametrize("seqs,index", [([[]], 0), ([[0, 1], []], 1), ([[0], [], [2, 3]], 1)])
+def test_from_sequences_rejects_empty_sequence(seqs, index):
+    # a sequence's start is pages[offsets[i]], which an empty sequence does not have
+    with pytest.raises(ValueError, match="^empty sequence %d$" % index):
+        SequenceCorpus.from_sequences(seqs, "Logs")
 
 
 # article names a corpus row can carry: no tab or line break, and no leading "#",

@@ -1,5 +1,4 @@
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +8,10 @@ from navsynth import stats, synth
 from navsynth.graph import Interner, build_transition_model, load_edge_list
 from navsynth.sessions import SequenceCorpus, save_corpus
 from navsynth.stats import counter_uniforms, rng_stream
-from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule, WalkSpec,
+from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule,
                             derive_intrinsic_stops, generate_corpus, generate_geometric_world,
                             generate_planted_world, generate_sequence)
+from oracles import step
 
 
 def graph_from(tmp_path, edges):
@@ -26,7 +26,7 @@ class TestGenerateSequence:
         m = build_transition_model(g)
         a = g.interner.id("A")
         for seed in range(5):
-            seq, flagged = generate_sequence(m, WalkSpec(a, 3), rng_stream(seed))
+            seq, flagged = generate_sequence(m, a, 3, rng_stream(seed).random)
             assert not flagged
             assert [g.interner.name(x) for x in seq] == ["A", "B", "C"]
 
@@ -35,8 +35,7 @@ class TestGenerateSequence:
         m = build_transition_model(g)
         names = g.interner
         for seed in range(20):
-            seq, flagged = generate_sequence(m, WalkSpec(names.id("A"), 3),
-                                             rng_stream(seed))
+            seq, flagged = generate_sequence(m, names.id("A"), 3, rng_stream(seed).random)
             assert not flagged
             assert [names.name(x) for x in seq] == ["A", "C", "D"]
 
@@ -46,17 +45,15 @@ class TestGenerateSequence:
         a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
         table = click_table(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
-        rng = rng_stream(23)
-        hits = Counter(generate_sequence(m, WalkSpec(a, 2), rng)[0][1]
-                       for _ in range(40_000))
+        draw = rng_stream(23).random
+        hits = Counter(generate_sequence(m, a, 2, draw)[0][1] for _ in range(40_000))
         assert hits[b] / 40_000 == pytest.approx(0.75, abs=0.01)
         assert hits[c] / 40_000 == pytest.approx(0.25, abs=0.01)
 
     def test_terminal_start_flagged(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B")])
         m = build_transition_model(g)
-        seq, flagged = generate_sequence(m, WalkSpec(g.interner.id("B"), 3),
-                                         rng_stream(0))
+        seq, flagged = generate_sequence(m, g.interner.id("B"), 3, rng_stream(0).random)
         assert flagged
         assert seq == [g.interner.id("B")]
 
@@ -71,7 +68,7 @@ class TestGenerateSequence:
         m = build_transition_model(g)
         support = {(s, int(t)) for s in range(m.num_nodes) for t in m.successors(s)}
         for seed in range(10):
-            seq, _ = generate_sequence(m, WalkSpec(0, 8), rng_stream(seed))
+            seq, _ = generate_sequence(m, 0, 8, rng_stream(seed).random)
             for pair in zip(seq, seq[1:]):
                 assert pair in support
 
@@ -239,26 +236,21 @@ class TestPlantedWorld:
         assert world.corpus.sequences == [] and not len(world.clickstream.entries)
 
 
-def fixed_draws(*values):
-    """A `.random()` source that returns `values` in order."""
-    return SimpleNamespace(random=iter(values).__next__)
-
-
 def scalar_extrinsic(m, start, length, seed, item):
     """Oracle: the backtracking walk fed the successor draws u(seed, item, 2k + 1)."""
     draws = counter_uniforms(seed, item, 2 * np.arange(length + synth.DEFAULT_RETRY_BUDGET) + 1)
-    return generate_sequence(m, WalkSpec(start, length), fixed_draws(*draws.tolist()))
+    return generate_sequence(m, start, length, iter(draws.tolist()).__next__)
 
 
 def scalar_intrinsic(m, start, cap, seed, item):
     """Oracle: step t stops on u(seed, item, 2t) and steps on u(seed, item, 2t + 1)."""
     path = [start]
-    while len(path) < cap and not m.is_terminal(path[-1]):
+    while len(path) < cap and len(m.successors(path[-1])):
         t = len(path) - 1
         stop, succ = counter_uniforms(seed, item, [2 * t, 2 * t + 1]).tolist()
         if stop < m.stop_probs[path[-1]]:
             break
-        path.append(m.step(path[-1], fixed_draws(succ)))
+        path.append(step(m, path[-1], succ))
     return path
 
 
@@ -287,6 +279,17 @@ class TestLockstepKernel:
         expected = [indptr[p] + np.searchsorted(rows[p], x, side="right")
                     for p, x in zip(picks.tolist(), r.tolist())]
         assert got.tolist() == expected
+
+    def test_unbanned_scalar_step_matches_row_search(self):
+        world = generate_planted_world(PlantedWorldSpec(num_nodes=40, out_degree=7,
+                                                        corpus_size=0, seed=5))
+        stops = counter_uniforms(5, np.arange(40), 0)
+        draws = [0.0, np.nextafter(1.0, 0.0), *counter_uniforms(5, 1, np.arange(200)).tolist()]
+        for m in (world.markov1, world.markov1.with_stops(stops),
+                  build_transition_model(world.graph)):
+            for k, u in enumerate(draws):
+                node = k % m.num_nodes
+                assert synth._step_excluding(m, node, set(), iter([u]).__next__) == step(m, node, u)
 
     def test_extrinsic_matches_scalar_oracle(self, tmp_path):
         g = dead_end_graph(tmp_path)
@@ -353,7 +356,7 @@ class TestLockstepKernel:
                         world.graph.successors(expected[-2]), expected[-1])
                     expected.append(int(world.graph.indices[world.preferred_edge[edge]]))
                 else:
-                    expected.append(world.markov1.step(expected[-1], fixed_draws(succ)))
+                    expected.append(step(world.markov1, expected[-1], succ))
             assert seq == expected
 
     def test_walks_use_no_rng_streams(self, monkeypatch, tmp_path):
