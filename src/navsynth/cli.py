@@ -66,10 +66,10 @@ def cmd_ingest(args):
 def cmd_build_sessions(args):
     interner = Interner()
     events = load_pageview_events(args.events, interner)
-    trees = build_forest(events, inactivity_ms=args.inactivity_minutes * 60_000)
-    corpus = corpus_from_trees(trees, rng_stream(args.seed, 0))
+    articles, parent = build_forest(events, inactivity_ms=args.inactivity_minutes * 60_000)
+    corpus = corpus_from_trees(articles, parent, rng_stream(args.seed, 0))
     save_corpus(corpus, args.out, interner)
-    print("built %d trees, %d sequences" % (len(trees), len(corpus)))
+    print("built %d trees, %d sequences" % (np.count_nonzero(parent < 0), len(corpus)))
     return 0
 
 
@@ -247,6 +247,8 @@ def cmd_eval_topic(args):
             raise ParseError(args.labels, line_no, "topic %d outside [0, %d)"
                              % (outside[0], args.num_topics))
         article = interner.intern(name)
+        if article in labels:
+            raise ParseError(args.labels, line_no, "duplicate article %r" % name)
         if article not in covered:
             raise ParseError(args.labels, line_no, "article %r has no vector" % name)
         labels[article] = topics
@@ -336,9 +338,7 @@ def _apply_config_file(parser_args, argv):
             if key not in settable:
                 continue
             current = getattr(parser_args, key)
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, (int, float)):
+            if isinstance(current, (int, float)):
                 value = _parse(type(current), value, path, line_no, key)
             setattr(parser_args, key, value)
     return parser_args

@@ -1,4 +1,4 @@
-"""Navigation-tree construction from pageview events and root-to-leaf sampling."""
+"""Navigation trees from pageview events, root-to-leaf sampling, and sequence corpora."""
 
 from __future__ import annotations
 
@@ -6,104 +6,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Interner, ParseError, _parse, _rows, open_text
-
-DEFAULT_INACTIVITY_MS = 60 * 60 * 1000  # new tree if the parent is older than this
+from .graph import Interner, ParseError, _parse, _rows, open_text, pair_keys
 
 
 @dataclass
-class PageviewEvent:
-    reader: bytes
-    timestamp_ms: int
-    article: int
-    referrer: int | None = None
+class PageviewEvents:
+    """Pageview events in file order as parallel arrays: reader keys, int64 timestamps in ms,
+    article ids, and referrer ids with -1 for none. The keys are an object array of bytes:
+    numpy's fixed-width bytes dtype drops trailing NULs and would merge b"\\0" and b"\\0\\0"."""
+
+    readers: np.ndarray
+    timestamps: np.ndarray
+    articles: np.ndarray
+    referrers: np.ndarray
+
+    def __len__(self):
+        return len(self.timestamps)
 
 
-@dataclass
-class TreeNode:
-    article: int
-    timestamp_ms: int
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-
-
-@dataclass
-class NavigationTree:
-    nodes: list[TreeNode]  # nodes[0] is the root
-
-    def leaves(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if not n.children]
-
-    def path_to_root(self, node: int) -> list[int]:
-        path = []
-        cur: int | None = node
-        while cur is not None:
-            path.append(self.nodes[cur].article)
-            cur = self.nodes[cur].parent
-        path.reverse()
-        return path
-
-
-def build_trees(events: list[PageviewEvent],
-                inactivity_ms: int = DEFAULT_INACTIVITY_MS) -> list[NavigationTree]:
-    """Stitch one reader's timestamp-sorted events into navigation trees.
-
-    An event with referrer R attaches as a child of the most recent prior
-    node for article R; without a usable referrer (unseen article, or the
-    candidate parent older than the inactivity cutoff) it starts a new tree.
-    """
-    trees: list[NavigationTree] = []
-    # article -> (tree index, node index, timestamp) of its most recent node
-    latest: dict[int, tuple[int, int, int]] = {}
-    prev_ts = None
-    for ev in events:
-        if prev_ts is not None and ev.timestamp_ms < prev_ts:
-            raise ValueError("unsorted input: timestamps must be non-decreasing")
-        prev_ts = ev.timestamp_ms
-        parent = None
-        if ev.referrer is not None and ev.referrer in latest:
-            tree_i, node_i, ts = latest[ev.referrer]
-            if ev.timestamp_ms - ts <= inactivity_ms:
-                parent = (tree_i, node_i)
-        if parent is None:
-            tree_i = len(trees)
-            trees.append(NavigationTree([TreeNode(ev.article, ev.timestamp_ms, None)]))
-            node_i = 0
-        else:
-            tree_i, parent_i = parent
-            tree = trees[tree_i]
-            node_i = len(tree.nodes)
-            tree.nodes.append(TreeNode(ev.article, ev.timestamp_ms, parent_i))
-            tree.nodes[parent_i].children.append(node_i)
-        latest[ev.article] = (tree_i, node_i, ev.timestamp_ms)
-    return trees
-
-
-def build_forest(events: list[PageviewEvent],
-                 inactivity_ms: int = DEFAULT_INACTIVITY_MS) -> list[NavigationTree]:
-    """Group events by reader key, sort by timestamp, and build all trees."""
-    by_reader: dict[bytes, list[PageviewEvent]] = {}
-    for ev in events:
-        by_reader.setdefault(ev.reader, []).append(ev)
-    trees: list[NavigationTree] = []
-    for key in sorted(by_reader):
-        group = sorted(by_reader[key], key=lambda e: e.timestamp_ms)
-        trees.extend(build_trees(group, inactivity_ms))
-    return trees
-
-
-def sample_root_to_leaf(tree: NavigationTree,
-                        rng: np.random.Generator) -> list[int] | None:
-    """Sample one root-to-leaf path uniformly over leaves.
-
-    Single-node trees yield None: only sessions with at least 2 pageviews
-    become sequences.
-    """
-    if len(tree.nodes) < 2:
-        return None
-    leaves = tree.leaves()
-    leaf = leaves[int(rng.integers(len(leaves)))]
-    return tree.path_to_root(leaf)
+def build_forest(events: PageviewEvents, inactivity_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Navigation trees as one parent array, over the events in reading order: by reader key,
+    then timestamp, then file order. Returns the articles in that order and the int64 parent
+    of each: the latest earlier event of the same reader on its referrer, if that event is at
+    most `inactivity_ms` older, and otherwise -1, which makes the event a tree's root."""
+    _, reader = np.unique(events.readers, return_inverse=True)  # ranks of the keys
+    order = np.lexsort((events.timestamps, reader))
+    reader, stamps = reader[order], events.timestamps[order]
+    articles, referrers = events.articles[order], events.referrers[order]
+    n, position = len(order), np.arange(len(order))
+    # code = rank of the event's (reader, article) key * n + position: sorted, the codes list
+    # the events of each key in reading order
+    keys = pair_keys(reader, articles)
+    visited, rank = np.unique(keys, return_inverse=True)
+    codes = np.sort(rank * n + position)
+    # the last code below (rank of the (reader, referrer) key, position) is the latest earlier
+    # event on the referrer, if its key is that one; no referrer packs to the key -1, which no
+    # event has
+    wanted = pair_keys(reader, referrers)
+    last = np.searchsorted(codes, np.searchsorted(visited, wanted) * n + position) - 1
+    parent = codes[last] % n
+    linked = (last >= 0) & (keys[parent] == wanted) & (stamps - stamps[parent] <= inactivity_ms)
+    return articles, np.where(linked, parent, -1)
 
 
 @dataclass
@@ -144,10 +87,31 @@ def corpus_triples(corpus: SequenceCorpus) -> np.ndarray:
     return np.column_stack((pages[first], pages[first + 1], pages[first + 2]))
 
 
-def corpus_from_trees(trees: list[NavigationTree],
+def corpus_from_trees(articles: np.ndarray, parent: np.ndarray,
                       rng: np.random.Generator) -> SequenceCorpus:
-    paths = [sample_root_to_leaf(tree, rng) for tree in trees]
-    return SequenceCorpus.from_sequences([p for p in paths if p is not None], "Logs")
+    """One root-to-leaf path per tree of two or more pages, in the order of the roots. The
+    leaves of each tree, in reading order, are drawn from uniformly, in one call for all trees."""
+    # depth and root of every event by pointer doubling, one pass per doubling of the depth
+    up, depth = parent.copy(), (parent >= 0).astype(np.int64)
+    root = np.where(up >= 0, up, np.arange(len(up)))
+    while (jump := up >= 0).any():
+        depth[jump] += depth[up[jump]]
+        root[jump] = root[up[jump]]
+        up[jump] = up[up[jump]]
+    is_leaf = parent >= 0  # a root without children is a single-page tree, which gives no path
+    is_leaf[parent[is_leaf]] = False
+    leaves = np.flatnonzero(is_leaf)
+    leaves = leaves[np.argsort(root[leaves], kind="stable")]
+    _, first, counts = np.unique(root[leaves], return_index=True, return_counts=True)
+    chosen = leaves[first + rng.integers(0, counts)]
+    offsets = np.cumsum(np.r_[0, depth[chosen] + 1])
+    pages = np.empty(offsets[-1], dtype=np.int64)
+    node, slot = chosen, offsets[1:] - 1
+    while len(node):  # each path one page further from its leaf per pass
+        pages[slot] = articles[node]
+        node, slot = parent[node], slot - 1
+        node, slot = node[node >= 0], slot[node >= 0]
+    return SequenceCorpus(pages, offsets, "Logs")
 
 
 def save_corpus(corpus: SequenceCorpus, path, interner: Interner):
@@ -179,12 +143,17 @@ def load_corpus(path, interner: Interner) -> SequenceCorpus:
     return SequenceCorpus(pages, np.array(offsets, dtype=np.int64), kind)
 
 
-def load_pageview_events(path, interner: Interner) -> list[PageviewEvent]:
+def load_pageview_events(path, interner: Interner) -> PageviewEvents:
     """Read "reader_key_hex<TAB>timestamp_ms<TAB>article<TAB>referrer_or_dash" rows."""
-    events = []
+    readers, stamps, ids = [], [], []
     for line_no, (key_hex, ts, article, referrer) in _rows(path, 4):
-        key = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
-        ts_ms = _parse(int, ts, path, line_no, "timestamp")
-        ref = None if referrer == "-" else interner.intern(referrer)
-        events.append(PageviewEvent(key, ts_ms, interner.intern(article), ref))
-    return events
+        if "" in (article, referrer):
+            raise ParseError(path, line_no, "empty article name")
+        readers.append(_parse(bytes.fromhex, key_hex, path, line_no, "reader key"))
+        stamps.append(_parse(int, ts, path, line_no, "timestamp"))
+        if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
+            raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
+        ids += -1 if referrer == "-" else interner.intern(referrer), interner.intern(article)
+    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return PageviewEvents(np.array(readers, dtype=object), np.array(stamps, dtype=np.int64),
+                          ids[:, 1], ids[:, 0])

@@ -44,3 +44,42 @@ def step(model, node: int, u: float) -> int:
     lo, hi = model.indptr[node], model.indptr[node + 1]
     return int(model.indices[lo + model.cum[lo:hi].searchsorted(u * model.cum[hi - 1],
                                                                  side="right")])
+
+
+def forest(readers, timestamps, articles, referrers, inactivity_ms):
+    """(event indices in reading order, parent of each in that order): for each reader in the
+    order of its key as bytes, one dict pass over its events sorted by timestamp."""
+    order, parent = [], []
+    for key in sorted(set(readers)):
+        latest = {}  # article -> reading-order position of the reader's latest event on it
+        for i in sorted((i for i, r in enumerate(readers) if r == key),
+                        key=timestamps.__getitem__):
+            j = latest.get(referrers[i])
+            linked = j is not None and timestamps[i] - timestamps[order[j]] <= inactivity_ms
+            parent.append(j if linked else -1)
+            latest[articles[i]] = len(order)
+            order.append(i)
+    return order, parent
+
+
+def root_to_leaf_paths(articles, parent, rng) -> list[list[int]]:
+    """Per tree of two or more pages, in root order: the path from the root to a leaf that one
+    `rng.integers(len(leaves))` picks from its leaves in reading order."""
+    trees = {}  # root -> its pages in reading order; a parent comes before its children
+    root = []
+    for i, p in enumerate(parent):
+        root.append(i if p < 0 else root[p])
+        trees.setdefault(root[i], []).append(i)
+    has_children = set(parent)
+    paths = []
+    for pages in trees.values():
+        if len(pages) < 2:
+            continue
+        leaves = [i for i in pages if i not in has_children]
+        node = leaves[int(rng.integers(len(leaves)))]
+        path = []
+        while node >= 0:
+            path.append(articles[node])
+            node = parent[node]
+        paths.append(path[::-1])
+    return paths

@@ -1,6 +1,8 @@
 """The public surface: every public name in src/navsynth is used there or documented."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -10,6 +12,7 @@ import navsynth
 
 PACKAGE = pathlib.Path(navsynth.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
+TRACER = PACKAGE.parents[1] / "perfbench" / "spans.py"
 
 
 def public_definitions():
@@ -62,3 +65,20 @@ def test_import_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps each target at `owner.__dict__[attr]`; a renamed or deleted
+    # function would otherwise fail only when the benchmark runs
+    spec = importlib.util.spec_from_file_location("navsynth_bench_spans", TRACER)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = []
+    for module, attr, *_ in spans.TARGETS + spans.AGGREGATED:
+        owner = importlib.import_module(module)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        if not callable(getattr(owner, "__dict__", {}).get(name)):
+            unresolved.append("%s.%s" % (module, attr))
+    assert unresolved == []

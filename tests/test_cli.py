@@ -210,6 +210,18 @@ MALFORMED_ROWS = {
                lambda p: load_pageview_events(p, Interner()),
                lambda f: ["build-sessions", "--events", f["input"],
                           "--out", f["out"] + "/sessions.tsv"]),
+    "events-empty-article": ("00ff\t100\tA\t-\n00ff\t200\t\tA\n",
+                             lambda p: load_pageview_events(p, Interner()),
+                             lambda f: ["build-sessions", "--events", f["input"],
+                                        "--out", f["out"] + "/sessions.tsv"]),
+    "events-empty-referrer": ("00ff\t100\tA\t-\n00ff\t300\tB\t\n",
+                              lambda p: load_pageview_events(p, Interner()),
+                              lambda f: ["build-sessions", "--events", f["input"],
+                                         "--out", f["out"] + "/sessions.tsv"]),
+    "events-timestamp-range": ("00ff\t100\tA\t-\n00ff\t%d\tB\tA\n" % 2**62,
+                               lambda p: load_pageview_events(p, Interner()),
+                               lambda f: ["build-sessions", "--events", f["input"],
+                                          "--out", f["out"] + "/sessions.tsv"]),
     "interning": ("0\tA\n1\tB\textra\n", Interner.read_tsv, None),
     "pairs-columns": ("A\tB\t0.5\nA\n", lambda p: _load_pairs(p, Interner()),
                       lambda f: ["eval-related", "--embeddings", f["emb"],
@@ -244,6 +256,9 @@ MALFORMED_ROWS = {
     "labels-topic-high": ("A\t1\nB\t0,64\n", None,
                           lambda f: ["eval-topic", "--embeddings", f["emb"],
                                      "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-duplicate": ("A\t0\nA\t1\n", None,
+                         lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                    "--labels", f["input"], "--out-dir", f["out"]]),
     "labels-no-vector": ("A\t1\nC\t1\n", None,
                          lambda f: ["eval-topic", "--embeddings", f["emb"],
                                     "--labels", f["input"], "--out-dir", f["out"]]),
@@ -257,10 +272,14 @@ MALFORMED_MESSAGES = {
     "clickstream-huge-count": "click total reaches 2**63\n",
     "clickstream-total-overflow": "click total reaches 2**63\n",
     "corpus-empty-name": "empty article name\n",
+    "events-empty-article": "empty article name\n",
+    "events-empty-referrer": "empty article name\n",
+    "events-timestamp-range": "timestamp %d outside [-2**62, 2**62)\n" % 2**62,
     "embeddings-zero": "all-zero vector for article 'A'\n",
     "embeddings-nan": "non-finite value for article 'A'\n",
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
     "labels-topic-high": "topic 64 outside [0, 64)\n",
+    "labels-duplicate": "duplicate article 'A'\n",
     "labels-no-vector": "article 'C' has no vector\n",
     "report-duplicate": "duplicate row 'Logs,mrr_all'\n",
 }

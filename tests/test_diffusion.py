@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsynth.diffusion import (EmbeddingTable, _distances_at_k, diffusion_curve,
                                 diffusion_histogram, load_embeddings, save_embeddings)
@@ -64,6 +65,31 @@ class TestEmbeddingIO:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             EmbeddingTable([0], np.zeros((1, 3)))
+
+
+# article names an embedding row can carry: no whitespace, which separates its fields
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda name: name.split() == [name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(NAMES, min_size=1, max_size=6, unique=True), dim=st.integers(1, 4),
+       data=st.data())
+def test_embeddings_save_load_round_trip(tmp_path_factory, names, dim, data):
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(names) * dim,
+                                max_size=len(names) * dim))
+    vectors = np.array(values).reshape(len(names), dim)
+    vectors[np.abs(vectors).max(axis=1) < 1e-6, 0] = 1.0  # no row the format rounds to zero
+    interner = Interner()
+    table = EmbeddingTable([interner.intern(name) for name in names], vectors)
+    base = tmp_path_factory.mktemp("emb")
+    save_embeddings(table, base / "a.txt", interner)
+    fresh = Interner()
+    loaded = load_embeddings(base / "a.txt", fresh)
+    assert [fresh.name(a) for a in loaded.articles.tolist()] == names
+    assert np.abs(loaded.vectors - vectors).max() <= 5e-7
+    save_embeddings(loaded, base / "b.txt", fresh)
+    assert (base / "b.txt").read_bytes() == (base / "a.txt").read_bytes()
 
 
 class TestTable:

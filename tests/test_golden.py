@@ -6,6 +6,7 @@ outputs or RNG consumption on purpose re-records them and says so.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ GOLDEN = {
         "2e60e358294e1d027b016e505d6266dca28c8d56f8348deb810e1d5241f65c51",
     "results/next_article.csv":
         "0bd670619e52e879369726805160778ae008c611ccbf114dd190c15b04e7cd04",
+    "sessions/built.tsv":
+        "9d5a66cd98630012bece519c887647574e3fa8585d8e9130ff2c3f3bcb98230a",
     "synth/clickstream-priv.tsv":
         "eba7012a07cbdc98646c77a4c7a097f71a166f1fbed41947a644c3b8c2ba62b9",
     "synth/clickstream-priv.tsv.report.json":
@@ -93,6 +96,29 @@ def _run(*argv):
 def write(path, rows):
     path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
     return path
+
+
+def session_events():
+    """Pageview rows (reader key, ms, article, referrer) in file order.
+
+    The keys "00" and "0000" differ only in a trailing NUL byte. Reader "00"
+    has equal timestamps in both orders of a parent and its child, a referrer
+    only reader "0000" visited ("Q"), one nobody visited ("Zed"), a child past
+    the one-minute inactivity cutoff ("G") and single-page trees. Seeded
+    readers add many trees of several leaves.
+    """
+    rows = [("00", 1000, "A", "-"), ("0000", 500, "Q", "-"), ("00", 2000, "B", "A"),
+            ("00", 2000, "C", "A"), ("0000", 600, "A", "Q"), ("00", 3000, "D", "B"),
+            ("00", 3000, "E", "Zed"), ("0000", 600, "B", "Q"), ("00", 4000, "F", "Q"),
+            ("00", 5000, "R", "P"), ("00", 5000, "P", "-"), ("00", 5000, "S", "P"),
+            ("0000", 700, "C", "A"), ("00", 65000, "G", "D"), ("00", 65500, "H", "G"),
+            ("00", 66000, "D", "B"), ("00ff", 10, "A", "-")]
+    gen = random.Random(9)
+    for _ in range(300):
+        rows.append(("%02x%02x" % (gen.randrange(2), gen.randrange(4)),
+                     gen.randrange(0, 120_000, 500), "P%d" % gen.randrange(6),
+                     "P%d" % gen.randrange(7) if gen.random() < 0.8 else "-"))
+    return [(key, str(ts), article, ref) for key, ts, article, ref in rows]
 
 
 def output_digests(base):
@@ -158,6 +184,11 @@ def output_digests(base):
     for name in ("diffusion_curve.csv", "diffusion_hist_k2.csv", "relatedness.csv",
                  "topic_classification.csv"):
         digests["embed/" + name] = _sha(_body(embed / name))
+
+    events, built = write(base / "events.tsv", session_events()), base / "built.tsv"
+    _run("build-sessions", "--events", events, "--out", built, "--inactivity-minutes", 1,
+         "--seed", 9)
+    digests["sessions/built.tsv"] = _sha(built.read_bytes())
 
     geo = generate_geometric_world(GeometricWorldSpec(num_nodes=80, corpus_size=600, seed=2))
     digests["geometric/corpus"] = _sha(repr(geo.corpus.sequences).encode())

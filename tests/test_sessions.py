@@ -3,143 +3,162 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
+import oracles
 from navsynth.graph import Interner, ParseError
-from navsynth.sessions import (PageviewEvent, SequenceCorpus, build_forest,
-                               build_trees, load_corpus, load_pageview_events,
-                               sample_root_to_leaf, save_corpus)
+from navsynth.sessions import (PageviewEvents, SequenceCorpus, build_forest, corpus_from_trees,
+                               load_corpus, load_pageview_events, save_corpus)
 from navsynth.stats import rng_stream
 
 KEY = b"\x00" * 16
+HOUR_MS = 60 * 60 * 1000
 
 
-def ev(article, ts, referrer=None):
-    return PageviewEvent(KEY, ts, article, referrer)
+def events(rows, readers=None):
+    """PageviewEvents of (article, timestamp, referrer or None) rows, by default of one reader."""
+    articles, stamps, referrers = zip(*rows) if rows else ((), (), ())
+    return PageviewEvents(np.array(readers or [KEY] * len(rows), dtype=object),
+                          np.array(stamps, dtype=np.int64), np.array(articles, dtype=np.int64),
+                          np.array([-1 if r is None else r for r in referrers], dtype=np.int64))
+
+
+def forest(rows, inactivity_ms=HOUR_MS, readers=None):
+    """The parent list of `build_forest` on the rows, after checking that its reading order
+    is the rows' order."""
+    articles, parent = build_forest(events(rows, readers), inactivity_ms)
+    assert articles.tolist() == [row[0] for row in rows]
+    assert parent.dtype == np.int64
+    return parent.tolist()
+
+
+def sample(rows, seed):
+    return corpus_from_trees(*build_forest(events(rows), HOUR_MS), rng_stream(seed)).sequences
 
 
 class TestBuildTrees:
     def test_tabbed_browsing_single_tree(self):
-        trees = build_trees([ev(0, 0), ev(1, 10, referrer=0), ev(2, 20, referrer=0)])
-        assert len(trees) == 1
-        root = trees[0].nodes[0]
-        assert [trees[0].nodes[c].article for c in root.children] == [1, 2]
+        parent = forest([(0, 0, None), (1, 10, 0), (2, 20, 0)])
+        assert parent == [-1, 0, 0]  # the root's children are articles 1 and 2
 
     def test_unseen_referrer_starts_new_tree(self):
-        trees = build_trees([ev(0, 0), ev(1, 10, referrer=99)])
-        assert len(trees) == 2
-
-    def test_unsorted_error(self):
-        with pytest.raises(ValueError, match="unsorted"):
-            build_trees([ev(0, 10), ev(1, 5)])
+        assert forest([(0, 0, None), (1, 10, 99)]) == [-1, -1]
 
     def test_inactivity_cutoff(self):
-        trees = build_trees([ev(0, 0), ev(1, 10_000, referrer=0)], inactivity_ms=5000)
-        assert len(trees) == 2
+        assert forest([(0, 0, None), (1, 10_000, 0)], inactivity_ms=5000) == [-1, -1]
 
     def test_matches_backward_scan_oracle(self):
         rng = rng_stream(13)
-        events = []
+        rows = []
         ts = 0
         for _ in range(30):
             ts += int(rng.integers(1, 100))
             article = int(rng.integers(0, 6))
             referrer = int(rng.integers(0, 6)) if rng.random() < 0.7 else None
-            events.append(ev(article, ts, referrer))
+            rows.append((article, ts, referrer))
 
         # quadratic reference: scan backwards over prior events for the referrer
         cutoff = 10_000
         parent_of = []
-        for i, e in enumerate(events):
-            parent = None
-            if e.referrer is not None:
+        for i, (_, ts, referrer) in enumerate(rows):
+            parent = -1
+            if referrer is not None:
                 for j in range(i - 1, -1, -1):
-                    if events[j].article == e.referrer:
-                        if e.timestamp_ms - events[j].timestamp_ms <= cutoff:
+                    if rows[j][0] == referrer:
+                        if ts - rows[j][1] <= cutoff:
                             parent = j
                         break
             parent_of.append(parent)
 
-        trees = build_trees(events, inactivity_ms=cutoff)
-        # map forest nodes back to event indices via the strictly increasing
-        # timestamps, then compare parent pointers
-        rebuilt_parent = [None] * len(events)
-        positions = {}  # (tree, node) -> event index
-        order = []
-        for ti, tree in enumerate(trees):
-            for ni in range(len(tree.nodes)):
-                order.append((ti, ni, tree.nodes[ni].timestamp_ms))
-        order.sort(key=lambda x: x[2])
-        for (ti, ni, _), i in zip(order, range(len(events))):
-            positions[(ti, ni)] = i
-        for ti, tree in enumerate(trees):
-            for ni, node in enumerate(tree.nodes):
-                i = positions[(ti, ni)]
-                rebuilt_parent[i] = (positions[(ti, node.parent)]
-                                     if node.parent is not None else None)
-        assert rebuilt_parent == parent_of
+        # the timestamps increase strictly, so the reading order is the rows' order
+        assert forest(rows, inactivity_ms=cutoff) == parent_of
 
     def test_conservation(self):
         rng = rng_stream(14)
-        events = []
+        rows = []
         ts = 0
         for _ in range(50):
             ts += int(rng.integers(1, 50))
             referrer = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
-            events.append(ev(int(rng.integers(0, 4)), ts, referrer))
-        trees = build_trees(events)
-        assert sum(len(t.nodes) for t in trees) == len(events)
+            rows.append((int(rng.integers(0, 4)), ts, referrer))
+        assert len(forest(rows)) == len(rows)
 
     def test_tree_validity(self):
         rng = rng_stream(15)
-        events = []
+        rows = []
         ts = 0
         for _ in range(40):
             ts += int(rng.integers(1, 50))
             referrer = int(rng.integers(0, 5)) if rng.random() < 0.6 else None
-            events.append(ev(int(rng.integers(0, 5)), ts, referrer))
-        for tree in build_trees(events):
-            roots = [i for i, n in enumerate(tree.nodes) if n.parent is None]
-            assert roots == [0]
-            for i, node in enumerate(tree.nodes):
-                if node.parent is not None:
-                    assert node.timestamp_ms >= tree.nodes[node.parent].timestamp_ms
-                    assert node.parent < i  # acyclic by construction
+            rows.append((int(rng.integers(0, 5)), ts, referrer))
+        for i, p in enumerate(forest(rows)):
+            # each tree's first event is its only root, and parents come first: acyclic
+            assert -1 <= p < i
+            if p >= 0:
+                assert rows[i][1] >= rows[p][1]
+
+    def test_reading_order(self):
+        # keys as bytes ("00" before "0000"), then timestamps, then file order
+        readers = [b"\x00\x00", b"\x00", b"\x00", b"\x00", b"\x00\x00"]
+        articles, parent = build_forest(
+            events([(0, 5, None), (1, 9, None), (2, 7, None), (3, 7, 2), (4, 1, 2)], readers),
+            HOUR_MS)
+        assert articles.tolist() == [2, 3, 1, 4, 0]
+        assert parent.tolist() == [-1, 0, -1, -1, -1]
 
 
 class TestSampleRootToLeaf:
     def test_chain(self):
-        trees = build_trees([ev(0, 0), ev(1, 1, referrer=0), ev(2, 2, referrer=1)])
-        assert sample_root_to_leaf(trees[0], rng_stream(0)) == [0, 1, 2]
+        assert sample([(0, 0, None), (1, 1, 0), (2, 2, 1)], 0) == [[0, 1, 2]]
 
     def test_single_node_none(self):
-        trees = build_trees([ev(0, 0)])
-        assert sample_root_to_leaf(trees[0], rng_stream(0)) is None
+        assert sample([(0, 0, None)], 0) == []
 
     def test_leaf_uniformity(self):
-        trees = build_trees([ev(0, 0), ev(1, 1, referrer=0),
-                             ev(2, 2, referrer=0), ev(3, 3, referrer=0)])
-        rng = rng_stream(16)
-        counts = {1: 0, 2: 0, 3: 0}
+        # 30,000 copies of one three-leaf tree: article 0 linking to articles 1, 2 and 3
         n = 30_000
-        for _ in range(n):
-            counts[sample_root_to_leaf(trees[0], rng)[1]] += 1
-        freqs = np.array([counts[k] for k in (1, 2, 3)]) / n
+        articles = np.tile(np.arange(4), n)
+        parent = np.where(articles == 0, -1, np.arange(4 * n) // 4 * 4)
+        corpus = corpus_from_trees(articles, parent, rng_stream(16))
+        assert np.diff(corpus.offsets).tolist() == [2] * n
+        counts = np.bincount(corpus.pages[1::2], minlength=4)[1:]
+        freqs = counts / n
         assert np.all(np.abs(freqs - 1 / 3) < 0.01)
-        _, p = chisquare([counts[1], counts[2], counts[3]])
+        _, p = chisquare(counts)
         assert p > 0.01
 
     def test_depth_bound(self):
-        trees = build_trees([ev(0, 0), ev(1, 1, referrer=0), ev(2, 2, referrer=0),
-                             ev(3, 3, referrer=1)])
-        for _ in range(20):
-            path = sample_root_to_leaf(trees[0], rng_stream(17))
+        for seed in range(20):
+            path, = sample([(0, 0, None), (1, 1, 0), (2, 2, 0), (3, 3, 1)], seed)
             assert len(path) <= 3
+            assert path in ([0, 1, 3], [0, 2])
 
 
 def test_build_forest_groups_readers():
-    e1 = PageviewEvent(b"\x01" * 16, 0, 0)
-    e2 = PageviewEvent(b"\x02" * 16, 1, 1, referrer=0)
-    trees = build_forest([e1, e2])
-    assert len(trees) == 2  # referrer belongs to a different reader
+    # the referrer belongs to a different reader
+    assert forest([(0, 0, None), (1, 1, 0)], readers=[b"\x01" * 16, b"\x02" * 16]) == [-1, -1]
+
+
+# reader keys where a fixed-width bytes dtype would merge b"\x00" and b"\x00\x00"
+READERS = st.sampled_from([b"", b"\x00", b"\x00\x00", b"\x01", b"\x00\x01"])
+EVENT_ROWS = st.lists(st.tuples(READERS, st.integers(0, 12), st.integers(0, 4),
+                                st.integers(-1, 5)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=EVENT_ROWS, inactivity_ms=st.sampled_from([0, 1, 3, HOUR_MS]),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=[], inactivity_ms=0, seed=0)
+def test_forest_and_paths_match_scalar_oracle(rows, inactivity_ms, seed):
+    readers, stamps, articles, referrers = map(list, zip(*rows)) if rows else ([],) * 4
+    order, parent = oracles.forest(readers, stamps, articles, referrers, inactivity_ms)
+    built = PageviewEvents(np.array(readers, dtype=object), np.array(stamps, dtype=np.int64),
+                           np.array(articles, dtype=np.int64), np.array(referrers, dtype=np.int64))
+    got_articles, got_parent = build_forest(built, inactivity_ms)
+    assert got_articles.tolist() == [articles[i] for i in order]
+    assert got_parent.tolist() == parent
+    corpus = corpus_from_trees(got_articles, got_parent, rng_stream(seed))
+    assert corpus.pages.dtype == corpus.offsets.dtype == np.int64
+    ordered = [articles[i] for i in order]
+    assert corpus.sequences == oracles.root_to_leaf_paths(ordered, parent, rng_stream(seed))
 
 
 def test_corpus_round_trip(tmp_path):
@@ -219,5 +238,7 @@ def test_load_pageview_events(tmp_path):
     interner = Interner()
     events = load_pageview_events(str(path), interner)
     assert len(events) == 2
-    assert events[0].referrer is None
-    assert events[1].referrer == interner.id("A")
+    assert events.readers.tolist() == [b"\x00\xff"] * 2
+    assert events.timestamps.tolist() == [100, 200]
+    assert events.articles.tolist() == [interner.id("A"), interner.id("B")]
+    assert events.referrers.tolist() == [-1, interner.id("A")]
