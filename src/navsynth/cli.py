@@ -217,16 +217,18 @@ def _finite_float(text):
 
 
 def _load_pairs(path, interner):
-    return [(interner.intern(a), interner.intern(b),
-             _parse(_finite_float, score, path, line_no, "score"))
-            for line_no, (a, b, score) in _rows(path, 3)]
+    """The (n, 2) int64 article ids and the n float scores of "a<TAB>b<TAB>score" rows."""
+    ids, scores = [], []
+    for line_no, (a, b, score) in _rows(path, 3):
+        ids += interner.intern(a), interner.intern(b)
+        scores.append(_parse(_finite_float, score, path, line_no, "score"))
+    return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(scores, dtype=float)
 
 
 def cmd_eval_related(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
-    pairs = _load_pairs(args.pairs, interner)
-    result = ds.relatedness_eval(emb, pairs)
+    result = ds.relatedness_eval(emb, _load_pairs(args.pairs, interner))
     write_csv(_out(args, "relatedness.csv"), ["dataset", "metric", "value"],
               [(args.name, "spearman_rho", "%.6f" % result.rho),
                (args.name, "pairs_used", "%d" % result.num_pairs),
@@ -283,8 +285,7 @@ def cmd_report(args):
     if missing:
         print("missing result files: %s" % ", ".join(missing), file=sys.stderr)
         return 1
-    values: dict[tuple[str, str], float] = {}
-    order: list[tuple[str, str]] = []
+    values: dict[tuple[str, str], float] = {}  # in file order
     for path in args.inputs:
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
@@ -298,21 +299,17 @@ def cmd_report(args):
                 if key in values:
                     raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
                 values[key] = _parse(float, fields[2], path, line_no, "value")
-                order.append(key)
-    rows = []
-    for dataset, metric in order:
-        rows.append((dataset, metric, "%.6f" % values[(dataset, metric)]))
+    rows = [(dataset, metric, "%.6f" % value) for (dataset, metric), value in values.items()]
     write_csv(_out(args, "report.csv"), ["dataset", "metric", "value"], rows, _header(args))
 
     rel_rows = []
-    for dataset, metric in order:
+    for (dataset, metric), value in values.items():
         if dataset == args.baseline:
             continue
         base = values.get((args.baseline, metric))
         if base is None or base == 0:
             continue
-        rel = ds.relative_difference(base, values[(dataset, metric)])
-        rel_rows.append((dataset, metric, "%.4f" % rel))
+        rel_rows.append((dataset, metric, "%.4f" % ds.relative_difference(base, value)))
     write_csv(_out(args, "relative_difference.csv"),
               ["dataset", "metric", "relative_difference_pct"], rel_rows, _header(args))
     return 0
@@ -356,54 +353,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common])
+    def command(name, func):
+        # flags spelled in full only, so that `_apply_config_file` sees every flag given
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest)
     p.add_argument("--graph", required=True)
     p.add_argument("--clickstream", default=None)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build-sessions", parents=[common])
+    p = command("build-sessions", cmd_build_sessions)
     p.add_argument("--events", required=True)
     p.add_argument("--inactivity-minutes", type=int, default=60)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_sessions)
 
-    p = sub.add_parser("synth", parents=[common])
+    p = command("synth", cmd_synth)
     p.add_argument("--graph", required=True)
     p.add_argument("--clickstream", default=None)
     p.add_argument("--reference", required=True)
     p.add_argument("--kind", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("mixing", parents=[common])
+    p = command("mixing", cmd_mixing)
     p.add_argument("--corpus", required=True)
     p.add_argument("--min-triples", type=int, default=100)
-    p.set_defaults(func=cmd_mixing)
 
-    p = sub.add_parser("diffusion", parents=[common])
+    p = command("diffusion", cmd_diffusion)
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k-max", type=int, default=9)
     p.add_argument("--hist-k", type=int, default=0)
-    p.set_defaults(func=cmd_diffusion)
 
-    p = sub.add_parser("eval-next", parents=[common])
+    p = command("eval-next", cmd_eval_next)
     p.add_argument("--graph", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--train", action="append", required=True,
                    help="name=corpus_path; 'Logs' fits the --reference train split, path unread")
-    p.set_defaults(func=cmd_eval_next)
 
-    p = sub.add_parser("eval-link", parents=[common])
+    p = command("eval-link", cmd_eval_link)
     p.add_argument("--old-graph", required=True)
     p.add_argument("--new-graph", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--corpus", action="append", required=True, help="name=corpus_path")
     p.add_argument("--min-paths", type=int, default=10)
     p.add_argument("--ks", default="10,50,100")
-    p.set_defaults(func=cmd_eval_link)
 
-    p = sub.add_parser("train-emb", parents=[common])
+    p = command("train-emb", cmd_train_emb)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--window", type=int, default=5)
@@ -411,32 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_emb)
 
-    p = sub.add_parser("eval-related", parents=[common])
+    p = command("eval-related", cmd_eval_related)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--name", default="corpus")
-    p.set_defaults(func=cmd_eval_related)
 
-    p = sub.add_parser("eval-topic", parents=[common])
+    p = command("eval-topic", cmd_eval_topic)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--num-topics", type=int, default=64)
     p.add_argument("--name", default="corpus")
-    p.set_defaults(func=cmd_eval_topic)
 
-    p = sub.add_parser("planted-world", parents=[common])
+    p = command("planted-world", cmd_planted_world)
     p.add_argument("--nodes", type=int, default=200)
     p.add_argument("--out-degree", type=int, default=8)
     p.add_argument("--memory", type=float, default=0.0)
     p.add_argument("--corpus-size", type=int, default=5000)
-    p.set_defaults(func=cmd_planted_world)
 
-    p = sub.add_parser("report", parents=[common])
+    p = command("report", cmd_report)
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--baseline", default="Logs")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -56,7 +56,8 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, interner: Interner) -> EmbeddingTable:
-    """Read the text format: header "N dim", then "name v1 ... v_dim" rows."""
+    """Read the text format: header "N dim", then "name v1 ... v_dim" rows. The last `dim`
+    space-separated fields are the vector and the rest is the name, which may hold spaces."""
     vectors: dict[int, np.ndarray] = {}
     with open_text(path) as f:
         header = f.readline().split()
@@ -65,23 +66,25 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
         n = _parse(int, header[0], path, 1, "row count")
         dim = _parse(int, header[1], path, 1, "dimension")
         for line_no, line in enumerate(f, 2):
-            parts = line.split()
-            if not parts:
+            line = line.rstrip()
+            if not line:
                 continue
-            if len(parts) != dim + 1:
-                raise ParseError(path, line_no,
-                                 "expected %d values, got %d" % (dim, len(parts) - 1))
-            article = interner.intern(parts[0])
+            name, *values = line.rsplit(" ", dim)
+            if len(values) != dim:
+                raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
+            if not name:
+                raise ParseError(path, line_no, "empty article name")
+            article = interner.intern(name)
             if article in vectors:
-                raise ParseError(path, line_no, "duplicate article %r" % parts[0])
+                raise ParseError(path, line_no, "duplicate article %r" % name)
             try:
-                vector = np.array(parts[1:], dtype=float)
+                vector = np.array(values, dtype=float)
             except ValueError as e:
                 raise ParseError(path, line_no, str(e)) from None
             if not vector.any():
-                raise ParseError(path, line_no, "all-zero vector for article %r" % parts[0])
+                raise ParseError(path, line_no, "all-zero vector for article %r" % name)
             if not np.isfinite(vector).all():
-                raise ParseError(path, line_no, "non-finite value for article %r" % parts[0])
+                raise ParseError(path, line_no, "non-finite value for article %r" % name)
             vectors[article] = vector
     if len(vectors) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(vectors)))

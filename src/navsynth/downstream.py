@@ -140,47 +140,26 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
     return LabeledLinkSet(positives, negatives)
 
 
-class PathProportions:
-    """Precomputed p(s, t) = N(s, t) / N(s) over a corpus.
-
-    N(s) counts sequences starting at s; N(s, t) those that also visit t at
-    a later position.
-    """
-
-    def __init__(self, corpus: SequenceCorpus):
-        pages, first = corpus.pages, corpus.pages[corpus.offsets[:-1]]
-        self._starts, self._start_counts = np.unique(first, return_counts=True)
-        sequence = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
-        later = pages != first[sequence]
-        # the distinct later pages of each sequence, then their (start, page) keys
-        seq, page = unpack_pairs(np.unique(pair_keys(sequence[later], pages[later])))
-        self._pairs, self._pair_counts = np.unique(pair_keys(first[seq], page), return_counts=True)
-
-    def proportion(self, sources, targets):
-        """p(s, t) of each (s, t); a ValueError when no sequence starts at some s."""
-        n_s = _count_of(self._starts, self._start_counts, sources)
-        if np.any(n_s == 0):
-            raise ValueError("no sequence starts at %d: proportion undefined"
-                             % np.extract(n_s == 0, sources)[0])
-        return _count_of(self._pairs, self._pair_counts, pair_keys(sources, targets)) / n_s
-
-    def defined(self, sources):
-        """Whether some sequence starts at each s."""
-        return _count_of(self._starts, self._start_counts, sources) > 0
-
-
 def rank_links(corpus: SequenceCorpus, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Rank packed (s, t) link keys by path proportion descending, ties by (s, t) id order.
+    """Rank packed (s, t) link keys by path proportion p(s, t) = N(s, t) / N(s) descending,
+    ties by (s, t) id order. N(s) counts the sequences starting at s; N(s, t) those of them
+    that visit t at a later position, and N(s, s) = 0.
 
     Returns (ranked, excluded) key arrays where excluded holds the links with
     no sequence starting at s (no prediction can be made).
     """
-    props = PathProportions(corpus)
+    pages, first = corpus.pages, corpus.pages[corpus.offsets[:-1]]
+    starts, start_counts = np.unique(first, return_counts=True)
+    sequence = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
+    later = pages != first[sequence]
+    # the distinct later pages of each sequence, then their (start, page) keys
+    seq, page = unpack_pairs(np.unique(pair_keys(sequence[later], pages[later])))
+    pairs, pair_counts = np.unique(pair_keys(first[seq], page), return_counts=True)
     keys = np.asarray(keys, dtype=np.int64)
-    sources, targets = unpack_pairs(keys)
-    defined = props.defined(sources)
+    n_s = _count_of(starts, start_counts, unpack_pairs(keys)[0])
+    defined = n_s > 0
     scored = keys[defined]
-    p = props.proportion(sources[defined], targets[defined])
+    p = _count_of(pairs, pair_counts, scored) / n_s[defined]
     return scored[np.lexsort((scored, -p))], keys[~defined]
 
 
@@ -219,18 +198,18 @@ class RelatednessResult:
 def relatedness_eval(emb: EmbeddingTable, pairs) -> RelatednessResult:
     """Spearman correlation between embedding cosine similarities and human scores.
 
+    `pairs` is (ids, scores): an (n, 2) int64 array of article ids and n float scores.
     Pairs with either article missing from the embedding are dropped and
     counted; fewer than 3 surviving pairs is an error.
     """
-    pairs = np.array(pairs, dtype=object).reshape(-1, 3)
-    rows = emb.rows(pairs[:, :2].astype(np.int64))
+    ids, scores = pairs
+    rows = emb.rows(ids)
     covered = (rows >= 0).all(axis=1)
     used = int(covered.sum())
     if used < 3:
         raise ValueError("fewer than 3 pairs covered by the embedding")
     sims = emb.cosines(rows[covered, 0], rows[covered, 1])
-    return RelatednessResult(spearman(sims, pairs[covered, 2].astype(float)),
-                             used, len(pairs) - used)
+    return RelatednessResult(spearman(sims, scores[covered]), used, len(scores) - used)
 
 
 # ---------------------------------------------------------------- topic classification

@@ -24,10 +24,6 @@ class JointFlowTable:
     targets: np.ndarray
     counts: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def contingency(self) -> np.ndarray:
         """Dense count matrix with rows = distinct sources, cols = distinct targets."""
         sources, rows = np.unique(self.sources, return_inverse=True)
@@ -47,17 +43,15 @@ class AmiRecord:
     entropy_target: float
 
 
-def collect_flow_tables(corpus: SequenceCorpus) -> dict[int, JointFlowTable]:
-    """One table per middle article, keyed by its id in ascending order."""
+def collect_flow_tables(corpus: SequenceCorpus) -> tuple[np.ndarray, ...]:
+    """The distinct (middle, source, target) triples of the corpus in ascending order, as
+    parallel int64 arrays `middles, sources, targets`, and the count of each."""
     triples = corpus_triples(corpus)
     # distinct (middle, source) arrivals, then distinct (arrival index, target) keys
     arrivals, arrival = np.unique(pair_keys(triples[:, 1], triples[:, 0]), return_inverse=True)
     keys, counts = np.unique(pair_keys(arrival, triples[:, 2]), return_counts=True)
-    arrival, t = unpack_pairs(keys)
-    m, s = unpack_pairs(arrivals[arrival])
-    bounds = np.append(np.flatnonzero(np.diff(m, prepend=-1)), len(m))
-    return {mid: JointFlowTable(mid, s[lo:hi], t[lo:hi], counts[lo:hi])
-            for mid, lo, hi in zip(m[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
+    arrival, targets = unpack_pairs(keys)
+    return *unpack_pairs(arrivals[arrival]), targets, counts
 
 
 def entropy_bits(counts: np.ndarray) -> float:
@@ -147,8 +141,14 @@ def ami_survey(corpus: SequenceCorpus, min_triples: int = 100) -> SurveyResult:
 
     Records are ordered by article id for deterministic output.
     """
-    tables = collect_flow_tables(corpus).values()
-    records = [adjusted_mi(tab) for tab in tables if tab.total >= min_triples]
+    middles, sources, targets, counts = collect_flow_tables(corpus)
+    first = np.flatnonzero(np.diff(middles, prepend=-1))  # each middle's first row
+    end = np.append(first[1:], len(middles))
+    cum = np.cumsum(np.append(0, counts))
+    scored = cum[end] - cum[first] >= min_triples  # the middle's triple count
+    records = [adjusted_mi(JointFlowTable(int(middles[lo]), sources[lo:hi], targets[lo:hi],
+                                          counts[lo:hi]))
+               for lo, hi in zip(first[scored].tolist(), end[scored].tolist())]
     rho = None
     if len(records) >= 3:
         counts = [r.num_triples for r in records]

@@ -11,9 +11,9 @@ from .graph import Interner, ParseError, _parse, _rows, open_text, pair_keys
 
 @dataclass
 class PageviewEvents:
-    """Pageview events in file order as parallel arrays: reader keys, int64 timestamps in ms,
-    article ids, and referrer ids with -1 for none. The keys are an object array of bytes:
-    numpy's fixed-width bytes dtype drops trailing NULs and would merge b"\\0" and b"\\0\\0"."""
+    """Pageview events in file order as parallel int64 arrays: the rank of each reader key
+    among the distinct keys in byte order, timestamps in ms, article ids, and referrer ids
+    with -1 for none."""
 
     readers: np.ndarray
     timestamps: np.ndarray
@@ -29,9 +29,8 @@ def build_forest(events: PageviewEvents, inactivity_ms: int) -> tuple[np.ndarray
     then timestamp, then file order. Returns the articles in that order and the int64 parent
     of each: the latest earlier event of the same reader on its referrer, if that event is at
     most `inactivity_ms` older, and otherwise -1, which makes the event a tree's root."""
-    _, reader = np.unique(events.readers, return_inverse=True)  # ranks of the keys
-    order = np.lexsort((events.timestamps, reader))
-    reader, stamps = reader[order], events.timestamps[order]
+    order = np.lexsort((events.timestamps, events.readers))
+    reader, stamps = events.readers[order], events.timestamps[order]
     articles, referrers = events.articles[order], events.referrers[order]
     n, position = len(order), np.arange(len(order))
     # code = rank of the event's (reader, article) key * n + position: sorted, the codes list
@@ -52,12 +51,13 @@ def build_forest(events: PageviewEvents, inactivity_ms: int) -> tuple[np.ndarray
 @dataclass
 class SequenceCorpus:
     """A homogeneous set of navigation sequences as one flat ragged array: sequence i is
-    `pages[offsets[i]:offsets[i + 1]]`, both int64, offsets[0] == 0, offsets[-1] == len(pages)."""
+    `pages[offsets[i]:offsets[i + 1]]`, both int64, offsets[0] == 0, offsets[-1] == len(pages).
+    `flagged` holds the sorted int64 indices of the sequences a generator flagged."""
 
     pages: np.ndarray
     offsets: np.ndarray
     kind: str
-    flagged: set[int] = field(default_factory=set)
+    flagged: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     metadata: dict = field(default_factory=dict)
 
     @classmethod
@@ -145,15 +145,18 @@ def load_corpus(path, interner: Interner) -> SequenceCorpus:
 
 def load_pageview_events(path, interner: Interner) -> PageviewEvents:
     """Read "reader_key_hex<TAB>timestamp_ms<TAB>article<TAB>referrer_or_dash" rows."""
-    readers, stamps, ids = [], [], []
+    keys, readers, stamps, ids = {}, [], [], []  # keys: distinct key -> first-appearance index
     for line_no, (key_hex, ts, article, referrer) in _rows(path, 4):
         if "" in (article, referrer):
             raise ParseError(path, line_no, "empty article name")
-        readers.append(_parse(bytes.fromhex, key_hex, path, line_no, "reader key"))
+        key = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
+        readers.append(keys.setdefault(key, len(keys)))
         stamps.append(_parse(int, ts, path, line_no, "timestamp"))
         if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
             raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
         ids += -1 if referrer == "-" else interner.intern(referrer), interner.intern(article)
+    # the inverse of the byte-order permutation of the keys is the rank of each
+    rank = np.argsort(sorted(range(len(keys)), key=[*keys].__getitem__))
     ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return PageviewEvents(np.array(readers, dtype=object), np.array(stamps, dtype=np.int64),
-                          ids[:, 1], ids[:, 0])
+    return PageviewEvents(rank[np.array(readers, dtype=np.int64)],
+                          np.array(stamps, dtype=np.int64), ids[:, 1], ids[:, 0])

@@ -3,12 +3,17 @@
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
+
 import navsynth
+from test_golden import GOLDEN, RECORDED_NUMPY
 
 PACKAGE = pathlib.Path(navsynth.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -82,3 +87,41 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(getattr(owner, "__dict__", {}).get(name)):
             unresolved.append("%s.%s" % (module, attr))
     assert unresolved == []
+
+
+# the all-commands pipeline of test_golden, run under the benchmark's tracer as
+# perfbench/pipeline.py installs it
+TRACED_PIPELINE = """
+import json, pathlib, sys, tempfile
+sys.path[:0] = sys.argv[2:]
+import navsynth.cli, spans, test_golden
+tracer = spans.Tracer()
+installed = tracer.install()
+with tempfile.TemporaryDirectory() as tmp:
+    digests = test_golden.output_digests(pathlib.Path(tmp))
+with open(sys.argv[1], "w") as f:
+    json.dump({"installed": installed, "after": tracer.self_test(), "digests": digests,
+               "spans": sorted({span[0] for span in tracer.spans}),
+               "aggregated": tracer.aggregated, "counts": tracer.counts}, f)
+"""
+
+
+def test_benchmark_tracer_counts_the_golden_pipeline(tmp_path):
+    # a counter reads program objects (`corpus.sequences`, `len(res.flagged)`, ...), so a type
+    # change can break the traced benchmark where only its own run would show it
+    paths = [str(PACKAGE.parent), str(pathlib.Path(__file__).parent), str(TRACER.parent)]
+    result = tmp_path / "traced.json"
+    proc = subprocess.run([sys.executable, "-c", TRACED_PIPELINE, str(result), *paths],
+                          capture_output=True, text=True, timeout=600, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr  # a counter that raises fails its command
+    traced = json.loads(result.read_text())
+    assert traced["installed"] == [] and traced["after"] == []
+    spans = importlib.util.spec_from_file_location("navsynth_bench_spans", TRACER)
+    module = importlib.util.module_from_spec(spans)
+    spans.loader.exec_module(module)
+    # the pipeline runs every command, so it reaches every target; "bench.count" times counters
+    assert sorted({name for _, _, name, _ in module.TARGETS} | {"bench.count"}) == traced["spans"]
+    assert all(traced["aggregated"][name][0] > 0 for _, _, name in module.AGGREGATED)
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in traced["counts"].values())
+    if np.__version__.startswith(RECORDED_NUMPY + "."):
+        assert traced["digests"] == GOLDEN  # tracing changes no output

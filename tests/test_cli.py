@@ -247,6 +247,9 @@ MALFORMED_ROWS = {
     "embeddings-zero": ("2 2\nA 0.0 0.0\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
                         lambda f: ["eval-related", "--embeddings", f["input"],
                                    "--pairs", f["graph"], "--out-dir", f["out"]]),
+    "embeddings-empty-name": ("2 1\n 1.0\nB 1.0\n", lambda p: load_embeddings(p, Interner()),
+                              lambda f: ["eval-related", "--embeddings", f["input"],
+                                         "--pairs", f["graph"], "--out-dir", f["out"]]),
     "embeddings-nan": ("2 2\nA 1.0 nan\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
                        lambda f: ["diffusion", "--embeddings", f["input"],
                                   "--corpus", f["graph"], "--out-dir", f["out"]]),
@@ -275,6 +278,7 @@ MALFORMED_MESSAGES = {
     "events-empty-article": "empty article name\n",
     "events-empty-referrer": "empty article name\n",
     "events-timestamp-range": "timestamp %d outside [-2**62, 2**62)\n" % 2**62,
+    "embeddings-empty-name": "empty article name\n",
     "embeddings-zero": "all-zero vector for article 'A'\n",
     "embeddings-nan": "non-finite value for article 'A'\n",
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
@@ -377,6 +381,22 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "error: %s:2: invalid seed 'abc'\n" % cfg
+
+    @pytest.mark.parametrize("spelling", [["--min-triples", "1"], ["--min-triples=1"],
+                                          ["--min-t", "1"], ["--min=1"]])
+    def test_every_accepted_spelling_beats_config(self, tmp_path, capsys, spelling):
+        corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\n")
+        cfg = write(tmp_path / "run.cfg", "min_triples=100\n")
+        argv = ["mixing", "--corpus", corpus, *spelling, "--config", cfg,
+                "--out-dir", str(tmp_path / "out")]
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # a spelling argparse rejects cannot lose to the config
+            assert e.code == 2
+            assert "unrecognized arguments: %s" % " ".join(spelling) in capsys.readouterr().err
+            return
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("surveyed 1 articles")
 
     def test_missing_file_errors(self, tmp_path, chain_graph, capsys):
         cfg = str(tmp_path / "absent.cfg")

@@ -15,6 +15,20 @@ def make_table(vectors):
 
 
 class TestEmbeddingIO:
+    def test_names_with_spaces(self, tmp_path):
+        # the last `dim` space-separated fields are the vector and the rest is the name
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nNew York 0.5 1\n 1 2  3 -1\nA\x0b\x0c 1 0\n", encoding="utf-8")
+        interner = Interner()
+        table = load_embeddings(str(path), interner)
+        assert [interner.name(a) for a in table.articles.tolist()] == ["New York", " 1 2 ",
+                                                                      "A\x0b\x0c"]
+        assert table.vectors.tolist() == [[0.5, 1.0], [3.0, -1.0], [1.0, 0.0]]
+        save_embeddings(table, tmp_path / "again.txt", interner)
+        assert (tmp_path / "again.txt").read_text(encoding="utf-8").split("\n")[1:] == [
+            "New York 0.500000 1.000000", " 1 2  3.000000 -1.000000",
+            "A\x0b\x0c 1.000000 0.000000", ""]
+
     def test_load_basic(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nA 1 0 0\nB 0 1 0\n", encoding="utf-8")
@@ -67,9 +81,10 @@ class TestEmbeddingIO:
             EmbeddingTable([0], np.zeros((1, 3)))
 
 
-# article names an embedding row can carry: no whitespace, which separates its fields
-NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
-    lambda name: name.split() == [name])
+# every article name a corpus row can carry: no tab or line break; spaces, leading and
+# trailing ones too, and other whitespace are part of the name
+NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                min_size=1, max_size=6)
 
 
 @settings(max_examples=80, deadline=None)

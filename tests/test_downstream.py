@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navsynth.diffusion import EmbeddingTable
-from navsynth.downstream import (LabeledLinkSet, PathProportions,
+from navsynth.downstream import (LabeledLinkSet,
                                  build_added_links, corpus_triples,
                                  evaluate_mrr, fit_markov2, logreg_loss_grad,
                                  make_split, precision_at_k,
@@ -205,47 +205,54 @@ class TestMrrOracle:
 
 
 class TestPathProportions:
+    """p(s, t) = N(s, t) / N(s), seen through the order that `rank_links` gives."""
+
     def corpus(self):
         return SequenceCorpus.from_sequences([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
 
+    def rank(self, corpus, pairs):
+        return tuple(map(pairs_of, rank_links(corpus, keys_of(pairs))))
+
+    def oracle(self, seqs, s, t):
+        """p(s, t) by a full scan, 0 for t = s; None when no sequence starts at s."""
+        starting = [q for q in seqs if q[0] == s]
+        return sum(t != s and t in q[1:] for q in starting) / len(starting) if starting else None
+
     def test_hand_computed(self):
-        assert PathProportions(self.corpus()).proportion(0, 2) == pytest.approx(2 / 3)
-        assert PathProportions(self.corpus()).proportion(0, 1) == pytest.approx(1 / 3)
+        # p(5, 0) = 1, p(0, 2) = 2/3, and p(0, 1) = p(0, 3) = 1/3 tie in (s, t) order
+        ranked, excluded = self.rank(self.corpus(), [(0, 3), (5, 0), (0, 1), (0, 2)])
+        assert ranked == [(5, 0), (0, 2), (0, 1), (0, 3)] and excluded == []
 
     def test_start_itself_excluded(self):
+        # p(0, 0) = 0 and p(0, 1) = 1; a tie would put (0, 0) first
         corpus = SequenceCorpus.from_sequences([[0, 1, 0]], "Logs")
-        assert PathProportions(corpus).proportion(0, 0) == 0.0
+        assert self.rank(corpus, [(0, 0), (0, 1)]) == ([(0, 1), (0, 0)], [])
 
     def test_undefined_start(self):
-        with pytest.raises(ValueError, match="proportion undefined"):
-            PathProportions(self.corpus()).proportion(9, 0)
+        assert self.rank(self.corpus(), [(0, 2), (9, 0)]) == ([(0, 2)], [(9, 0)])
 
     def test_matches_full_scan_oracle(self):
         rng = rng_stream(82)
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 7)))]
                 for _ in range(60)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
-        props = PathProportions(corpus)
-        for s in range(5):
-            starting = [q for q in seqs if q[0] == s]
-            if not starting:
-                continue
-            for t in range(5):
-                if t == s:
-                    continue
-                expected = sum(1 for q in starting if t in q[1:]) / len(starting)
-                assert props.proportion(s, t) == pytest.approx(expected, abs=1e-12)
+        pairs = [(s, t) for s in range(6) for t in range(5)]
+        p = {pair: self.oracle(seqs, *pair) for pair in pairs}
+        ranked, excluded = self.rank(SequenceCorpus.from_sequences(seqs, "Logs"), pairs)
+        # Python's int / int and numpy's int64 / int64 both round the exact quotient once
+        assert ranked == sorted((q for q in pairs if p[q] is not None), key=lambda q: (-p[q], q))
+        assert excluded == [q for q in pairs if p[q] is None] != []
 
     def test_bounded(self):
         rng = rng_stream(83)
         seqs = [[int(x) for x in rng.integers(0, 4, size=5)] for _ in range(30)]
-        props = PathProportions(SequenceCorpus.from_sequences(seqs, "Logs"))
-        for s in range(4):
-            if not props.defined(s):
-                continue
-            for t in range(4):
-                if t != s:
-                    assert 0.0 <= props.proportion(s, t) <= 1.0
+        pairs = [(s, t) for s in range(4) for t in range(4) if t != s]
+        ranked, excluded = self.rank(SequenceCorpus.from_sequences(seqs, "Logs"), pairs)
+        assert sorted(ranked + excluded) == pairs
+        # every proportion lies in [0, 1]: the links of p = 1 lead and those of p = 0 close
+        p = [self.oracle(seqs, *pair) for pair in ranked]
+        assert all(0.0 <= x <= 1.0 for x in p) and p == sorted(p, reverse=True)
+        assert ranked[:p.count(1.0)] == [q for q in pairs if self.oracle(seqs, *q) == 1.0]
+        assert ranked[len(p) - p.count(0.0):] == [q for q in pairs if self.oracle(seqs, *q) == 0.0]
 
 
 class TestAddedLinks:
@@ -368,6 +375,12 @@ class TestPrecisionAtK:
         assert pairs_of(excluded) == [(9, 1)]
 
 
+def relatedness_pairs(rows):
+    """The (ids, scores) arrays of (a, b, score) rows, as the CLI's pairs reader returns them."""
+    ids = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    return ids, np.array([row[2] for row in rows], dtype=float)
+
+
 class TestRelatedness:
     def emb(self, vectors):
         return EmbeddingTable(list(vectors), list(vectors.values()))
@@ -375,12 +388,12 @@ class TestRelatedness:
     def test_perfect_agreement(self):
         emb = self.emb({0: [1, 0], 1: [1, 0.2], 2: [1, 1], 3: [0, 1]})
         pairs = [(0, 1, 3.0), (0, 2, 2.0), (0, 3, 1.0)]
-        assert relatedness_eval(emb, pairs).rho == pytest.approx(1.0)
+        assert relatedness_eval(emb, relatedness_pairs(pairs)).rho == pytest.approx(1.0)
 
     def test_perfect_disagreement(self):
         emb = self.emb({0: [1, 0], 1: [1, 0.2], 2: [1, 1], 3: [0, 1]})
         pairs = [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)]
-        assert relatedness_eval(emb, pairs).rho == pytest.approx(-1.0)
+        assert relatedness_eval(emb, relatedness_pairs(pairs)).rho == pytest.approx(-1.0)
 
     def test_matches_spearman_oracle(self):
         rng = rng_stream(86)
@@ -389,7 +402,7 @@ class TestRelatedness:
         for _ in range(20):
             a, b = (int(x) for x in rng.choice(12, size=2, replace=False))
             pairs.append((a, b, float(rng.random())))
-        res = relatedness_eval(table, pairs)
+        res = relatedness_eval(table, relatedness_pairs(pairs))
         from navsynth.stats import spearman
         sims = []
         for a, b, _ in pairs:
@@ -400,13 +413,13 @@ class TestRelatedness:
     def test_drops_uncovered(self):
         emb = self.emb({0: [1, 0], 1: [1, 0.2], 2: [1, 1], 3: [0, 1]})
         pairs = [(0, 1, 3.0), (0, 2, 2.0), (0, 3, 1.0), (0, 99, 5.0)]
-        res = relatedness_eval(emb, pairs)
+        res = relatedness_eval(emb, relatedness_pairs(pairs))
         assert res.num_pairs == 3 and res.num_dropped == 1
 
     def test_too_few_pairs(self):
         emb = self.emb({0: [1, 0], 1: [0, 1]})
         with pytest.raises(ValueError, match="fewer than 3"):
-            relatedness_eval(emb, [(0, 1, 1.0), (0, 99, 2.0)])
+            relatedness_eval(emb, relatedness_pairs([(0, 1, 1.0), (0, 99, 2.0)]))
 
 
 class TestLogisticRegression:

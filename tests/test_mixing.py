@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navsynth import mixing
 from navsynth.mixing import (JointFlowTable, adjusted_mi, ami_survey,
                              collect_flow_tables, entropy_bits, expected_mi,
                              mutual_information)
@@ -14,11 +15,6 @@ from navsynth.stats import rng_stream
 def table_from_matrix(m, middle=0):
     rows, cols = np.nonzero(m)
     return JointFlowTable(middle, rows, cols + 100, m[rows, cols])
-
-
-def flow_dict(table):
-    """A flow table's counts as {(source, target): count}."""
-    return dict(zip(zip(table.sources.tolist(), table.targets.tolist()), table.counts.tolist()))
 
 
 # ------------------------------------------------------------------ oracles
@@ -241,9 +237,9 @@ class TestSurvey:
 
     def test_collect_tables(self):
         corpus = SequenceCorpus.from_sequences([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
-        tables = collect_flow_tables(corpus)
-        assert flow_dict(tables[1]) == {(0, 2): 1, (3, 2): 1, (0, 4): 1}
-        assert tables[1].total == 3
+        arrays = collect_flow_tables(corpus)
+        assert [a.tolist() for a in arrays] == [[1, 1, 1], [0, 0, 3], [2, 4, 2], [1, 1, 1]]
+        assert all(a.dtype == np.int64 for a in arrays)
 
     @settings(max_examples=100, deadline=None)
     @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), max_size=30))
@@ -251,17 +247,45 @@ class TestSurvey:
         oracle = {}
         for seq in seqs:
             for s, m, t in zip(seq, seq[1:], seq[2:]):
-                row = oracle.setdefault(m, {})
-                row[(s, t)] = row.get((s, t), 0) + 1
-        tables = collect_flow_tables(SequenceCorpus.from_sequences(seqs, "Logs"))
-        assert list(tables) == sorted(oracle)
-        for m, tab in tables.items():
-            assert tab.middle == m and flow_dict(tab) == oracle[m]
-            assert tab.total == sum(oracle[m].values())
-            sources = sorted({s for s, _ in oracle[m]})
-            targets = sorted({t for _, t in oracle[m]})
-            dense = [[oracle[m].get((s, t), 0) for t in targets] for s in sources]
-            assert tab.contingency().tolist() == dense
+                oracle[m, s, t] = oracle.get((m, s, t), 0) + 1
+        middles, sources, targets, counts = collect_flow_tables(
+            SequenceCorpus.from_sequences(seqs, "Logs"))
+        triples = list(zip(middles.tolist(), sources.tolist(), targets.tolist()))
+        assert triples == sorted(oracle)
+        assert counts.tolist() == [oracle[key] for key in triples]
+        for m in set(middles.tolist()):
+            rows = middles == m
+            table = JointFlowTable(m, sources[rows], targets[rows], counts[rows])
+            sources_m = sorted({s for mm, s, _ in oracle if mm == m})
+            targets_m = sorted({t for mm, _, t in oracle if mm == m})
+            dense = [[oracle.get((m, s, t), 0) for t in targets_m] for s in sources_m]
+            assert table.contingency().tolist() == dense
+
+    @pytest.mark.parametrize("min_triples,scored", [(0, 8), (7, 4), (9, 2), (100, 0)])
+    def test_survey_builds_only_scored_tables(self, monkeypatch, min_triples, scored):
+        built = []
+
+        class CountedTable(JointFlowTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.middle)
+
+        monkeypatch.setattr(mixing, "JointFlowTable", CountedTable)
+        rng = rng_stream(41)
+        seqs = [[int(x) for x in rng.integers(0, 8, size=int(rng.integers(1, 6)))]
+                for _ in range(40)]
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        records = ami_survey(corpus, min_triples=min_triples).records
+        assert built == [r.middle for r in records]
+        # the survey's records equal those of tables sliced from the arrays by a loop
+        middles, sources, targets, counts = collect_flow_tables(corpus)
+        expected = []
+        for m in np.unique(middles).tolist():
+            rows = middles == m
+            if counts[rows].sum() >= min_triples:
+                expected.append(adjusted_mi(JointFlowTable(m, sources[rows], targets[rows],
+                                                           counts[rows])))
+        assert records == expected and len(records) == scored
 
     def test_deterministic_csv(self, tmp_path):
         from navsynth.graph import Interner

@@ -13,10 +13,16 @@ KEY = b"\x00" * 16
 HOUR_MS = 60 * 60 * 1000
 
 
+def ranks(keys):
+    """The rank of each reader key among the distinct keys in byte order."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.int64)
+
+
 def events(rows, readers=None):
     """PageviewEvents of (article, timestamp, referrer or None) rows, by default of one reader."""
     articles, stamps, referrers = zip(*rows) if rows else ((), (), ())
-    return PageviewEvents(np.array(readers or [KEY] * len(rows), dtype=object),
+    return PageviewEvents(ranks(readers or [KEY] * len(rows)),
                           np.array(stamps, dtype=np.int64), np.array(articles, dtype=np.int64),
                           np.array([-1 if r is None else r for r in referrers], dtype=np.int64))
 
@@ -96,7 +102,7 @@ class TestBuildTrees:
                 assert rows[i][1] >= rows[p][1]
 
     def test_reading_order(self):
-        # keys as bytes ("00" before "0000"), then timestamps, then file order
+        # reader ranks (b"\0" before b"\0\0"), then timestamps, then file order
         readers = [b"\x00\x00", b"\x00", b"\x00", b"\x00", b"\x00\x00"]
         articles, parent = build_forest(
             events([(0, 5, None), (1, 9, None), (2, 7, None), (3, 7, 2), (4, 1, 2)], readers),
@@ -150,7 +156,7 @@ EVENT_ROWS = st.lists(st.tuples(READERS, st.integers(0, 12), st.integers(0, 4),
 def test_forest_and_paths_match_scalar_oracle(rows, inactivity_ms, seed):
     readers, stamps, articles, referrers = map(list, zip(*rows)) if rows else ([],) * 4
     order, parent = oracles.forest(readers, stamps, articles, referrers, inactivity_ms)
-    built = PageviewEvents(np.array(readers, dtype=object), np.array(stamps, dtype=np.int64),
+    built = PageviewEvents(ranks(readers), np.array(stamps, dtype=np.int64),
                            np.array(articles, dtype=np.int64), np.array(referrers, dtype=np.int64))
     got_articles, got_parent = build_forest(built, inactivity_ms)
     assert got_articles.tolist() == [articles[i] for i in order]
@@ -238,7 +244,23 @@ def test_load_pageview_events(tmp_path):
     interner = Interner()
     events = load_pageview_events(str(path), interner)
     assert len(events) == 2
-    assert events.readers.tolist() == [b"\x00\xff"] * 2
+    assert events.readers.tolist() == [0, 0]
+    assert all(a.dtype == np.int64 for a in vars(events).values())
     assert events.timestamps.tolist() == [100, 200]
     assert events.articles.tolist() == [interner.id("A"), interner.id("B")]
     assert events.referrers.tolist() == [-1, interner.id("A")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(st.sampled_from([b"", b"\x00", b"\x00\x00", b"\x0a",
+                                                b"\x00\x0a", b"\xab"]), st.booleans()),
+                    max_size=12))
+def test_load_pageview_events_ranks_keys_in_byte_order(tmp_path_factory, keys):
+    # "0A" and "0a" are one key; b"" ranks first and b"\x00" before b"\x00\x00" and b"\x0a"
+    texts = [key.hex().upper() if upper else key.hex() for key, upper in keys]
+    path = tmp_path_factory.mktemp("events") / "events.tsv"
+    path.write_text("".join("%s\t%d\tA\t-\n" % (text, i) for i, text in enumerate(texts)),
+                    encoding="utf-8")
+    events = load_pageview_events(str(path), Interner())
+    assert events.readers.dtype == np.int64
+    assert events.readers.tolist() == ranks([key for key, _ in keys]).tolist()

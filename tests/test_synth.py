@@ -142,7 +142,21 @@ class TestGenerateCorpus:
         ref = SequenceCorpus.from_sequences([[5, 0, 1]], "Logs")  # 5 not in the model
         out = generate_corpus(m, ref, StoppingRule(), 1, "Graph")
         assert out.sequences == [[5]]
-        assert out.flagged == {0}
+        assert out.flagged.dtype == np.int64 and out.flagged.tolist() == [0]
+
+    def test_flagged_matches_scalar_oracle(self, tmp_path):
+        # every path from A ends within three pages and D is a dead end, so longer walks from A
+        # fail their reruns and walks from D stop at once; id 9 is not in the model
+        g = graph_from(tmp_path, [("A", "B"), ("A", "D"), ("B", "C")])
+        m = build_transition_model(g)
+        a, d = g.interner.id("A"), g.interner.id("D")
+        seqs = [[[a, d, 9][i % 3]] * (1 + i % 5) for i in range(60)]
+        out = generate_corpus(m, SequenceCorpus.from_sequences(seqs, "Logs"), StoppingRule(), 2,
+                              "Graph")
+        expected = [i for i, s in enumerate(seqs)
+                    if s[0] == 9 or scalar_extrinsic(m, s[0], len(s), 2, i)[1]]
+        assert out.flagged.dtype == np.int64 and out.flagged.tolist() == expected
+        assert 0 < out.metadata["walks_rerun"] and out.metadata["flagged_count"] == len(expected)
 
     def test_deterministic_corpus_file(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A"), ("A", "A2"), ("A2", "A")])
@@ -300,7 +314,7 @@ class TestLockstepKernel:
         for i, ref_seq in enumerate(ref.sequences):
             assert (out.sequences[i], i in out.flagged) == scalar_extrinsic(
                 m, a, len(ref_seq), 4, i)
-        assert not out.flagged
+        assert out.flagged.dtype == np.int64 and len(out.flagged) == 0
         assert out.offsets[-1] == len(out.pages)
         assert out.metadata["backtrack_retries"] >= out.metadata["walks_rerun"] > 50
 
