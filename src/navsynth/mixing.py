@@ -142,13 +142,12 @@ def ami_survey(corpus: SequenceCorpus, min_triples: int = 100) -> SurveyResult:
     Records are ordered by article id for deterministic output.
     """
     middles, sources, targets, counts = collect_flow_tables(corpus)
-    first = np.flatnonzero(np.diff(middles, prepend=-1))  # each middle's first row
-    end = np.append(first[1:], len(middles))
+    bounds = np.append(np.flatnonzero(np.diff(middles, prepend=-1)), len(middles))
     cum = np.cumsum(np.append(0, counts))
-    scored = cum[end] - cum[first] >= min_triples  # the middle's triple count
+    scored = cum[bounds[1:]] - cum[bounds[:-1]] >= min_triples  # the middle's triple count
     records = [adjusted_mi(JointFlowTable(int(middles[lo]), sources[lo:hi], targets[lo:hi],
                                           counts[lo:hi]))
-               for lo, hi in zip(first[scored].tolist(), end[scored].tolist())]
+               for lo, hi in zip(bounds[:-1][scored].tolist(), bounds[1:][scored].tolist())]
     rho = None
     if len(records) >= 3:
         counts = [r.num_triples for r in records]

@@ -149,20 +149,20 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
                                      stop_probs=model.stop_probs if intrinsic else None)
     dead = np.sort(dead[:0] if intrinsic else dead)  # a terminal node ends an intrinsic walk
     walked = np.diff(offsets)
-    stuck = [np.flatnonzero(missing), dead[walked[dead] == 1]]  # missing and terminal starts stay
-    rerun, retries, failed = dead[walked[dead] > 1], 0, []
+    bad = missing.copy()  # missing and terminal starts stay
+    bad[dead[walked[dead] == 1]] = True
+    rerun, retries = dead[walked[dead] > 1], 0
     pieces, done = [], 0  # the pages before each rerun walk, then the walk
     for i in rerun.tolist():
         draws = counter_uniforms(seed, i, 2 * np.arange(lengths[i] + DEFAULT_RETRY_BUDGET) + 1)
         left = iter(draws.tolist())
-        seq, bad = generate_sequence(model, int(starts[i]), int(lengths[i]), left.__next__)
-        failed.append(bad)
+        seq, bad[i] = generate_sequence(model, int(starts[i]), int(lengths[i]), left.__next__)
         # each draw appended a page and each backtrack removed one
         retries += len(draws) - len([*left]) - (len(seq) - 1)
         pieces += [pages[done:offsets[i]], seq]
         done, walked[i] = offsets[i + 1], len(seq)
     pages = np.concatenate(pieces + [pages[done:]], dtype=np.int64)
-    flagged = np.unique(np.concatenate(stuck + [rerun[np.array(failed, dtype=bool)]]))
+    flagged = np.flatnonzero(bad)
     meta = {"seed": seed, "stopping": rule.variant, "flagged_count": len(flagged),
             "dropped_click_mass": model.dropped_click_mass,
             "walks_rerun": len(rerun), "backtrack_retries": retries}

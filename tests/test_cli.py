@@ -119,6 +119,13 @@ class TestAnalysisCommands:
         assert "article,num_triples,mi_bits,ami" in survey
         assert (out / "ami_cdf.csv").exists()
 
+    def test_mixing_without_triples(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.tsv", "#kind=Logs\n" + "A\tB\n" * 5 + "C\n")
+        out = tmp_path / "out"
+        assert main(["mixing", "--corpus", corpus, "--min-triples", "0",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "ami_survey.csv").read_text().endswith("article,num_triples,mi_bits,ami\n")
+
     def test_mixing_rows_independent_of_seed(self, tmp_path):
         # one table over 5000 triples: a bijection of sources onto targets
         corpus = write(tmp_path / "c.tsv",
@@ -250,6 +257,9 @@ MALFORMED_ROWS = {
     "embeddings-empty-name": ("2 1\n 1.0\nB 1.0\n", lambda p: load_embeddings(p, Interner()),
                               lambda f: ["eval-related", "--embeddings", f["input"],
                                          "--pairs", f["graph"], "--out-dir", f["out"]]),
+    "embeddings-tab": ("2 2\nA\t1.0\t0.0\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
+                       lambda f: ["eval-related", "--embeddings", f["input"],
+                                  "--pairs", f["graph"], "--out-dir", f["out"]]),
     "embeddings-nan": ("2 2\nA 1.0 nan\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
                        lambda f: ["diffusion", "--embeddings", f["input"],
                                   "--corpus", f["graph"], "--out-dir", f["out"]]),
@@ -280,6 +290,7 @@ MALFORMED_MESSAGES = {
     "events-timestamp-range": "timestamp %d outside [-2**62, 2**62)\n" % 2**62,
     "embeddings-empty-name": "empty article name\n",
     "embeddings-zero": "all-zero vector for article 'A'\n",
+    "embeddings-tab": "expected 2 values, got 0\n",
     "embeddings-nan": "non-finite value for article 'A'\n",
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
     "labels-topic-high": "topic 64 outside [0, 64)\n",

