@@ -6,11 +6,11 @@ from .graph import (ClickstreamTable, HyperlinkGraph, Interner, TransitionModel,
                     apply_k_anonymity, build_transition_model, load_clickstream,
                     load_edge_list)
 from .sessions import SequenceCorpus, load_corpus, save_corpus
-from .synth import PlantedWorldSpec, StoppingRule, generate_corpus, generate_planted_world
+from .synth import PlantedWorldSpec, generate_corpus, generate_planted_world
 
 __all__ = [
     "ClickstreamTable", "HyperlinkGraph", "Interner", "TransitionModel",
     "apply_k_anonymity", "build_transition_model", "load_clickstream",
     "load_edge_list", "SequenceCorpus", "load_corpus", "save_corpus",
-    "PlantedWorldSpec", "StoppingRule", "generate_corpus", "generate_planted_world",
+    "PlantedWorldSpec", "generate_corpus", "generate_planted_world",
 ]

@@ -15,7 +15,7 @@ from . import diffusion as diff
 from . import downstream as ds
 from . import mixing as mix
 from . import synth
-from .embeddings import SgnsConfig, train_sequence_embeddings
+from .embeddings import SgnsConfig, SgnsTrainer
 from .graph import (Interner, ParseError, _parse, _rows, apply_k_anonymity,
                     build_transition_model, load_clickstream, load_edge_list, unpack_pairs,
                     write_csv)
@@ -29,7 +29,6 @@ SYNTH_KINDS = {
     "clickstream-pub-intrinsic": "Clickstream-Pub(I)",
     "graph": "Graph",
 }
-K_ANONYMITY_THRESHOLD = 10
 
 
 def _header(args) -> str:
@@ -80,7 +79,7 @@ def _build_model_for_kind(kind, graph, interner, clickstream_path):
         raise ValueError("kind %r requires --clickstream" % kind)
     table = load_clickstream(clickstream_path, interner=interner)
     if kind in ("clickstream-pub", "clickstream-pub-intrinsic"):
-        table = apply_k_anonymity(table, K_ANONYMITY_THRESHOLD)
+        table = apply_k_anonymity(table)
     model = build_transition_model(graph, table)
     if kind == "clickstream-pub-intrinsic":
         stops = synth.derive_intrinsic_stops(table, model.num_nodes)
@@ -89,18 +88,12 @@ def _build_model_for_kind(kind, graph, interner, clickstream_path):
 
 
 def cmd_synth(args):
-    if args.kind not in SYNTH_KINDS:
-        print("unknown kind %r; choose from %s" % (args.kind, sorted(SYNTH_KINDS)),
-              file=sys.stderr)
-        return 2
     interner = Interner()
     graph = load_edge_list(args.graph, interner)
     reference = load_corpus(args.reference, interner)
     model = _build_model_for_kind(args.kind, graph, interner, args.clickstream)
-    rule = synth.StoppingRule("intrinsic" if args.kind == "clickstream-pub-intrinsic"
-                              else "extrinsic-length")
-    corpus = synth.generate_corpus(model, reference, rule, args.seed,
-                                   SYNTH_KINDS[args.kind])
+    corpus = synth.generate_corpus(model, reference, args.kind == "clickstream-pub-intrinsic",
+                                   args.seed, SYNTH_KINDS[args.kind])
     save_corpus(corpus, args.out, interner)
     report = dict(corpus.metadata)
     report["kind"] = corpus.kind
@@ -154,9 +147,6 @@ def cmd_eval_next(args):
     names, models = [], []
     for item in args.train:
         name, _, path = item.partition("=")
-        if not path:
-            print("--train expects name=path, got %r" % item, file=sys.stderr)
-            return 2
         if name == "Logs":  # its path is not read
             model = ds.fit_markov2(triples[split.train])
         else:
@@ -167,7 +157,7 @@ def cmd_eval_next(args):
     rows = []
     for name, model in zip(names, models):
         all_q = ds.evaluate_mrr(model, graph, test)
-        filt = ds.evaluate_mrr(model, graph, test, "filtered", models)
+        filt = ds.evaluate_mrr(model, graph, test, models)
         rows.append((name, "mrr_all", "%.6f" % all_q.mrr))
         rows.append((name, "mrr_filtered", "%.6f" % filt.mrr))
     write_csv(_out(args, "next_article.csv"), ["dataset", "metric", "value"],
@@ -186,9 +176,6 @@ def cmd_eval_link(args):
     rows = []
     for item in args.corpus:
         name, _, path = item.partition("=")
-        if not path:
-            print("--corpus expects name=path, got %r" % item, file=sys.stderr)
-            return 2
         corpus = load_corpus(path, interner)
         ranked, _ = ds.rank_links(corpus, np.union1d(labels.positives, labels.negatives))
         for r in ds.precision_at_k(ranked, labels, ks):
@@ -203,10 +190,18 @@ def cmd_train_emb(args):
     corpus = load_corpus(args.corpus, interner)
     config = SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
                         epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-    table = train_sequence_embeddings(corpus, config)
+    table = SgnsTrainer(corpus, config).train()
     diff.save_embeddings(table, args.out, interner)
     print("trained %d vectors of dim %d" % (len(table), table.dim))
     return 0
+
+
+def _named_path(text):
+    """Check a `name=path` value of --train or --corpus; kept as text, which the
+    header's config digest hashes."""
+    if not text.partition("=")[2]:
+        raise argparse.ArgumentTypeError("expected name=path, got %r" % text)
+    return text
 
 
 def _finite_float(text):
@@ -345,61 +340,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="navsynth")
     parser.add_argument("--version", action="version", version=__version__)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--config", default=None,
-                        help="flat key=value file; explicit flags win")
-    common.add_argument("--out-dir", default=".")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func):
+    def command(name, func, seed=False, out_dir=False):
         # flags spelled in full only, so that `_apply_config_file` sees every flag given
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
+        if out_dir:
+            p.add_argument("--out-dir", default=".")
         return p
 
-    p = command("ingest", cmd_ingest)
+    p = command("ingest", cmd_ingest, out_dir=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--clickstream", default=None)
 
-    p = command("build-sessions", cmd_build_sessions)
+    p = command("build-sessions", cmd_build_sessions, seed=True)
     p.add_argument("--events", required=True)
     p.add_argument("--inactivity-minutes", type=int, default=60)
     p.add_argument("--out", required=True)
 
-    p = command("synth", cmd_synth)
+    p = command("synth", cmd_synth, seed=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--clickstream", default=None)
     p.add_argument("--reference", required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     p.add_argument("--out", required=True)
 
-    p = command("mixing", cmd_mixing)
+    p = command("mixing", cmd_mixing, out_dir=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--min-triples", type=int, default=100)
 
-    p = command("diffusion", cmd_diffusion)
+    p = command("diffusion", cmd_diffusion, seed=True, out_dir=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k-max", type=int, default=9)
     p.add_argument("--hist-k", type=int, default=0)
 
-    p = command("eval-next", cmd_eval_next)
+    p = command("eval-next", cmd_eval_next, seed=True, out_dir=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--train", action="append", required=True,
+    p.add_argument("--train", action="append", required=True, type=_named_path,
                    help="name=corpus_path; 'Logs' fits the --reference train split, path unread")
 
-    p = command("eval-link", cmd_eval_link)
+    p = command("eval-link", cmd_eval_link, out_dir=True)
     p.add_argument("--old-graph", required=True)
     p.add_argument("--new-graph", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--corpus", action="append", required=True, help="name=corpus_path")
+    p.add_argument("--corpus", action="append", required=True, type=_named_path,
+                   help="name=corpus_path")
     p.add_argument("--min-paths", type=int, default=10)
     p.add_argument("--ks", default="10,50,100")
 
-    p = command("train-emb", cmd_train_emb)
+    p = command("train-emb", cmd_train_emb, seed=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--window", type=int, default=5)
@@ -408,24 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--out", required=True)
 
-    p = command("eval-related", cmd_eval_related)
+    p = command("eval-related", cmd_eval_related, out_dir=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--name", default="corpus")
 
-    p = command("eval-topic", cmd_eval_topic)
+    p = command("eval-topic", cmd_eval_topic, seed=True, out_dir=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--num-topics", type=int, default=64)
     p.add_argument("--name", default="corpus")
 
-    p = command("planted-world", cmd_planted_world)
+    p = command("planted-world", cmd_planted_world, seed=True, out_dir=True)
     p.add_argument("--nodes", type=int, default=200)
     p.add_argument("--out-degree", type=int, default=8)
     p.add_argument("--memory", type=float, default=0.0)
     p.add_argument("--corpus-size", type=int, default=5000)
 
-    p = command("report", cmd_report)
+    p = command("report", cmd_report, out_dir=True)
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--baseline", default="Logs")
 

@@ -129,7 +129,9 @@ def diffusion_curve(corpus: SequenceCorpus, emb: EmbeddingTable, k_max: int,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     curve = DiffusionCurve([], [], [], [], [])
-    for k in range(1, k_max + 1):
+    # a sequence of n pages has a k-th page for k < n only
+    longest = int(np.diff(corpus.offsets).max(initial=0))
+    for k in range(1, min(k_max, longest - 1) + 1):
         vals = _distances_at_k(corpus, emb, k)
         if len(vals) == 0:
             continue

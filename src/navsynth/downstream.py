@@ -52,26 +52,23 @@ class MrrResult:
 
 
 def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
-                 mode: str = "all",
                  compared_models: list[Markov2Model] | None = None) -> MrrResult:
     """Mean reciprocal rank of the true next article over test triples.
 
     Candidates are the out-neighbors of the middle article, ranked by count
     in the query's context, ties by ascending id. A target that is not a
-    candidate scores 0. In "filtered" mode, only queries whose context has
-    training observations in EVERY compared model are kept.
+    candidate scores 0. Given `compared_models`, only queries whose context
+    has training observations in EVERY compared model are kept.
     """
-    if mode not in ("all", "filtered"):
-        raise ValueError("mode must be 'all' or 'filtered'")
-    if mode == "filtered" and not compared_models:
-        raise ValueError("filtered mode requires the list of compared models")
     test = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
-    if mode == "filtered":
+    if not len(test):
+        raise ValueError("empty test split")
+    if compared_models:
         keys = pair_keys(test[:, 0], test[:, 1])
         seen = [_lookup(m.contexts, keys) < len(m.contexts) for m in compared_models]
         test = test[np.logical_and.reduce(seen)]
-    if not len(test):
-        raise ValueError("empty test set after filtering")
+        if not len(test):
+            raise ValueError("empty test set after filtering")
     s1, s2, target = test.T
     # one row per (query, candidate)
     degree = graph.indptr[s2 + 1] - graph.indptr[s2]
@@ -214,22 +211,23 @@ def relatedness_eval(emb: EmbeddingTable, pairs) -> RelatednessResult:
 
 # ---------------------------------------------------------------- topic classification
 
+TRAIN_FRACTION, VALIDATION_FRACTION = 0.8, 0.1  # the rest is the test split
+# full-batch logistic regression per topic
+LOGREG_L2, LOGREG_EPOCHS, LOGREG_LR = 1.0, 100, 0.1
+
+
 @dataclass
 class TrainTestSplit:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
 
-def make_split(num_items: int, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> TrainTestSplit:
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+def make_split(num_items: int, seed: int = 0) -> TrainTestSplit:
     perm = rng_stream(seed, 0).permutation(num_items)
-    n_train = round(fractions[0] * num_items)
-    n_val = round(fractions[1] * num_items)
-    return TrainTestSplit(perm[:n_train], perm[n_train:n_train + n_val],
-                          perm[n_train + n_val:], seed)
+    n_train = round(TRAIN_FRACTION * num_items)
+    n_val = round(VALIDATION_FRACTION * num_items)
+    return TrainTestSplit(perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
 
 
 def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
@@ -247,14 +245,14 @@ def logreg_loss_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train_logreg(x: np.ndarray, y: np.ndarray, l2: float = 1.0,
-                 epochs: int = 100, lr: float = 0.1) -> tuple[np.ndarray, float]:
+def train_logreg(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Deterministic full-batch gradient descent with lr halving on loss increase."""
     w = np.zeros(x.shape[1])
     b = 0.0
+    lr = LOGREG_LR
     prev_loss = np.inf
-    for _ in range(epochs):
-        loss, gw, gb = logreg_loss_grad(w, b, x, y, l2)
+    for _ in range(LOGREG_EPOCHS):
+        loss, gw, gb = logreg_loss_grad(w, b, x, y, LOGREG_L2)
         if loss > prev_loss:
             lr *= 0.5
         prev_loss = loss
@@ -272,14 +270,13 @@ class TopicClassificationResult:
 
 
 def topic_classification(emb: EmbeddingTable, labels: dict[int, set[int]],
-                         split: TrainTestSplit, num_topics: int = 64,
-                         l2: float = 1.0, epochs: int = 100,
-                         lr: float = 0.1) -> TopicClassificationResult:
+                         split: TrainTestSplit,
+                         num_topics: int = 64) -> TopicClassificationResult:
     """One-vs-rest logistic regression over article embeddings.
 
     `labels` maps article id to its topic-id set; every labeled article must
     be covered by the embedding. Split indices refer to the sorted list of
-    labeled articles.
+    labeled articles; an empty test split is an error.
     """
     articles = sorted(labels)
     rows = emb.rows(articles)
@@ -293,6 +290,8 @@ def topic_classification(emb: EmbeddingTable, labels: dict[int, set[int]],
             if not 0 <= topic < num_topics:
                 raise ValueError("topic id %d out of range" % topic)
             y[i, topic] = True
+    if not len(split.test):
+        raise ValueError("empty test split")
 
     x_train, y_train = x[split.train], y[split.train]
     x_test, y_test = x[split.test], y[split.test]
@@ -303,7 +302,7 @@ def topic_classification(emb: EmbeddingTable, labels: dict[int, set[int]],
         if not yt.any():
             degenerate.append(topic)
             continue  # all-negative prediction
-        w, b = train_logreg(x_train, yt, l2=l2, epochs=epochs, lr=lr)
+        w, b = train_logreg(x_train, yt)
         predictions[:, topic] = (x_test @ w + b) >= 0.0  # p >= 0.5
     micro, macro = f1_micro_macro(predictions, y_test)
     return TopicClassificationResult(micro, macro, degenerate)

@@ -7,6 +7,7 @@ pairs. Deterministic under a fixed seed (single worker).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ class SgnsConfig:
     epochs: int = 5
     learning_rate: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dim", "window", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
+        if self.negatives < 0:
+            raise ValueError("negatives must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
 
 
 def _sum_rows(ids, cols, weights, vectors):
@@ -132,9 +142,3 @@ class SgnsTrainer:
                 self.w_out[out_rows] -= lr * g_out
             self.epoch_losses.append(total_loss / len(centers))
         return EmbeddingTable(self.vocab, self.w_in.copy())
-
-
-def train_sequence_embeddings(corpus: SequenceCorpus,
-                              config: SgnsConfig | None = None) -> EmbeddingTable:
-    """Train article embeddings from a corpus; see SgnsConfig for the defaults."""
-    return SgnsTrainer(corpus, config or SgnsConfig()).train()

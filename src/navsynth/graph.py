@@ -185,12 +185,11 @@ class ClickstreamTable:
     def total_clicks(self) -> int:
         return int(self.counts.sum())
 
-    def write_tsv(self, path, link_type: str = "link"):
+    def write_tsv(self, path):
         sources, targets = unpack_pairs(self.entries)
         with open_text(path, "wt") as f:
             for s, t, c in zip(sources.tolist(), targets.tolist(), self.counts.tolist()):
-                f.write("%s\t%s\t%s\t%d\n"
-                        % (self.interner.name(s), self.interner.name(t), link_type, c))
+                f.write("%s\t%s\tlink\t%d\n" % (self.interner.name(s), self.interner.name(t), c))
 
 
 CLICK_LINK_TYPES = frozenset({"link"})  # row types that are clicks on a hyperlink

@@ -15,18 +15,10 @@ from .stats import counter_uniforms, rng_stream
 
 DEFAULT_RETRY_BUDGET = 100
 MIN_STOP_PROB = 0.01  # intrinsic stop probability floor
-
-
-@dataclass
-class StoppingRule:
-    variant: str = "extrinsic-length"  # or "intrinsic"
-    max_length: int = 50
-
-    def __post_init__(self):
-        if self.variant not in ("extrinsic-length", "intrinsic"):
-            raise ValueError("unknown stopping variant %r" % self.variant)
-        if self.max_length < 2:
-            raise ValueError("max_length must be >= 2")
+INTRINSIC_MAX_LENGTH = 50  # pages an intrinsic walk reaches if it never stops
+# a world walk has 2 + k pages with probability (1 - WORLD_LENGTH_P)^k WORLD_LENGTH_P, capped
+WORLD_LENGTH_P = 0.35
+WORLD_MAX_LENGTH = 30
 
 
 def generate_sequence(model: TransitionModel, start: int, length: int,
@@ -133,16 +125,17 @@ def derive_intrinsic_stops(table: ClickstreamTable, num_nodes: int) -> np.ndarra
 
 
 def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
-                    rule: StoppingRule, seed: int, kind: str) -> SequenceCorpus:
+                    intrinsic: bool, seed: int, kind: str) -> SequenceCorpus:
     """Generate one synthetic sequence per reference sequence; sequence i reads only
-    u(seed, i, draw). Under extrinsic stopping each copies its reference's start and length,
-    and a walk that meets a dead end is rerun by `generate_sequence`, whose k-th draw is
-    the lockstep's successor draw 2k + 1."""
+    u(seed, i, draw). Each starts at its reference's start. An intrinsic walk stops with
+    `model.stop_probs`, at a terminal node or at INTRINSIC_MAX_LENGTH pages. An extrinsic
+    walk copies its reference's length, and one that meets a dead end is rerun by
+    `generate_sequence`, whose k-th draw is the lockstep's successor draw 2k + 1."""
     if not len(reference):
         raise ValueError("empty reference corpus")
-    intrinsic = rule.variant == "intrinsic"
     starts = reference.pages[reference.offsets[:-1]]
-    lengths = np.full(len(starts), rule.max_length) if intrinsic else np.diff(reference.offsets)
+    lengths = (np.full(len(starts), INTRINSIC_MAX_LENGTH) if intrinsic
+               else np.diff(reference.offsets))
     missing = starts >= model.num_nodes
     lengths[missing] = 1
     pages, offsets, dead = _lockstep(model, seed, starts, lengths,
@@ -163,8 +156,8 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
         done, walked[i] = offsets[i + 1], len(seq)
     pages = np.concatenate(pieces + [pages[done:]], dtype=np.int64)
     flagged = np.flatnonzero(bad)
-    meta = {"seed": seed, "stopping": rule.variant, "flagged_count": len(flagged),
-            "dropped_click_mass": model.dropped_click_mass,
+    meta = {"seed": seed, "stopping": "intrinsic" if intrinsic else "extrinsic-length",
+            "flagged_count": len(flagged), "dropped_click_mass": model.dropped_click_mass,
             "walks_rerun": len(rerun), "backtrack_retries": retries}
     return SequenceCorpus(pages, np.cumsum(np.append(0, walked)), kind, flagged, meta)
 
@@ -177,8 +170,6 @@ class PlantedWorldSpec:
     out_degree: int = 8
     memory_strength: float = 0.0  # 0 = pure Markov-1
     corpus_size: int = 5000
-    length_p: float = 0.35  # geometric tail on lengths beyond 2
-    max_length: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -251,8 +242,6 @@ class GeometricWorldSpec:
     far_links: int = 4
     locality: float = 0.15  # weight ~ exp(-distance / locality)
     corpus_size: int = 4000
-    length_p: float = 0.35
-    max_length: int = 30
     seed: int = 0
 
 
@@ -293,11 +282,11 @@ def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
 
 
 def _world_walks(model: TransitionModel, spec, memory=None) -> tuple[np.ndarray, np.ndarray]:
-    """A world's (pages, offsets): walk i has 2 + k pages with probability (1 - length_p)^k
-    length_p, capped, by inversion of u(seed, i, 0); u(seed, i, 1) picks its start page."""
+    """A world's (pages, offsets): u(seed, i, 0) draws the length of walk i by inverting the
+    capped geometric law of WORLD_LENGTH_P; u(seed, i, 1) picks its start page."""
     items = np.arange(spec.corpus_size)
-    tail = np.floor(np.log1p(-counter_uniforms(spec.seed, items, 0)) / np.log1p(-spec.length_p))
-    lengths = np.minimum(2 + tail, spec.max_length).astype(np.int64)
+    tail = np.floor(np.log1p(-counter_uniforms(spec.seed, items, 0)) / np.log1p(-WORLD_LENGTH_P))
+    lengths = np.minimum(2 + tail, WORLD_MAX_LENGTH).astype(np.int64)
     starts = (counter_uniforms(spec.seed, items, 1) * spec.num_nodes).astype(np.int64)
     return _lockstep(model, spec.seed, starts, lengths, first_draw=2, memory=memory)[:2]
 

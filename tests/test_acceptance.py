@@ -24,7 +24,7 @@ from navsynth.graph import (apply_k_anonymity, build_transition_model,
 from navsynth.mixing import JointFlowTable, adjusted_mi, ami_survey
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import bootstrap_mean_ci, f1_micro_macro, rng_stream, spearman
-from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule,
+from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
                             generate_corpus, generate_geometric_world,
                             generate_planted_world)
 
@@ -154,10 +154,10 @@ def test_criterion_04_diffusion_null_equivalence():
     world = generate_geometric_world(GeometricWorldSpec(seed=3))
     emb = EmbeddingTable(np.arange(len(world.positions)), world.positions)
 
-    priv = generate_corpus(world.weighted, world.corpus, StoppingRule(), 11,
+    priv = generate_corpus(world.weighted, world.corpus, False, 11,
                            "Clickstream-Priv")
     uniform_model = build_transition_model(world.graph)
-    uni = generate_corpus(uniform_model, world.corpus, StoppingRule(), 12, "Graph")
+    uni = generate_corpus(uniform_model, world.corpus, False, 12, "Graph")
 
     c_ref = diffusion_curve(world.corpus, emb, 4, rng=rng_stream(99))
     c_priv = diffusion_curve(priv, emb, 4, rng=rng_stream(99))
@@ -174,8 +174,8 @@ def test_criterion_04_diffusion_null_equivalence():
                 "faster for k >= 2")
 
 
-def _mrr_with_ci(model, graph, test, seed, mode="all", compared=None):
-    res = evaluate_mrr(model, graph, test, mode, compared)
+def _mrr_with_ci(model, graph, test, seed):
+    res = evaluate_mrr(model, graph, test)
     boot = bootstrap_mean_ci(res.reciprocal_ranks, rng=rng_stream(500, seed))
     return res.mrr, boot.ci_low, boot.ci_high
 
@@ -191,10 +191,10 @@ def test_criterion_05_mrr_ordering_and_filtering():
     m_ref = fit_markov2(triples[split.train])
 
     priv_model = build_transition_model(world.graph, world.clickstream)
-    priv = generate_corpus(priv_model, world.corpus, StoppingRule(), 31,
+    priv = generate_corpus(priv_model, world.corpus, False, 31,
                            "Clickstream-Priv")
     uni = generate_corpus(build_transition_model(world.graph), world.corpus,
-                          StoppingRule(), 32, "Graph")
+                          False, 32, "Graph")
     m_priv = fit_markov2(corpus_triples(priv))
     m_uni = fit_markov2(corpus_triples(uni))
 
@@ -217,14 +217,14 @@ def test_criterion_05_mrr_ordering_and_filtering():
     pub_table = apply_k_anonymity(world2.clickstream, 5)
     m_priv2 = fit_markov2(corpus_triples(generate_corpus(
         build_transition_model(world2.graph, world2.clickstream),
-        world2.corpus, StoppingRule(), 41, "Clickstream-Priv")))
+        world2.corpus, False, 41, "Clickstream-Priv")))
     m_pub2 = fit_markov2(corpus_triples(generate_corpus(
         build_transition_model(world2.graph, pub_table),
-        world2.corpus, StoppingRule(), 42, "Clickstream-Pub")))
+        world2.corpus, False, 42, "Clickstream-Pub")))
 
     models = [m_ref2, m_priv2, m_pub2]
     all_mrrs = [evaluate_mrr(m, world2.graph, test2).mrr for m in models]
-    filt_mrrs = [evaluate_mrr(m, world2.graph, test2, "filtered", models).mrr
+    filt_mrrs = [evaluate_mrr(m, world2.graph, test2, models).mrr
                  for m in models]
     assert all(f > a for f, a in zip(filt_mrrs, all_mrrs))
     gap_all = abs(all_mrrs[1] - all_mrrs[2])

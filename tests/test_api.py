@@ -1,8 +1,11 @@
-"""The public surface: every public name in src/navsynth is used there or documented."""
+"""The public surface: every public name in src/navsynth is used there or documented, and
+every command flag is read by its command."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import pathlib
@@ -13,6 +16,7 @@ import sys
 import numpy as np
 
 import navsynth
+from navsynth.cli import build_parser
 from test_golden import GOLDEN, RECORDED_NUMPY
 
 PACKAGE = pathlib.Path(navsynth.__file__).parent
@@ -61,6 +65,31 @@ def test_every_public_name_is_used_or_documented():
 def test_exports_are_library_names():
     assert set(navsynth.__all__) <= library_names()
     assert all(hasattr(navsynth, name) for name in navsynth.__all__)
+
+
+def args_read(func):
+    """The `args.<name>` attributes that a `cmd_*` function loads, plus `out_dir` where it
+    calls `_out(args, ...)`."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_out":
+            read.add("out_dir")
+    return read
+
+
+def test_every_command_flag_is_read():
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    unread = []
+    for name, parser in sorted(commands.items()):
+        read = args_read(parser.get_default("func"))
+        unread += ["%s %s" % (name, "/".join(action.option_strings))
+                   for action in parser._actions
+                   if action.dest not in ("help", "config") and action.dest not in read]
+    assert unread == []
 
 
 def test_import_loads_no_scipy():

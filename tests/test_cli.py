@@ -101,10 +101,11 @@ class TestSynth:
         assert "C" not in outputs["clickstream-pub"].replace("#kind=Clickstream-Pub", "")
 
     def test_unknown_kind(self, tmp_path, chain_graph, reference, capsys):
-        rc = main(["synth", "--graph", chain_graph, "--reference", reference,
-                   "--kind", "bogus", "--out", str(tmp_path / "x.tsv")])
-        assert rc == 2
-        assert "unknown kind" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", "--graph", chain_graph, "--reference", reference,
+                  "--kind", "bogus", "--out", str(tmp_path / "x.tsv")])
+        assert exit_.value.code == 2
+        assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:
@@ -130,16 +131,11 @@ class TestAnalysisCommands:
         # one table over 5000 triples: a bijection of sources onto targets
         corpus = write(tmp_path / "c.tsv",
                        "#kind=Logs\n" + "A\tB\tC\n" * 3000 + "D\tB\tE\n" * 2500)
-        bodies = []
-        for seed in (1, 2):
-            out = tmp_path / ("out%d" % seed)
-            assert main(["mixing", "--corpus", corpus, "--seed", str(seed),
-                         "--out-dir", str(out)]) == 0
-            # everything below the provenance header (version, seed, config hash)
-            bodies.append([(out / name).read_text().split("\n", 1)[1]
-                           for name in ("ami_survey.csv", "ami_cdf.csv")])
-        assert bodies[0] == bodies[1]
-        assert bodies[0][0].splitlines()[1] == "B,5500,0.9940302115,1"
+        # mixing takes no --seed: its exact EMI draws nothing
+        out = tmp_path / "out"
+        assert main(["mixing", "--corpus", corpus, "--out-dir", str(out)]) == 0
+        # the row below the provenance header (version, seed, config hash) and the columns
+        assert (out / "ami_survey.csv").read_text().splitlines()[2] == "B,5500,0.9940302115,1"
 
     def test_diffusion_runs(self, tmp_path):
         corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\nB\tC\tA\n")
@@ -349,11 +345,79 @@ def test_eval_next_does_not_read_logs_path(tmp_path, chain_graph, reference):
 
 def test_eval_link_corpus_without_path_rejected(tmp_path, chain_graph, reference, capsys):
     new_graph = write(tmp_path / "new.tsv", "A\tB\nB\tC\nC\tA\nA\tC\n")
-    rc = main(["eval-link", "--old-graph", chain_graph, "--new-graph", new_graph,
-               "--reference", reference, "--corpus", "Logs",
-               "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert "--corpus expects name=path, got 'Logs'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval-link", "--old-graph", chain_graph, "--new-graph", new_graph,
+              "--reference", reference, "--corpus", "Logs",
+              "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "argument --corpus: expected name=path, got 'Logs'" in capsys.readouterr().err
+
+
+def test_eval_next_train_without_path_rejected_before_reading(tmp_path, capsys):
+    absent = str(tmp_path / "absent.tsv")  # no input is read before the flags are checked
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval-next", "--graph", absent, "--reference", absent,
+              "--train", "Logs=%s" % absent, "--train", "Graph=",
+              "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "argument --train: expected name=path, got 'Graph='" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--graph", "g.tsv", "--reference", "r.tsv", "--kind", "graph", "--out", "o.tsv",
+     "--out-dir", "x"],
+    ["build-sessions", "--events", "e.tsv", "--out", "o.tsv", "--out-dir", "x"],
+    ["train-emb", "--corpus", "c.tsv", "--out", "o.txt", "--out-dir", "x"],
+    ["ingest", "--graph", "g.tsv", "--seed", "1"],
+    ["mixing", "--corpus", "c.tsv", "--seed", "1"],
+    ["eval-link", "--old-graph", "g.tsv", "--new-graph", "g.tsv", "--reference", "r.tsv",
+     "--corpus", "A=c.tsv", "--seed", "1"],
+    ["eval-related", "--embeddings", "e.txt", "--pairs", "p.tsv", "--seed", "1"],
+    ["report", "--inputs", "r.csv", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dim", "0", "dim must be >= 1"),
+    ("--window", "0", "window must be >= 1"),
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--negatives", "-1", "negatives must be >= 0"),
+    ("--lr", "nan", "learning_rate must be finite and positive"),
+    ("--lr", "inf", "learning_rate must be finite and positive"),
+    ("--lr", "-1", "learning_rate must be finite and positive"),
+    ("--lr", "0", "learning_rate must be finite and positive"),
+], ids=["dim-0", "window-0", "epochs-0", "negatives-negative", "lr-nan", "lr-inf",
+        "lr-negative", "lr-0"])
+def test_train_emb_rejects_bad_hyperparameters(tmp_path, reference, capsys, flag, value,
+                                               message):
+    out = tmp_path / "emb.txt"
+    rc = main(["train-emb", "--corpus", reference, flag, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def test_train_emb_without_negatives(tmp_path, reference):
+    out = tmp_path / "emb.txt"
+    assert main(["train-emb", "--corpus", reference, "--dim", "4", "--negatives", "0",
+                 "--epochs", "1", "--out", str(out)]) == 0
+    assert len(load_embeddings(str(out), Interner())) == 3
+
+
+def test_eval_topic_rejects_empty_test_split(tmp_path, capsys):
+    # the 0.8/0.1/0.1 split of 2 labeled articles leaves no test article
+    emb = write(tmp_path / "emb.txt", "2 2\nA 1.0 0.0\nB 0.0 1.0\n")
+    labels = write(tmp_path / "labels.tsv", "A\t0\nB\t1\n")
+    out = tmp_path / "out"
+    rc = main(["eval-topic", "--embeddings", emb, "--labels", labels, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: empty test split\n"
+    assert not (out / "topic_classification.csv").exists()
 
 
 class TestReport:
@@ -386,12 +450,13 @@ class TestConfigFile:
         assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
         assert (out / "graph_cache.npz").exists()
 
-    def test_bad_value_cites_line(self, tmp_path, chain_graph, capsys):
-        cfg = write(tmp_path / "run.cfg", "# run settings\nseed=abc\n")
-        rc = main(["ingest", "--graph", chain_graph, "--config", cfg,
+    def test_bad_value_cites_line(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\n")
+        cfg = write(tmp_path / "run.cfg", "# run settings\nmin_triples=abc\n")
+        rc = main(["mixing", "--corpus", corpus, "--config", cfg,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: %s:2: invalid seed 'abc'\n" % cfg
+        assert capsys.readouterr().err == "error: %s:2: invalid min_triples 'abc'\n" % cfg
 
     @pytest.mark.parametrize("spelling", [["--min-triples", "1"], ["--min-triples=1"],
                                           ["--min-t", "1"], ["--min=1"]])

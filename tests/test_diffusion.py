@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navsynth import diffusion
 from navsynth.diffusion import (EmbeddingTable, _distances_at_k, diffusion_curve,
                                 diffusion_histogram, load_embeddings, save_embeddings)
 from navsynth.graph import Interner, ParseError
@@ -240,6 +243,28 @@ class TestDiffusionCurve:
         corpus = SequenceCorpus.from_sequences([[0, 1], [0, 9]], "Logs")  # 9 not embedded
         curve = diffusion_curve(corpus, emb, 1, rng=rng_stream(0))
         assert curve.counts == [1]
+
+    def test_k_max_past_longest_sequence(self, monkeypatch):
+        rng = rng_stream(56)
+        emb = make_table({i: rng.normal(size=3) for i in range(5)})
+        seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 9)))]
+                for _ in range(30)]
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        longest = max(map(len, seqs))
+        exact = diffusion_curve(corpus, emb, longest, rng=rng_stream(4))
+        calls = []
+
+        def bounded(corpus, emb, k):
+            calls.append(k)
+            assert k < longest, "k=%d: no sequence has a k-th page" % k
+            return _distances_at_k(corpus, emb, k)
+
+        monkeypatch.setattr(diffusion, "_distances_at_k", bounded)
+        start = time.process_time()
+        huge = diffusion_curve(corpus, emb, 10**9, rng=rng_stream(4))
+        assert time.process_time() - start < 1.0
+        assert huge == exact and huge.ks == list(range(1, longest))
+        assert calls == huge.ks
 
 
 class TestHistogram:

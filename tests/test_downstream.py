@@ -147,17 +147,17 @@ class TestMrr:
         res = evaluate_mrr(model, g, [(0, 1, 0)])  # 0 not a successor of 1
         assert res.mrr == 0.0
 
-    def test_filtered_requires_models(self, tmp_path):
+    def test_empty_test_split_error(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2)], 3)
-        with pytest.raises(ValueError, match="compared models"):
-            evaluate_mrr(fit_markov2([]), g, [(0, 1, 2)], mode="filtered")
+        for compared in (None, [], [fit_markov2([(0, 1, 2)])]):
+            with pytest.raises(ValueError, match="^empty test split$"):
+                evaluate_mrr(fit_markov2([]), g, np.zeros((0, 3), dtype=np.int64), compared)
 
     def test_filtered_keeps_shared_contexts(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2), (1, 3), (4, 2)], 5)
         m_a = fit_markov2([(0, 1, 2), (3, 4, 2)])
         m_b = fit_markov2([(0, 1, 3)])
-        res = evaluate_mrr(m_a, g, [(0, 1, 2), (3, 4, 2)], mode="filtered",
-                           compared_models=[m_a, m_b])
+        res = evaluate_mrr(m_a, g, [(0, 1, 2), (3, 4, 2)], compared_models=[m_a, m_b])
         assert res.num_queries == 1  # (3,4) unseen by m_b
 
     def test_empty_after_filter_error(self, tmp_path):
@@ -165,8 +165,7 @@ class TestMrr:
         m_a = fit_markov2([(0, 1, 2)])
         m_b = fit_markov2([])
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate_mrr(m_a, g, [(0, 1, 2)], mode="filtered",
-                         compared_models=[m_a, m_b])
+            evaluate_mrr(m_a, g, [(0, 1, 2)], compared_models=[m_a, m_b])
 
 
 SMALL_TRIPLES = st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=30)
@@ -197,9 +196,9 @@ class TestMrrOracle:
         expected = oracle([counts, other_counts])
         if not expected:
             with pytest.raises(ValueError, match="empty test set"):
-                evaluate_mrr(model, g, queries, "filtered", [model, other_model])
+                evaluate_mrr(model, g, queries, [model, other_model])
             return
-        res = evaluate_mrr(model, g, queries, "filtered", [model, other_model])
+        res = evaluate_mrr(model, g, queries, [model, other_model])
         assert res.reciprocal_ranks.tolist() == expected
         assert res.num_queries == len(expected)
 
@@ -448,7 +447,7 @@ class TestLogisticRegression:
         x = np.vstack([rng.normal(size=(20, 2)) + [4, 0],
                        rng.normal(size=(20, 2)) - [4, 0]])
         y = np.concatenate([np.ones(20), np.zeros(20)])
-        w, b = train_logreg(x, y, l2=0.01, epochs=300, lr=0.5)
+        w, b = train_logreg(x, y)
         preds = (x @ w + b) >= 0
         assert np.array_equal(preds, y.astype(bool))
 
@@ -459,8 +458,7 @@ class TestLogisticRegression:
         table = EmbeddingTable(range(40), centers + 0.1 * rng.normal(size=(40, 2)))
         labels = {a: {int(topic)} for a, topic in enumerate(topics)}
         split = make_split(40, seed=1)
-        res = topic_classification(table, labels, split, num_topics=2,
-                                   l2=0.01, epochs=300, lr=0.5)
+        res = topic_classification(table, labels, split, num_topics=2)
         assert res.micro_f1 == pytest.approx(1.0)
         assert res.macro_f1 == pytest.approx(1.0)
 
@@ -469,8 +467,7 @@ class TestLogisticRegression:
         table = EmbeddingTable(range(20), rng.normal(size=(20, 2)))
         labels = {a: {0} for a in range(20)}
         split = make_split(20, seed=2)
-        res = topic_classification(table, labels, split, num_topics=3,
-                                   epochs=50)
+        res = topic_classification(table, labels, split, num_topics=3)
         assert set(res.degenerate_topics) == {1, 2}
 
     def test_topic_id_out_of_range(self):
@@ -478,6 +475,15 @@ class TestLogisticRegression:
         for topic in (-1, 3):
             with pytest.raises(ValueError, match="topic id %d out of range" % topic):
                 topic_classification(table, {0: {0}, 1: {topic}}, make_split(2), num_topics=3)
+
+    @pytest.mark.parametrize("labeled", [0, 1, 2, 6, 7])
+    def test_empty_test_split_error(self, labeled):
+        # the rounded 0.8/0.1/0.1 split of these counts leaves no test article
+        table = EmbeddingTable(range(7), np.eye(7))
+        split = make_split(labeled)
+        assert len(split.test) == 0
+        with pytest.raises(ValueError, match="^empty test split$"):
+            topic_classification(table, {a: {0} for a in range(labeled)}, split, num_topics=2)
 
 
 class TestSplit:
@@ -492,10 +498,6 @@ class TestSplit:
         split = make_split(103, seed=4)
         assert abs(len(split.train) - 0.8 * 103) <= 1
         assert abs(len(split.validation) - 0.1 * 103) <= 1
-
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            make_split(10, fractions=(0.5, 0.1, 0.1))
 
 
 class TestRelativeDifference:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from navsynth.embeddings import (SgnsConfig, SgnsTrainer, sgns_batch_gradients,
-                                 train_sequence_embeddings)
+from navsynth.embeddings import SgnsConfig, SgnsTrainer, sgns_batch_gradients
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from oracles import cosine_distance, sgns_pair_gradients, sgns_pair_loss, vector
@@ -146,8 +145,7 @@ class LargestUniform:
 class TestTraining:
     def test_cooccurrence_dominates_distance(self):
         corpus = clustered_corpus()
-        emb = train_sequence_embeddings(
-            corpus, SgnsConfig(dim=16, epochs=5, window=3, seed=73))
+        emb = SgnsTrainer(corpus, SgnsConfig(dim=16, epochs=5, window=3, seed=73)).train()
         within = cosine_distance(vector(emb, 0), vector(emb, 1))
         across = cosine_distance(vector(emb, 0), vector(emb, 6))
         assert within < across
@@ -162,8 +160,8 @@ class TestTraining:
     def test_deterministic(self):
         corpus = clustered_corpus(n=60)
         cfg = SgnsConfig(dim=8, epochs=2, window=2, seed=75)
-        e1 = train_sequence_embeddings(corpus, cfg)
-        e2 = train_sequence_embeddings(corpus, cfg)
+        e1 = SgnsTrainer(corpus, cfg).train()
+        e2 = SgnsTrainer(corpus, cfg).train()
         for a in e1.articles:
             assert np.array_equal(vector(e1, a), vector(e2, a))
 
@@ -173,8 +171,7 @@ class TestTraining:
 
     def test_vocab_covers_corpus(self):
         corpus = clustered_corpus(n=40)
-        emb = train_sequence_embeddings(
-            corpus, SgnsConfig(dim=8, epochs=1, window=2, seed=76))
+        emb = SgnsTrainer(corpus, SgnsConfig(dim=8, epochs=1, window=2, seed=76)).train()
         seen = {a for s in corpus.sequences for a in s}
         assert set(emb.articles) == seen
 

@@ -8,7 +8,7 @@ from navsynth import stats, synth
 from navsynth.graph import Interner, build_transition_model, load_edge_list
 from navsynth.sessions import SequenceCorpus, save_corpus
 from navsynth.stats import counter_uniforms, rng_stream
-from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec, StoppingRule,
+from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
                             derive_intrinsic_stops, generate_corpus, generate_geometric_world,
                             generate_planted_world, generate_sequence)
 from oracles import step
@@ -73,25 +73,24 @@ class TestGenerateSequence:
                 assert pair in support
 
 
-def intrinsic_walks(m, samples, seed, rule):
+def intrinsic_walks(m, samples, seed):
     """`samples` intrinsic walks from node 0: a reference of one-page sequences at node 0."""
     ref = SequenceCorpus.from_sequences([[0]] * samples, "Logs")
-    return generate_corpus(m, ref, rule, seed, "Clickstream-Pub").sequences
+    return generate_corpus(m, ref, True, seed, "Clickstream-Pub").sequences
 
 
 class TestIntrinsicStopping:
     def test_stop_probability_one(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g).with_stops(np.array([1.0, 1.0]))
-        [seq] = intrinsic_walks(m, 1, 0, StoppingRule("intrinsic"))
+        [seq] = intrinsic_walks(m, 1, 0)
         assert seq == [0]
 
     def test_cap_binds_with_zero_stop(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
-        rule = StoppingRule("intrinsic", max_length=5)
-        [seq] = intrinsic_walks(m, 1, 1, rule)
-        assert len(seq) == 5
+        [seq] = intrinsic_walks(m, 1, 1)
+        assert len(seq) == synth.INTRINSIC_MAX_LENGTH
 
     def test_geometric_length_law(self, tmp_path):
         # cycle with uniform stop probability q: P(L = l) = (1-q)^(l-1) q,
@@ -99,11 +98,10 @@ class TestIntrinsicStopping:
         n = 6
         g = graph_from(tmp_path, [("n%d" % i, "n%d" % ((i + 1) % n)) for i in range(n)])
         q = 0.3
-        cap = 40
+        cap = synth.INTRINSIC_MAX_LENGTH
         m = build_transition_model(g).with_stops(np.full(n, q))
-        rule = StoppingRule("intrinsic", max_length=cap)
         samples = 20_000
-        lengths = np.array([len(seq) for seq in intrinsic_walks(m, samples, 25, rule)])
+        lengths = np.array([len(seq) for seq in intrinsic_walks(m, samples, 25)])
         support = np.arange(1, cap + 1)
         pmf = (1 - q) ** (support - 1) * q
         pmf[-1] = (1 - q) ** (cap - 1)
@@ -122,7 +120,7 @@ class TestGenerateCorpus:
     def test_matched_starts_and_lengths(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
-        out = generate_corpus(m, self.reference(), StoppingRule(), 1, "Graph")
+        out = generate_corpus(m, self.reference(), False, 1, "Graph")
         assert len(out) == 3
         ref_keys = Counter((s[0], len(s)) for s in self.reference().sequences)
         out_keys = Counter((s[0], len(s)) for s in out.sequences)
@@ -133,14 +131,14 @@ class TestGenerateCorpus:
         g = graph_from(tmp_path, [("A", "B")])
         m = build_transition_model(g)
         with pytest.raises(ValueError, match="empty reference"):
-            generate_corpus(m, SequenceCorpus.from_sequences([], "Logs"), StoppingRule(), 1,
+            generate_corpus(m, SequenceCorpus.from_sequences([], "Logs"), False, 1,
                             "Graph")
 
     def test_missing_start_flagged_length_one(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
         ref = SequenceCorpus.from_sequences([[5, 0, 1]], "Logs")  # 5 not in the model
-        out = generate_corpus(m, ref, StoppingRule(), 1, "Graph")
+        out = generate_corpus(m, ref, False, 1, "Graph")
         assert out.sequences == [[5]]
         assert out.flagged.dtype == np.int64 and out.flagged.tolist() == [0]
 
@@ -151,7 +149,7 @@ class TestGenerateCorpus:
         m = build_transition_model(g)
         a, d = g.interner.id("A"), g.interner.id("D")
         seqs = [[[a, d, 9][i % 3]] * (1 + i % 5) for i in range(60)]
-        out = generate_corpus(m, SequenceCorpus.from_sequences(seqs, "Logs"), StoppingRule(), 2,
+        out = generate_corpus(m, SequenceCorpus.from_sequences(seqs, "Logs"), False, 2,
                               "Graph")
         expected = [i for i, s in enumerate(seqs)
                     if s[0] == 9 or scalar_extrinsic(m, s[0], len(s), 2, i)[1]]
@@ -164,7 +162,7 @@ class TestGenerateCorpus:
         ref = SequenceCorpus.from_sequences([[0, 1, 0, 1]] * 20, "Logs")
         paths = []
         for run in range(2):
-            out = generate_corpus(m, ref, StoppingRule(), 99, "Graph")
+            out = generate_corpus(m, ref, False, 99, "Graph")
             path = tmp_path / ("c%d.tsv" % run)
             save_corpus(out, str(path), g.interner)
             paths.append(path.read_bytes())
@@ -310,7 +308,7 @@ class TestLockstepKernel:
         m = build_transition_model(g)
         a = g.interner.id("A")
         ref = SequenceCorpus.from_sequences([[a] * (2 + i % 9) for i in range(400)], "Logs")
-        out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
+        out = generate_corpus(m, ref, False, 4, "Graph")
         for i, ref_seq in enumerate(ref.sequences):
             assert (out.sequences[i], i in out.flagged) == scalar_extrinsic(
                 m, a, len(ref_seq), 4, i)
@@ -323,7 +321,7 @@ class TestLockstepKernel:
         m = build_transition_model(g)
         a = g.interner.id("A")
         ref = SequenceCorpus.from_sequences([[a] * 4] * 300, "Logs")
-        out = generate_corpus(m, ref, StoppingRule(), 4, "Graph")
+        out = generate_corpus(m, ref, False, 4, "Graph")
         pages, offsets, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
         prefixes = SequenceCorpus(pages, offsets, "Graph").sequences
         # a dead end at page 3 costs one backtrack, to Bi's other child
@@ -338,21 +336,21 @@ class TestLockstepKernel:
         stops = np.linspace(0.0, 0.4, g.num_nodes)
         m = build_transition_model(g).with_stops(stops)
         ref = SequenceCorpus.from_sequences([[v] for v in range(g.num_nodes)] * 20, "Logs")
-        out = generate_corpus(m, ref, StoppingRule("intrinsic", max_length=9), 6, "X")
+        out = generate_corpus(m, ref, True, 6, "X")
         for i, (start,) in enumerate(ref.sequences):
-            assert out.sequences[i] == scalar_intrinsic(m, start, 9, 6, i)
+            assert out.sequences[i] == scalar_intrinsic(m, start, synth.INTRINSIC_MAX_LENGTH, 6, i)
         assert out.metadata["walks_rerun"] == 0
 
-    @pytest.mark.parametrize("rule", [StoppingRule(), StoppingRule("intrinsic", max_length=6)])
-    def test_sequence_depends_only_on_seed_and_index(self, tmp_path, rule):
+    @pytest.mark.parametrize("intrinsic", [False, True], ids=["rule0", "rule1"])
+    def test_sequence_depends_only_on_seed_and_index(self, tmp_path, intrinsic):
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g).with_stops(np.full(g.num_nodes, 0.2))
         ref = SequenceCorpus.from_sequences([[i % g.num_nodes] * (2 + i % 5) for i in range(60)],
                                             "Logs")
-        full = generate_corpus(m, ref, rule, 8, "X").sequences
+        full = generate_corpus(m, ref, intrinsic, 8, "X").sequences
         for i in (0, 1, 17, 59):
             head = SequenceCorpus.from_sequences(ref.sequences[:i + 1], "Logs")
-            assert generate_corpus(m, head, rule, 8, "X").sequences[i] == full[i]
+            assert generate_corpus(m, head, intrinsic, 8, "X").sequences[i] == full[i]
 
     def test_planted_world_matches_scalar_oracle(self):
         spec = PlantedWorldSpec(num_nodes=25, out_degree=4, memory_strength=0.6,
@@ -360,9 +358,9 @@ class TestLockstepKernel:
         world = generate_planted_world(spec)
         for i, seq in enumerate(world.corpus.sequences):
             u0, u1 = counter_uniforms(spec.seed, i, [0, 1]).tolist()
-            tail = int(np.floor(np.log1p(-u0) / np.log1p(-spec.length_p)))
+            tail = int(np.floor(np.log1p(-u0) / np.log1p(-synth.WORLD_LENGTH_P)))
             expected = [int(u1 * spec.num_nodes)]
-            while len(expected) < min(2 + tail, spec.max_length):
+            while len(expected) < min(2 + tail, synth.WORLD_MAX_LENGTH):
                 t = len(expected) - 1
                 recall, succ = counter_uniforms(spec.seed, i, [2 + 2 * t, 3 + 2 * t]).tolist()
                 if t > 0 and recall < spec.memory_strength:
@@ -384,7 +382,7 @@ class TestLockstepKernel:
             monkeypatch.setattr(module, "rng_stream", counting)
         g = dead_end_graph(tmp_path)
         ref = SequenceCorpus.from_sequences([[0, 0, 0, 0]] * 50, "Logs")
-        generate_corpus(build_transition_model(g), ref, StoppingRule(), 1, "Graph")
+        generate_corpus(build_transition_model(g), ref, False, 1, "Graph")
         assert calls == []
         generate_planted_world(PlantedWorldSpec(num_nodes=20, out_degree=3, corpus_size=50))
         assert len(calls) <= 1
