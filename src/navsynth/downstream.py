@@ -58,15 +58,18 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
     Candidates are the out-neighbors of the middle article, ranked by count
     in the query's context, ties by ascending id. A target that is not a
     candidate scores 0. Given `compared_models`, only queries whose context
-    has training observations in EVERY compared model are kept.
+    has training observations in EVERY compared model are kept; an empty list
+    keeps every query.
     """
     test = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
     if not len(test):
         raise ValueError("empty test split")
-    if compared_models:
+    if compared_models is not None:
         keys = pair_keys(test[:, 0], test[:, 1])
-        seen = [_lookup(m.contexts, keys) < len(m.contexts) for m in compared_models]
-        test = test[np.logical_and.reduce(seen)]
+        keep = np.ones(len(test), dtype=bool)
+        for m in compared_models:
+            keep &= _lookup(m.contexts, keys) < len(m.contexts)
+        test = test[keep]
         if not len(test):
             raise ValueError("empty test set after filtering")
     s1, s2, target = test.T

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,9 +258,7 @@ class TestDiffusionCurve:
             return _distances_at_k(corpus, emb, k)
 
         monkeypatch.setattr(diffusion, "_distances_at_k", bounded)
-        start = time.process_time()
         huge = diffusion_curve(corpus, emb, 10**9, rng=rng_stream(4))
-        assert time.process_time() - start < 1.0
         assert huge == exact and huge.ks == list(range(1, longest))
         assert calls == huge.ks
 

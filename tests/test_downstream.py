@@ -160,6 +160,13 @@ class TestMrr:
         res = evaluate_mrr(m_a, g, [(0, 1, 2), (3, 4, 2)], compared_models=[m_a, m_b])
         assert res.num_queries == 1  # (3,4) unseen by m_b
 
+    def test_no_compared_models_keeps_every_query(self, tmp_path):
+        g = int_graph(tmp_path, [(1, 2), (1, 3), (4, 2)], 5)
+        m = fit_markov2([(0, 1, 2)])
+        test = [(0, 1, 2), (3, 4, 2)]
+        kept, plain = evaluate_mrr(m, g, test, compared_models=[]), evaluate_mrr(m, g, test)
+        assert kept.num_queries == plain.num_queries == 2 and kept.mrr == plain.mrr
+
     def test_empty_after_filter_error(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2)], 3)
         m_a = fit_markov2([(0, 1, 2)])

@@ -86,19 +86,21 @@ class TestIntrinsicStopping:
         [seq] = intrinsic_walks(m, 1, 0)
         assert seq == [0]
 
-    def test_cap_binds_with_zero_stop(self, tmp_path):
+    def test_cap_binds_with_zero_stop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "INTRINSIC_MAX_LENGTH", 5)
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
         [seq] = intrinsic_walks(m, 1, 1)
-        assert len(seq) == synth.INTRINSIC_MAX_LENGTH
+        assert len(seq) == 5
 
-    def test_geometric_length_law(self, tmp_path):
+    def test_geometric_length_law(self, tmp_path, monkeypatch):
         # cycle with uniform stop probability q: P(L = l) = (1-q)^(l-1) q,
         # truncated at the cap
         n = 6
         g = graph_from(tmp_path, [("n%d" % i, "n%d" % ((i + 1) % n)) for i in range(n)])
         q = 0.3
-        cap = synth.INTRINSIC_MAX_LENGTH
+        cap = 40
+        monkeypatch.setattr(synth, "INTRINSIC_MAX_LENGTH", cap)
         m = build_transition_model(g).with_stops(np.full(n, q))
         samples = 20_000
         lengths = np.array([len(seq) for seq in intrinsic_walks(m, samples, 25)])
@@ -331,18 +333,21 @@ class TestLockstepKernel:
             assert out.sequences[i][:2] == prefixes[i][:2]
         assert len({prefixes[i][1] for i in dead.tolist()}) == 5
 
-    def test_intrinsic_matches_scalar_oracle(self, tmp_path):
+    def test_intrinsic_matches_scalar_oracle(self, tmp_path, monkeypatch):
+        # a cap short enough that walks reach it among random stops and dead ends
+        monkeypatch.setattr(synth, "INTRINSIC_MAX_LENGTH", 9)
         g = dead_end_graph(tmp_path)
         stops = np.linspace(0.0, 0.4, g.num_nodes)
         m = build_transition_model(g).with_stops(stops)
         ref = SequenceCorpus.from_sequences([[v] for v in range(g.num_nodes)] * 20, "Logs")
         out = generate_corpus(m, ref, True, 6, "X")
         for i, (start,) in enumerate(ref.sequences):
-            assert out.sequences[i] == scalar_intrinsic(m, start, synth.INTRINSIC_MAX_LENGTH, 6, i)
+            assert out.sequences[i] == scalar_intrinsic(m, start, 9, 6, i)
         assert out.metadata["walks_rerun"] == 0
 
     @pytest.mark.parametrize("intrinsic", [False, True], ids=["rule0", "rule1"])
-    def test_sequence_depends_only_on_seed_and_index(self, tmp_path, intrinsic):
+    def test_sequence_depends_only_on_seed_and_index(self, tmp_path, monkeypatch, intrinsic):
+        monkeypatch.setattr(synth, "INTRINSIC_MAX_LENGTH", 6)
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g).with_stops(np.full(g.num_nodes, 0.2))
         ref = SequenceCorpus.from_sequences([[i % g.num_nodes] * (2 + i % 5) for i in range(60)],
