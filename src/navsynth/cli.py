@@ -16,7 +16,7 @@ from . import downstream as ds
 from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, SgnsTrainer
-from .graph import (Interner, ParseError, _parse, _rows, apply_k_anonymity,
+from .graph import (Interner, ParseError, _chunks, _parse, apply_k_anonymity,
                     build_transition_model, load_clickstream, load_edge_list, unpack_pairs,
                     write_csv)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
@@ -34,7 +34,8 @@ SYNTH_KINDS = {
 def _header(args) -> str:
     items = sorted((k, str(v)) for k, v in vars(args).items() if k != "func")
     digest = hashlib.sha256(repr(items).encode()).hexdigest()[:12]
-    return "navsynth %s seed=%s config=%s" % (__version__, getattr(args, "seed", 0), digest)
+    seed = " seed=%d" % args.seed if "seed" in vars(args) else ""
+    return "navsynth %s%s config=%s" % (__version__, seed, digest)
 
 
 def _out(args, name):
@@ -214,9 +215,10 @@ def _finite_float(text):
 def _load_pairs(path, interner):
     """The (n, 2) int64 article ids and the n float scores of "a<TAB>b<TAB>score" rows."""
     ids, scores = [], []
-    for line_no, (a, b, score) in _rows(path, 3):
-        ids += interner.intern(a), interner.intern(b)
-        scores.append(_parse(_finite_float, score, path, line_no, "score"))
+    for line_nos, _, fields in _chunks(path, 3):
+        for line_no, a, b, score in zip(line_nos.tolist(), *(fields[i::3] for i in range(3))):
+            ids += interner.intern(a), interner.intern(b)
+            scores.append(_parse(_finite_float, score, path, line_no, "score"))
     return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(scores, dtype=float)
 
 
@@ -237,18 +239,19 @@ def cmd_eval_topic(args):
     emb = diff.load_embeddings(args.embeddings, interner)
     covered = set(emb.articles.tolist())
     labels: dict[int, set[int]] = {}
-    for line_no, (name, ids) in _rows(args.labels, 2):
-        topics = {_parse(int, x, args.labels, line_no, "topic") for x in ids.split(",")}
-        outside = sorted(t for t in topics if not 0 <= t < args.num_topics)
-        if outside:
-            raise ParseError(args.labels, line_no, "topic %d outside [0, %d)"
-                             % (outside[0], args.num_topics))
-        article = interner.intern(name)
-        if article in labels:
-            raise ParseError(args.labels, line_no, "duplicate article %r" % name)
-        if article not in covered:
-            raise ParseError(args.labels, line_no, "article %r has no vector" % name)
-        labels[article] = topics
+    for line_nos, _, fields in _chunks(args.labels, 2):
+        for line_no, name, ids in zip(line_nos.tolist(), fields[0::2], fields[1::2]):
+            topics = {_parse(int, x, args.labels, line_no, "topic") for x in ids.split(",")}
+            outside = sorted(t for t in topics if not 0 <= t < args.num_topics)
+            if outside:
+                raise ParseError(args.labels, line_no, "topic %d outside [0, %d)"
+                                 % (outside[0], args.num_topics))
+            article = interner.intern(name)
+            if article in labels:
+                raise ParseError(args.labels, line_no, "duplicate article %r" % name)
+            if article not in covered:
+                raise ParseError(args.labels, line_no, "article %r has no vector" % name)
+            labels[article] = topics
     split = ds.make_split(len(labels), seed=args.seed)
     result = ds.topic_classification(emb, labels, split, num_topics=args.num_topics)
     write_csv(_out(args, "topic_classification.csv"), ["dataset", "metric", "value"],

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit, log_expit
 
 from .diffusion import EmbeddingTable
 from .sessions import SequenceCorpus
@@ -49,6 +47,7 @@ class SgnsConfig:
 def _sum_rows(ids, cols, weights, vectors):
     """The distinct ids and, for each id r, the sum of weights[i] * vectors[cols[i]]
     over the entries i with ids[i] == r."""
+    from scipy import sparse  # on use, as in `mixing.expected_mi`
     rows, inv = np.unique(ids, return_inverse=True)
     hits = sparse.csr_matrix((weights, (inv, cols)), shape=(len(rows), len(vectors)))
     return rows, hits @ vectors
@@ -62,6 +61,7 @@ def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
     Returns (loss, (in_rows, g_in), (out_rows, g_out)): the rows of each matrix
     that the batch touches, each with the sum of its gradients over the batch.
     """
+    from scipy.special import expit, log_expit  # on use, as in `mixing.expected_mi`
     out_ids = np.column_stack([contexts, negatives])  # (B, 1 + negatives)
     v = w_in[centers]
     u = w_out[out_ids]

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass, field
+from itertools import compress, count, filterfalse
 
 import numpy as np
+
+CHUNK_CHARS = 1 << 16  # characters read per step, which bound a reader's transient memory
 
 
 class ParseError(ValueError):
@@ -17,11 +20,11 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def open_text(path, mode="rt"):
+def open_text(path, mode="rt", errors="strict"):
     """Open a text file, transparently gunzipping on a .gz extension."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, mode, encoding="utf-8", errors=errors)
+    return open(path, mode, encoding="utf-8", errors=errors)
 
 
 def write_csv(path, columns, rows, header_comment: str = ""):
@@ -34,17 +37,34 @@ def write_csv(path, columns, rows, header_comment: str = ""):
         f.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _rows(path, ncols):
-    """Yield (line_no, fields) for each non-blank line of a TSV file of `ncols` columns."""
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != ncols:
-                raise ParseError(path, line_no, "expected %d columns" % ncols)
-            yield line_no, parts
+def _chunks(path, ncols=0):
+    """Read a TSV file in chunks of whole lines. Yields, per chunk and at least once, the int64
+    1-based line number and the width of each row (non-blank line), and the flat list of their
+    fields. With `ncols`, a row of another width raises ParseError after the rows before it."""
+    line_no, tail, text = 1, "", None  # the first line not yet split, and its text read so far
+    with open_text(path, errors="surrogateescape") as f:  # an undecodable byte reads as U+DCxx
+        while text != "":
+            text = f.read(CHUNK_CHARS)  # "" at the end, where the last line may lack "\n"
+            head, newline, tail = (tail + (text or "\n")).rpartition("\n")
+            block = head + newline  # whole lines
+            try:
+                raw = np.frombuffer(block.encode(), np.uint8)
+            except UnicodeEncodeError as e:
+                raise ParseError(path, line_no + block.count("\n", 0, e.start),
+                                 "invalid UTF-8") from None
+            # tabs and newlines are single bytes in UTF-8; the newlines among them end the rows
+            ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
+            widths = np.diff(ends, prepend=-1)
+            fields = block.replace("\n", "\t").split("\t")[:-1]
+            line_nos, line_no = np.arange(line_no, line_no + len(ends)), line_no + len(ends)
+            if "" in fields:  # a blank line is a row of one empty field
+                full = [w > 1 or fields[e] != "" for e, w in zip(ends.tolist(), widths.tolist())]
+                fields = [*compress(fields, np.repeat(full, widths))]
+                line_nos, widths = line_nos[full], widths[full]
+            end = np.append(widths != (ncols or widths), True).argmax()  # first bad row, if any
+            yield line_nos[:end], widths[:end], fields[:widths[:end].sum()]
+            if end < len(widths):
+                raise ParseError(path, int(line_nos[end]), "expected %d columns" % ncols)
 
 
 def _parse(convert, text, path, line_no, what):
@@ -70,6 +90,12 @@ class Interner:
             self._names.append(name)
         return i
 
+    def intern_all(self, names: list[str]) -> np.ndarray:
+        """The int64 id of each name, interning new names in order of first appearance."""
+        self._names += filterfalse(self._ids.__contains__, dict.fromkeys(names))
+        self._ids.update(zip(self._names[len(self._ids):], count(len(self._ids))))
+        return np.fromiter(map(self._ids.__getitem__, names), np.int64, len(names))
+
     def id(self, name: str) -> int:
         return self._ids[name]
 
@@ -87,9 +113,10 @@ class Interner:
     @classmethod
     def read_tsv(cls, path) -> "Interner":
         interner = cls()
-        for line_no, (article_id, name) in _rows(path, 2):
-            if interner.intern(name) != _parse(int, article_id, path, line_no, "id"):
-                raise ParseError(path, line_no, "non-contiguous interning ids")
+        for line_nos, _, fields in _chunks(path, 2):
+            for line_no, article_id, name in zip(line_nos.tolist(), fields[0::2], fields[1::2]):
+                if interner.intern(name) != _parse(int, article_id, path, line_no, "id"):
+                    raise ParseError(path, line_no, "non-contiguous interning ids")
         return interner
 
 
@@ -156,12 +183,11 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     if interner is None:
         interner = Interner()
     ids = []
-    for line_no, (source, target) in _rows(path, 2):
-        if not source or not target:
-            raise ParseError(path, line_no, "empty article name")
-        ids.append(interner.intern(source))
-        ids.append(interner.intern(target))
-    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    for line_nos, _, names in _chunks(path, 2):
+        if "" in names:
+            raise ParseError(path, int(line_nos[names.index("") // 2]), "empty article name")
+        ids.append(interner.intern_all(names))
+    pairs = np.concatenate(ids).reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
     n = len(interner)
     keys = np.sort(pair_keys(pairs[~loops, 0], pairs[~loops, 1]))
@@ -206,19 +232,19 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
         interner = Interner()
     ids, counts = [], []
     skipped = total = 0
-    for line_no, (prev, curr, row_type, count_str) in _rows(path, 4):
-        if row_type not in CLICK_LINK_TYPES:
-            skipped += 1
-            continue
-        count = _parse(int, count_str, path, line_no, "count")
-        if count < 1:
-            raise ParseError(path, line_no, "non-positive count %d" % count)
-        total += count
-        if total >= 2**63:
-            raise ParseError(path, line_no, "click total reaches 2**63")
-        ids.append(interner.intern(prev))
-        ids.append(interner.intern(curr))
-        counts.append(count)
+    for line_nos, _, fields in _chunks(path, 4):
+        kept = [*map(CLICK_LINK_TYPES.__contains__, fields[2::4])]
+        skipped += kept.count(False)
+        for line_no, prev, curr, count_str in compress(zip(
+                line_nos.tolist(), fields[0::4], fields[1::4], fields[3::4]), kept):
+            count = _parse(int, count_str, path, line_no, "count")
+            if count < 1:
+                raise ParseError(path, line_no, "non-positive count %d" % count)
+            total += count
+            if total >= 2**63:
+                raise ParseError(path, line_no, "click total reaches 2**63")
+            ids += interner.intern(prev), interner.intern(curr)
+            counts.append(count)
     pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
     entries, pair = np.unique(pair_keys(pairs[:, 0], pairs[:, 1]), return_inverse=True)
     sums = np.zeros(len(entries), dtype=np.int64)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .graph import Interner, ParseError, _parse, _rows, open_text, pair_keys
+from .graph import Interner, ParseError, _chunks, _parse, open_text, pair_keys
 
 
 @dataclass
@@ -122,39 +123,39 @@ def save_corpus(corpus: SequenceCorpus, path, interner: Interner):
 
 
 def load_corpus(path, interner: Interner) -> SequenceCorpus:
-    tokens, offsets, kind, seen = [], [0], "Logs", {}
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("#kind="):
-                    kind = line[len("#kind="):]
-                continue
-            names = line.split("\t")
-            if "" in names:
-                raise ParseError(path, line_no, "empty article name")
-            tokens += map(seen.setdefault, names, names)  # one str object per distinct name
-            offsets.append(len(tokens))
-    # `seen` is in first-appearance order: the ids that interning one token at a time gives
-    ids = {name: interner.intern(name) for name in seen}
-    pages = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    return SequenceCorpus(pages, np.array(offsets, dtype=np.int64), kind)
+    """Read one tab-separated sequence per line; "#" starts a comment and "#kind=" the kind."""
+    pages, lengths, kind = [], [], "Logs"
+    for line_nos, widths, names in _chunks(path):
+        starts = np.cumsum(widths) - widths
+        comment = np.array([names[s][:1] == "#" for s in starts.tolist()], dtype=bool)
+        for start, width in zip(starts[comment], widths[comment]):
+            line = "\t".join(names[start:start + width])
+            kind = line[len("#kind="):] if line.startswith("#kind=") else kind
+        names = [*compress(names, np.repeat(~comment, widths).tolist())]
+        line_nos, widths = line_nos[~comment], widths[~comment]
+        if "" in names:
+            row = np.searchsorted(np.cumsum(widths), names.index(""), "right")
+            raise ParseError(path, int(line_nos[row]), "empty article name")
+        pages.append(interner.intern_all(names))
+        lengths.append(widths)
+    return SequenceCorpus(np.concatenate(pages), np.cumsum(np.concatenate([[0], *lengths])), kind)
 
 
 def load_pageview_events(path, interner: Interner) -> PageviewEvents:
     """Read "reader_key_hex<TAB>timestamp_ms<TAB>article<TAB>referrer_or_dash" rows."""
-    keys, readers, stamps, ids = {}, [], [], []  # keys: distinct key -> first-appearance index
-    for line_no, (key_hex, ts, article, referrer) in _rows(path, 4):
-        if "" in (article, referrer):
-            raise ParseError(path, line_no, "empty article name")
-        key = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
-        readers.append(keys.setdefault(key, len(keys)))
-        stamps.append(_parse(int, ts, path, line_no, "timestamp"))
-        if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
-            raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
-        ids += -1 if referrer == "-" else interner.intern(referrer), interner.intern(article)
+    keys, texts, readers, stamps, ids = {}, {}, [], [], []  # key -> first index; text -> key
+    for line_nos, _, fields in _chunks(path, 4):
+        for line_no, key_hex, ts, article, referrer in zip(line_nos.tolist(), *(
+                fields[i::4] for i in range(4))):
+            if "" in (article, referrer):
+                raise ParseError(path, line_no, "empty article name")
+            if key_hex not in texts:  # each distinct text is parsed once
+                texts[key_hex] = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
+            readers.append(keys.setdefault(texts[key_hex], len(keys)))
+            stamps.append(_parse(int, ts, path, line_no, "timestamp"))
+            if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
+                raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
+            ids += -1 if referrer == "-" else interner.intern(referrer), interner.intern(article)
     # the inverse of the byte-order permutation of the keys is the rank of each
     rank = np.argsort(sorted(range(len(keys)), key=[*keys].__getitem__))
     ids = np.array(ids, dtype=np.int64).reshape(-1, 2)

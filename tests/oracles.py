@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.special import expit, log_expit
 
+from navsynth.graph import ParseError, open_text
+
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     na = np.linalg.norm(a)
@@ -83,3 +85,46 @@ def root_to_leaf_paths(articles, parent, rng) -> list[list[int]]:
             node = parent[node]
         paths.append(path[::-1])
     return paths
+
+
+def rows(path, ncols):
+    """(line_no, fields) of each non-blank line of a TSV file of `ncols` columns, one line at a
+    time."""
+    with open_text(path) as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != ncols:
+                raise ParseError(path, line_no, "expected %d columns" % ncols)
+            yield line_no, parts
+
+
+def edge_ids(path, interner) -> list[tuple[int, int]]:
+    """The (source, target) ids of each row of an edge list, interned one name at a time."""
+    ids = []
+    for line_no, (source, target) in rows(path, 2):
+        if not source or not target:
+            raise ParseError(path, line_no, "empty article name")
+        ids.append((interner.intern(source), interner.intern(target)))
+    return ids
+
+
+def corpus(path, interner) -> tuple[str, list[list[int]]]:
+    """The kind and the id sequences of a corpus file, one line and one name at a time."""
+    kind, sequences = "Logs", []
+    with open_text(path) as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                if line.startswith("#kind="):
+                    kind = line[len("#kind="):]
+                continue
+            names = line.split("\t")
+            if "" in names:
+                raise ParseError(path, line_no, "empty article name")
+            sequences.append([interner.intern(name) for name in names])
+    return kind, sequences

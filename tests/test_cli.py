@@ -16,7 +16,8 @@ from navsynth.stats import rng_stream
 
 
 def write(path, text):
-    path.write_text(text, encoding="utf-8")
+    # a surrogate escape "\udcff" writes the undecodable byte 0xff
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -134,8 +135,20 @@ class TestAnalysisCommands:
         # mixing takes no --seed: its exact EMI draws nothing
         out = tmp_path / "out"
         assert main(["mixing", "--corpus", corpus, "--out-dir", str(out)]) == 0
-        # the row below the provenance header (version, seed, config hash) and the columns
+        # the row below the provenance header (version, config hash) and the columns
         assert (out / "ami_survey.csv").read_text().splitlines()[2] == "B,5500,0.9940302115,1"
+
+    def test_header_names_a_seed_only_for_a_command_that_takes_one(self, tmp_path):
+        corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\nB\tC\tA\n")
+        emb = write(tmp_path / "emb.txt", "3 2\nA 1.0 0.0\nB 0.0 1.0\nC 1.0 1.0\n")
+        out = tmp_path / "out"
+        assert main(["mixing", "--corpus", corpus, "--out-dir", str(out)]) == 0
+        assert main(["diffusion", "--corpus", corpus, "--embeddings", emb, "--k-max", "2",
+                     "--seed", "4", "--out-dir", str(out)]) == 0
+        header = r"# navsynth \S+ %sconfig=[0-9a-f]{12}"
+        assert re.fullmatch(header % "", (out / "ami_survey.csv").read_text().splitlines()[0])
+        assert re.fullmatch(header % "seed=4 ",
+                            (out / "diffusion_curve.csv").read_text().splitlines()[0])
 
     def test_diffusion_runs(self, tmp_path):
         corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\nB\tC\tA\n")
@@ -196,6 +209,8 @@ class TestPipeline:
 MALFORMED_ROWS = {
     "edges": ("A\tB\nA\n", load_edge_list,
               lambda f: ["ingest", "--graph", f["input"], "--out-dir", f["out"]]),
+    "edges-utf8": ("A\tB\nA\tB\udcff\n", load_edge_list,
+                   lambda f: ["ingest", "--graph", f["input"], "--out-dir", f["out"]]),
     "clickstream": ("A\tB\tlink\t20\nA\tB\tlink\tmany\n", load_clickstream,
                     lambda f: ["ingest", "--graph", f["graph"], "--clickstream", f["input"],
                                "--out-dir", f["out"]]),
@@ -213,6 +228,10 @@ MALFORMED_ROWS = {
                lambda p: load_pageview_events(p, Interner()),
                lambda f: ["build-sessions", "--events", f["input"],
                           "--out", f["out"] + "/sessions.tsv"]),
+    "events-key": ("00ff\t100\tA\t-\nzz\t200\tB\tA\nzz\t300\tB\tA\n",
+                   lambda p: load_pageview_events(p, Interner()),
+                   lambda f: ["build-sessions", "--events", f["input"],
+                              "--out", f["out"] + "/sessions.tsv"]),
     "events-empty-article": ("00ff\t100\tA\t-\n00ff\t200\t\tA\n",
                              lambda p: load_pageview_events(p, Interner()),
                              lambda f: ["build-sessions", "--events", f["input"],
@@ -241,6 +260,9 @@ MALFORMED_ROWS = {
     "labels-columns": ("A\t1\nB\n", None,
                        lambda f: ["eval-topic", "--embeddings", f["emb"],
                                   "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-utf8": ("A\t1\nB\udcc3\t1\n", None,
+                    lambda f: ["eval-topic", "--embeddings", f["emb"],
+                               "--labels", f["input"], "--out-dir", f["out"]]),
     "labels-topic": ("A\t1\nB\t1,x\n", None,
                      lambda f: ["eval-topic", "--embeddings", f["emb"],
                                 "--labels", f["input"], "--out-dir", f["out"]]),
@@ -281,6 +303,9 @@ MALFORMED_MESSAGES = {
     "clickstream-huge-count": "click total reaches 2**63\n",
     "clickstream-total-overflow": "click total reaches 2**63\n",
     "corpus-empty-name": "empty article name\n",
+    "edges-utf8": "invalid UTF-8\n",
+    "events-key": "invalid reader key 'zz'\n",
+    "labels-utf8": "invalid UTF-8\n",
     "events-empty-article": "empty article name\n",
     "events-empty-referrer": "empty article name\n",
     "events-timestamp-range": "timestamp %d outside [-2**62, 2**62)\n" % 2**62,
@@ -515,3 +540,62 @@ def test_commands_do_not_import_scipy_stats(tmp_path):
                         stdout[0])
     assert "spearman_rho," in (tmp_path / "out" / "relatedness.csv").read_text()
     assert stdout[-1] == "[]"
+
+
+SCIPY_PROBE = """
+import json, sys
+from navsynth import cli
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_that_score_no_table_load_no_scipy(tmp_path):
+    # scipy.special and scipy.sparse are imported where EMI and SGNS call them, so the other
+    # commands skip about 0.3 s of CPU for the import
+    world = tmp_path / "world"
+    assert main(["planted-world", "--nodes", "60", "--out-degree", "5", "--memory", "0.6",
+                 "--corpus-size", "1500", "--seed", "3", "--out-dir", str(world)]) == 0
+    graph, clicks, corpus = (str(world / n) for n in ("graph.tsv", "clickstream.tsv",
+                                                       "corpus.tsv"))
+    lines = (world / "graph.tsv").read_text().splitlines(True)
+    old = write(tmp_path / "old.tsv", "".join(lines[1::2]))
+    names = sorted({name for line in lines for name in line.split()})
+    emb = write(tmp_path / "emb.txt", "%d 2\n" % len(names) + "".join(
+        "%s %d.0 %d.5\n" % (name, i % 3 - 1, i % 5) for i, name in enumerate(names)))
+    pairs = write(tmp_path / "pairs.tsv", "".join(
+        "%s\t%s\t%d\n" % (names[i], names[-1 - i], i) for i in range(20)))
+    labels = write(tmp_path / "labels.tsv", "".join(
+        "%s\t%d\n" % (name, i % 3 == 1) for i, name in enumerate(names)))
+    events = write(tmp_path / "events.tsv", "00\t1\tA\t-\n00\t2\tB\tA\n01\t3\tA\t-\n")
+    walks, out = str(tmp_path / "walks.tsv"), str(tmp_path / "out")
+    commands = [
+        ["ingest", "--graph", graph, "--clickstream", clicks, "--out-dir", out],
+        ["build-sessions", "--events", events, "--out", str(tmp_path / "built.tsv")],
+        ["synth", "--graph", graph, "--clickstream", clicks, "--reference", corpus,
+         "--kind", "clickstream-pub-intrinsic", "--out", str(tmp_path / "pub.tsv")],
+        ["synth", "--graph", graph, "--reference", corpus, "--kind", "graph", "--out", walks],
+        ["mixing", "--corpus", corpus, "--min-triples", "1000000", "--out-dir", out],
+        ["eval-next", "--graph", graph, "--reference", corpus, "--train", "Logs=" + corpus,
+         "--train", "Graph=" + walks, "--out-dir", out],
+        ["eval-link", "--old-graph", old, "--new-graph", graph, "--reference", corpus,
+         "--corpus", "Graph=" + walks, "--min-paths", "5", "--out-dir", out],
+        ["report", "--inputs", out + "/next_article.csv", out + "/link_prediction.csv",
+         "--out-dir", out],
+        ["diffusion", "--corpus", corpus, "--embeddings", emb, "--k-max", "3", "--hist-k", "2",
+         "--out-dir", out],
+        ["eval-related", "--embeddings", emb, "--pairs", pairs, "--out-dir", out],
+        ["eval-topic", "--embeddings", emb, "--labels", labels, "--num-topics", "2",
+         "--out-dir", out],
+    ]
+    src = os.path.dirname(os.path.dirname(navsynth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "surveyed 0 articles" in proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1]) == {argv[0]: [] for argv in commands}

@@ -2,11 +2,14 @@ import gzip
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from navsynth import graph
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream,
                             load_edge_list, pair_keys, unpack_pairs, TransitionModel)
+from navsynth.sessions import load_corpus
 from navsynth.stats import rng_stream
 
 
@@ -418,3 +421,93 @@ def test_row_cumsum_matches_per_row_cumsum(rows):
     m = TransitionModel(Interner(), indptr, np.zeros(len(probs), dtype=np.int64), probs)
     expected = np.concatenate([np.cumsum(r, dtype=float) for r in rows])
     assert np.array_equal(m.cum, expected)
+
+
+def outcome(read):
+    """`read()`, or the message of the ParseError it raises."""
+    try:
+        return read()
+    except ParseError as e:
+        return str(e)
+
+
+def chunked_rows(path, ncols):
+    rows = []
+    for line_nos, widths, fields in graph._chunks(path, ncols):
+        starts = (np.cumsum(widths) - widths).tolist()
+        rows += [(n, fields[s:s + w])
+                 for n, s, w in zip(line_nos.tolist(), starts, widths.tolist())]
+    return rows
+
+
+def interned(names, read):
+    """The result of `read(interner)` over an interner holding `names`, and the interner's
+    names after it."""
+    interner = Interner()
+    for name in names:
+        interner.intern(name)
+    result = read(interner)
+    return result, [interner.name(i) for i in range(len(interner))]
+
+
+def edge_summary(pairs):
+    """Distinct non-loop edges, self-loops and duplicates of a list of (source, target) ids."""
+    kept = [p for p in pairs if p[0] != p[1]]
+    return sorted(set(kept)), len(pairs) - len(kept), len(kept) - len(set(kept))
+
+
+# "\x0b" to "\u2028" end lines for str.splitlines but not in a file; "#" starts a comment
+# line in a corpus
+FIELD = st.text("ab#\u00e9\u65e5 \x0b\x0c\x1c\x85\u2028", max_size=3) | st.just("#kind=k")
+
+
+@st.composite
+def tsv_files(draw):
+    """(ncols, text) of a file of mostly `ncols` columns, with blank lines, CR and CRLF line
+    ends, rows of other widths and empty fields, and perhaps no final line end."""
+    ncols = draw(st.integers(1, 3))
+    width = st.just(ncols) | st.integers(0, 4)
+    lines = draw(st.lists(width.flatmap(lambda w: st.lists(FIELD, min_size=w, max_size=w)),
+                          max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join("\t".join(fields) + end for fields, end in zip(lines, ends))
+    return ncols, text[:-len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=tsv_files(), chunk=st.integers(1, 64),
+       prefill=st.lists(st.text("ab", min_size=1, max_size=2), max_size=3, unique=True))
+@example(file=(2, "a\tb\n\ta\nb\n"), chunk=64, prefill=[])  # an empty name, then a wrong width
+def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, prefill):
+    # with chunks shorter than some lines, the readers give the ids, interner order and first
+    # error of a reader that takes one line at a time
+    ncols, text = file
+    path = tmp_path_factory.mktemp("tsv") / "input.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    path = str(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "CHUNK_CHARS", chunk)
+        assert outcome(lambda: chunked_rows(path, ncols)) == \
+            outcome(lambda: list(oracles.rows(path, ncols)))
+        if ncols == 2:
+            def edges(interner):
+                g = load_edge_list(path, interner)
+                return (list(zip(*(a.tolist() for a in g.edge_arrays()))),
+                        g.self_loops_dropped, g.duplicates_dropped)
+            assert outcome(lambda: interned(prefill, edges)) == outcome(
+                lambda: interned(prefill, lambda i: edge_summary(oracles.edge_ids(path, i))))
+
+        def corpus(interner):
+            c = load_corpus(path, interner)
+            return c.kind, c.sequences
+        assert outcome(lambda: interned(prefill, corpus)) == outcome(
+            lambda: interned(prefill, lambda i: oracles.corpus(path, i)))
+
+
+def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
+    path = tmp_path / "e.tsv"
+    path.write_bytes(b"A\tB\r\n" * 5 + b"\n" + "\u00e9\tB\n".encode() + b"A\t\xffB\n" + b"A\tB\n")
+    monkeypatch.setattr(graph, "CHUNK_CHARS", 4)
+    with pytest.raises(ParseError, match=r"e\.tsv:8: invalid UTF-8$"):
+        load_edge_list(str(path))

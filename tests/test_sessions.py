@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 import oracles
+from navsynth import graph, sessions
 from navsynth.graph import Interner, ParseError
 from navsynth.sessions import (PageviewEvents, SequenceCorpus, build_forest, corpus_from_trees,
                                load_corpus, load_pageview_events, save_corpus)
@@ -264,3 +265,20 @@ def test_load_pageview_events_ranks_keys_in_byte_order(tmp_path_factory, keys):
     events = load_pageview_events(str(path), Interner())
     assert events.readers.dtype == np.int64
     assert events.readers.tolist() == ranks([key for key, _ in keys]).tolist()
+
+
+def test_load_pageview_events_parses_each_key_text_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def parse(convert, text, *where):
+        parsed.extend([text] if convert == bytes.fromhex else [])
+        return graph._parse(convert, text, *where)
+    monkeypatch.setattr(sessions, "_parse", parse)
+    texts = ["00FF", "0a", "00ff", "00 ff", "00FF", "0a", "00 ff"]
+    path = tmp_path / "events.tsv"
+    path.write_text("".join("%s\t%d\tA\t-\n" % (t, i) for i, t in enumerate(texts)),
+                    encoding="utf-8")
+    events = load_pageview_events(str(path), Interner())
+    assert parsed == ["00FF", "0a", "00ff", "00 ff"]
+    # "00FF", "00ff" and "00 ff" are the one key b"\x00\xff", which sorts before b"\x0a"
+    assert events.readers.tolist() == [0, 1, 0, 0, 0, 1, 0]
