@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 
@@ -16,19 +15,12 @@ from . import downstream as ds
 from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, SgnsTrainer
-from .graph import (Interner, ParseError, _chunks, _parse, apply_k_anonymity,
-                    build_transition_model, load_clickstream, load_edge_list, unpack_pairs,
-                    write_csv)
+from .graph import (Interner, load_clickstream, load_config, load_edge_list,
+                    load_result_values, unpack_pairs, write_csv)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
                        load_pageview_events, save_corpus)
 from .stats import rng_stream
-
-SYNTH_KINDS = {
-    "clickstream-priv": "Clickstream-Priv",
-    "clickstream-pub": "Clickstream-Pub",
-    "clickstream-pub-intrinsic": "Clickstream-Pub(I)",
-    "graph": "Graph",
-}
+from .synth import SYNTH_KINDS
 
 
 def _header(args) -> str:
@@ -41,6 +33,16 @@ def _header(args) -> str:
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
+
+
+def _write_rows(path, args, rows):
+    write_csv(path, ["dataset", "metric", "value"], rows, _header(args))
+
+
+def _check_out(out, *inputs):
+    """Refuse an --out that names one of the command's inputs, before any input is read."""
+    if os.path.realpath(out) in {os.path.realpath(path) for path in inputs if path}:
+        raise ValueError("--out %s names an input of the command" % out)
 
 
 def cmd_ingest(args):
@@ -64,6 +66,7 @@ def cmd_ingest(args):
 
 
 def cmd_build_sessions(args):
+    _check_out(args.out, args.events)
     interner = Interner()
     events = load_pageview_events(args.events, interner)
     articles, parent = build_forest(events, inactivity_ms=args.inactivity_minutes * 60_000)
@@ -73,28 +76,14 @@ def cmd_build_sessions(args):
     return 0
 
 
-def _build_model_for_kind(kind, graph, interner, clickstream_path):
-    if kind == "graph":
-        return build_transition_model(graph)
-    if clickstream_path is None:
-        raise ValueError("kind %r requires --clickstream" % kind)
-    table = load_clickstream(clickstream_path, interner=interner)
-    if kind in ("clickstream-pub", "clickstream-pub-intrinsic"):
-        table = apply_k_anonymity(table)
-    model = build_transition_model(graph, table)
-    if kind == "clickstream-pub-intrinsic":
-        stops = synth.derive_intrinsic_stops(table, model.num_nodes)
-        model = model.with_stops(stops)
-    return model
-
-
 def cmd_synth(args):
+    _check_out(args.out, args.graph, args.clickstream, args.reference)
     interner = Interner()
     graph = load_edge_list(args.graph, interner)
     reference = load_corpus(args.reference, interner)
-    model = _build_model_for_kind(args.kind, graph, interner, args.clickstream)
-    corpus = synth.generate_corpus(model, reference, args.kind == "clickstream-pub-intrinsic",
-                                   args.seed, SYNTH_KINDS[args.kind])
+    clicks = (load_clickstream(args.clickstream, interner=interner)
+              if args.kind != "graph" and args.clickstream else None)  # "graph" reads none
+    corpus = synth.synthesize(args.kind, graph, clicks, reference, args.seed)
     save_corpus(corpus, args.out, interner)
     report = dict(corpus.metadata)
     report["kind"] = corpus.kind
@@ -141,28 +130,11 @@ def cmd_eval_next(args):
     if len(interner) > graph.num_nodes:
         raise ValueError("%s: article '%s' is not in the graph"
                          % (args.reference, interner.name(graph.num_nodes)))
-    triples = ds.corpus_triples(reference)
-    split = ds.make_split(len(triples), seed=args.seed)
-    test = triples[split.test]
-
-    names, models = [], []
-    for item in args.train:
-        name, _, path = item.partition("=")
-        if name == "Logs":  # its path is not read
-            model = ds.fit_markov2(triples[split.train])
-        else:
-            model = ds.fit_markov2(ds.corpus_triples(load_corpus(path, interner)))
-        names.append(name)
-        models.append(model)
-
-    rows = []
-    for name, model in zip(names, models):
-        all_q = ds.evaluate_mrr(model, graph, test)
-        filt = ds.evaluate_mrr(model, graph, test, models)
-        rows.append((name, "mrr_all", "%.6f" % all_q.mrr))
-        rows.append((name, "mrr_filtered", "%.6f" % filt.mrr))
-    write_csv(_out(args, "next_article.csv"), ["dataset", "metric", "value"],
-              rows, _header(args))
+    # "Logs" trains on the reference's train split, and its path is not read
+    train = ((name, None if name == "Logs" else load_corpus(path, interner))
+             for name, path in _paths_by_name(args.train).items())
+    rows = ds.next_article_rows(graph, reference, train, args.seed)
+    _write_rows(_out(args, "next_article.csv"), args, rows)
     return 0
 
 
@@ -171,22 +143,16 @@ def cmd_eval_link(args):
     old_graph = load_edge_list(args.old_graph, interner)
     new_graph = load_edge_list(args.new_graph, interner)
     reference = load_corpus(args.reference, interner)
-    labels = ds.build_added_links(old_graph, new_graph, reference,
-                                  min_paths=args.min_paths)
-    ks = [int(k) for k in args.ks.split(",")]
-    rows = []
-    for item in args.corpus:
-        name, _, path = item.partition("=")
-        corpus = load_corpus(path, interner)
-        ranked, _ = ds.rank_links(corpus, np.union1d(labels.positives, labels.negatives))
-        for r in ds.precision_at_k(ranked, labels, ks):
-            rows.append((name, "precision_at_%d" % r.k, "%.6f" % r.precision))
-    write_csv(_out(args, "link_prediction.csv"), ["dataset", "metric", "value"],
-              rows, _header(args))
+    corpora = ((name, load_corpus(path, interner))
+               for name, path in _paths_by_name(args.corpus).items())
+    rows = ds.link_prediction_rows(old_graph, new_graph, reference, corpora, args.min_paths,
+                                   [int(k) for k in args.ks.split(",")])
+    _write_rows(_out(args, "link_prediction.csv"), args, rows)
     return 0
 
 
 def cmd_train_emb(args):
+    _check_out(args.out, args.corpus)
     interner = Interner()
     corpus = load_corpus(args.corpus, interner)
     config = SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
@@ -205,59 +171,44 @@ def _named_path(text):
     return text
 
 
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+def _ks(text):
+    """Check a --ks value; kept as text, which the header's config digest hashes."""
+    try:
+        if min(int(k) for k in text.split(",")) >= 1:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected comma-separated integers >= 1, got %r" % text)
 
 
-def _load_pairs(path, interner):
-    """The (n, 2) int64 article ids and the n float scores of "a<TAB>b<TAB>score" rows."""
-    ids, scores = [], []
-    for line_nos, _, fields in _chunks(path, 3):
-        for line_no, a, b, score in zip(line_nos.tolist(), *(fields[i::3] for i in range(3))):
-            ids += interner.intern(a), interner.intern(b)
-            scores.append(_parse(_finite_float, score, path, line_no, "score"))
-    return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(scores, dtype=float)
+def _paths_by_name(named_paths):
+    """name -> path of `name=path` values, in flag order; a repeated name is an error."""
+    paths = dict(item.partition("=")[::2] for item in named_paths)
+    if len(paths) < len(named_paths):
+        raise ValueError("a dataset name repeats in %s" % " ".join(named_paths))
+    return paths
 
 
 def cmd_eval_related(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
-    result = ds.relatedness_eval(emb, _load_pairs(args.pairs, interner))
-    write_csv(_out(args, "relatedness.csv"), ["dataset", "metric", "value"],
-              [(args.name, "spearman_rho", "%.6f" % result.rho),
-               (args.name, "pairs_used", "%d" % result.num_pairs),
-               (args.name, "pairs_dropped", "%d" % result.num_dropped)],
-              _header(args))
+    result = ds.relatedness_eval(emb, diff.load_relatedness_pairs(args.pairs, interner))
+    _write_rows(_out(args, "relatedness.csv"), args,
+                [(args.name, "spearman_rho", "%.6f" % result.rho),
+                 (args.name, "pairs_used", "%d" % result.num_pairs),
+                 (args.name, "pairs_dropped", "%d" % result.num_dropped)])
     return 0
 
 
 def cmd_eval_topic(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
-    covered = set(emb.articles.tolist())
-    labels: dict[int, set[int]] = {}
-    for line_nos, _, fields in _chunks(args.labels, 2):
-        for line_no, name, ids in zip(line_nos.tolist(), fields[0::2], fields[1::2]):
-            topics = {_parse(int, x, args.labels, line_no, "topic") for x in ids.split(",")}
-            outside = sorted(t for t in topics if not 0 <= t < args.num_topics)
-            if outside:
-                raise ParseError(args.labels, line_no, "topic %d outside [0, %d)"
-                                 % (outside[0], args.num_topics))
-            article = interner.intern(name)
-            if article in labels:
-                raise ParseError(args.labels, line_no, "duplicate article %r" % name)
-            if article not in covered:
-                raise ParseError(args.labels, line_no, "article %r has no vector" % name)
-            labels[article] = topics
-    split = ds.make_split(len(labels), seed=args.seed)
-    result = ds.topic_classification(emb, labels, split, num_topics=args.num_topics)
-    write_csv(_out(args, "topic_classification.csv"), ["dataset", "metric", "value"],
-              [(args.name, "micro_f1", "%.6f" % result.micro_f1),
-               (args.name, "macro_f1", "%.6f" % result.macro_f1)],
-              _header(args))
+    labels = diff.load_topic_labels(args.labels, interner, emb, args.num_topics)
+    result = ds.topic_classification(emb, labels, ds.make_split(len(labels), seed=args.seed),
+                                     num_topics=args.num_topics)
+    _write_rows(_out(args, "topic_classification.csv"), args,
+                [(args.name, "micro_f1", "%.6f" % result.micro_f1),
+                 (args.name, "macro_f1", "%.6f" % result.macro_f1)])
     return 0
 
 
@@ -283,58 +234,26 @@ def cmd_report(args):
     if missing:
         print("missing result files: %s" % ", ".join(missing), file=sys.stderr)
         return 1
-    values: dict[tuple[str, str], float] = {}  # in file order
-    for path in args.inputs:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#") or line.startswith("dataset,"):
-                    continue
-                fields = line.split(",")
-                if len(fields) != 3:
-                    raise ParseError(path, line_no, "expected 3 columns")
-                key = (fields[0], fields[1])
-                if key in values:
-                    raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
-                values[key] = _parse(float, fields[2], path, line_no, "value")
-    rows = [(dataset, metric, "%.6f" % value) for (dataset, metric), value in values.items()]
-    write_csv(_out(args, "report.csv"), ["dataset", "metric", "value"], rows, _header(args))
-
-    rel_rows = []
-    for (dataset, metric), value in values.items():
-        if dataset == args.baseline:
-            continue
-        base = values.get((args.baseline, metric))
-        if base is None or base == 0:
-            continue
-        rel_rows.append((dataset, metric, "%.4f" % ds.relative_difference(base, value)))
+    values = load_result_values(args.inputs)
+    _write_rows(_out(args, "report.csv"), args,
+                [(dataset, metric, "%.6f" % value) for (dataset, metric), value in values.items()])
     write_csv(_out(args, "relative_difference.csv"),
-              ["dataset", "metric", "relative_difference_pct"], rel_rows, _header(args))
+              ["dataset", "metric", "relative_difference_pct"],
+              ds.relative_difference_rows(values, args.baseline), _header(args))
     return 0
 
 
 def _apply_config_file(parser_args, argv):
     """Fill the command's options from a flat key=value config file; explicit flags win."""
-    path = parser_args.config
-    if not path:
+    if not parser_args.config:
         return parser_args
     explicit = {token.split("=")[0][2:].replace("-", "_")
                 for token in argv if token.startswith("--")}
     # besides `command` and `func`, the namespace holds exactly the command's options
-    settable = vars(parser_args).keys() - {"command", "func"} - explicit
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in settable:
-                continue
-            current = getattr(parser_args, key)
-            if isinstance(current, (int, float)):
-                value = _parse(type(current), value, path, line_no, key)
+    options = {key: value for key, value in vars(parser_args).items()
+               if key not in ("command", "func")}
+    for key, value in load_config(parser_args.config, options).items():
+        if key not in explicit:
             setattr(parser_args, key, value)
     return parser_args
 
@@ -395,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", action="append", required=True, type=_named_path,
                    help="name=corpus_path")
     p.add_argument("--min-paths", type=int, default=10)
-    p.add_argument("--ks", default="10,50,100")
+    p.add_argument("--ks", default="10,50,100", type=_ks)
 
     p = command("train-emb", cmd_train_emb, seed=True)
     p.add_argument("--corpus", required=True)

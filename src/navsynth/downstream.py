@@ -8,7 +8,7 @@ import numpy as np
 
 from .diffusion import EmbeddingTable
 from .graph import HyperlinkGraph, pair_keys, unpack_pairs
-from .sessions import SequenceCorpus, corpus_triples  # noqa: F401 (re-exported)
+from .sessions import SequenceCorpus, corpus_triples
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
@@ -87,6 +87,26 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
     found = np.bincount(query, weights=candidate == target[query], minlength=len(test)) > 0
     rrs = np.where(found, 1.0 / rank, 0.0)
     return MrrResult(float(rrs.mean()), rrs, len(rrs))
+
+
+def next_article_rows(graph: HyperlinkGraph, reference: SequenceCorpus, train,
+                      seed: int) -> list[tuple]:
+    """(dataset, metric, value) rows: per (name, corpus) pair of `train`, the MRR over every
+    and over the filtered `make_split` test triples of `reference` of a Markov-2 model fit to
+    the corpus, or to the train triples of `reference` where the corpus is None. `train` is
+    read once, in order, so a generator that loads each corpus holds one at a time."""
+    triples = corpus_triples(reference)
+    split = make_split(len(triples), seed=seed)
+    test = triples[split.test]
+    models = {}
+    for name, corpus in train:
+        fitted = triples[split.train] if corpus is None else corpus_triples(corpus)
+        del corpus  # hold neither a corpus while its model is fit nor its triples after
+        models[name] = fit_markov2(fitted)
+        del fitted
+    return [(name, metric, "%.6f" % evaluate_mrr(model, graph, test, compared).mrr)
+            for name, model in models.items()
+            for metric, compared in (("mrr_all", None), ("mrr_filtered", [*models.values()]))]
 
 
 # ---------------------------------------------------------------- link prediction
@@ -184,6 +204,19 @@ def precision_at_k(ranked, labels: LabeledLinkSet, ks) -> list[PrecisionAtK]:
             continue
         results.append(PrecisionAtK(k, eff, int(hits[eff - 1]) / eff, eff < k))
     return results
+
+
+def link_prediction_rows(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
+                         reference: SequenceCorpus, corpora, min_paths: int,
+                         ks) -> list[tuple]:
+    """(dataset, metric, value) rows: per (name, corpus) pair of `corpora`, read once after
+    the labels, the precision at each k of `ks` of the corpus's ranking of the links that
+    `build_added_links` labels on `reference`."""
+    labels = build_added_links(old_graph, new_graph, reference, min_paths=min_paths)
+    candidates = np.union1d(labels.positives, labels.negatives)
+    return [(name, "precision_at_%d" % r.k, "%.6f" % r.precision)
+            for name, corpus in corpora
+            for r in precision_at_k(rank_links(corpus, candidates)[0], labels, ks)]
 
 
 # ---------------------------------------------------------------- relatedness
@@ -321,3 +354,11 @@ def relative_difference(a: float, b: float) -> float:
     if a == 0:
         raise ValueError("relative difference undefined for a = 0")
     return 100.0 * (a - b) / a
+
+
+def relative_difference_rows(values: dict, baseline: str) -> list[tuple]:
+    """(dataset, metric, relative difference) rows of each (dataset, metric) -> value against
+    the `baseline` dataset's value of the metric, where that exists and is not 0."""
+    return [(dataset, metric, "%.4f" % relative_difference(values[baseline, metric], value))
+            for (dataset, metric), value in values.items()
+            if dataset != baseline and values.get((baseline, metric))]

@@ -1,4 +1,5 @@
-"""Hyperlink graph and clickstream ingestion, and the transition models built from them."""
+"""Hyperlink graph and clickstream ingestion, the transition models built from them, and the
+text readers and CSV writer that every module shares."""
 
 from __future__ import annotations
 
@@ -73,6 +74,54 @@ def _parse(convert, text, path, line_no, what):
         return convert(text)
     except ValueError:
         raise ParseError(path, line_no, "invalid %s %r" % (what, text)) from None
+
+
+def _lines(path):
+    """(1-based line number, line) of a text file; a line not valid UTF-8 raises ParseError."""
+    with open_text(path, errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, 1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "invalid UTF-8") from None
+            yield line_no, line
+
+
+def load_config(path, options: dict) -> dict:
+    """The settings of a flat "key=value" file; a key outside `options` (name -> current
+    value) is an error, and a value takes its option's type where that is int or float."""
+    settings = {}
+    for line_no, line in _lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise ParseError(path, line_no, "unknown option %r" % key)
+        value = value.strip()
+        if isinstance(options[key], (int, float)):
+            value = _parse(type(options[key]), value, path, line_no, key)
+        settings[key] = value
+    return settings
+
+
+def load_result_values(paths) -> dict[tuple[str, str], float]:
+    """(dataset, metric) -> value of the rows of "dataset,metric,value" files, in file order."""
+    values: dict[tuple[str, str], float] = {}
+    for path in paths:
+        for line_no, line in _lines(path):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#") or line.startswith("dataset,"):
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(path, line_no, "expected 3 columns")
+            key = (fields[0], fields[1])
+            if key in values:
+                raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
+            values[key] = _parse(float, fields[2], path, line_no, "value")
+    return values
 
 
 class Interner:

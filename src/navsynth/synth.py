@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import (ClickstreamTable, HyperlinkGraph, Interner, TransitionModel, _row_offsets,
-                    pair_keys, unpack_pairs)
+                    apply_k_anonymity, build_transition_model, pair_keys, unpack_pairs)
 from .sessions import SequenceCorpus
 from .stats import counter_uniforms, rng_stream
 
@@ -160,6 +160,32 @@ def generate_corpus(model: TransitionModel, reference: SequenceCorpus,
             "flagged_count": len(flagged), "dropped_click_mass": model.dropped_click_mass,
             "walks_rerun": len(rerun), "backtrack_retries": retries}
     return SequenceCorpus(pages, np.cumsum(np.append(0, walked)), kind, flagged, meta)
+
+
+SYNTH_KINDS = {
+    "clickstream-priv": "Clickstream-Priv",
+    "clickstream-pub": "Clickstream-Pub",
+    "clickstream-pub-intrinsic": "Clickstream-Pub(I)",
+    "graph": "Graph",
+}
+
+
+def synthesize(kind: str, graph: HyperlinkGraph, clickstream: ClickstreamTable | None,
+               reference: SequenceCorpus, seed: int) -> SequenceCorpus:
+    """The `generate_corpus` walks of a SYNTH_KINDS `kind` on `graph`, weighted by
+    `clickstream` for every kind but "graph"."""
+    intrinsic = kind == "clickstream-pub-intrinsic"
+    if kind == "graph":
+        model = build_transition_model(graph)
+    elif clickstream is None:
+        raise ValueError("kind %r requires a clickstream" % kind)
+    else:
+        if kind in ("clickstream-pub", "clickstream-pub-intrinsic"):
+            clickstream = apply_k_anonymity(clickstream)
+        model = build_transition_model(graph, clickstream)
+        if intrinsic:
+            model = model.with_stops(derive_intrinsic_stops(clickstream, model.num_nodes))
+    return generate_corpus(model, reference, intrinsic, seed, SYNTH_KINDS[kind])
 
 
 @dataclass

@@ -92,6 +92,21 @@ def test_every_command_flag_is_read():
     assert unread == []
 
 
+def test_cli_uses_no_private_name_of_another_module():
+    # the commands call readers and analyses through the modules' public names only
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module is None
+               for alias in node.names}
+    private = ["%s.%s" % (node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name[0] == "_" and alias.name[:2] != "__"]
+    private += ["%s.%s" % (node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr[0] == "_"]
+    assert private == []
+
+
 def test_import_loads_no_scipy():
     code = ("import sys; sys.path.insert(0, %r); import navsynth; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])" % str(PACKAGE.parent))

@@ -4,13 +4,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import navsynth
-from navsynth.cli import _load_pairs, main
-from navsynth.diffusion import load_embeddings
+from navsynth.cli import main
+from navsynth.diffusion import (EmbeddingTable, load_embeddings, load_relatedness_pairs,
+                                load_topic_labels)
 from navsynth.graph import (Interner, ParseError, load_clickstream,
-                            load_edge_list)
+                            load_edge_list, load_result_values)
 from navsynth.sessions import load_corpus, load_pageview_events
 from navsynth.stats import rng_stream
 
@@ -204,6 +206,18 @@ class TestPipeline:
             assert (results / name).read_bytes() == blob
 
 
+def read_pairs(path):
+    return load_relatedness_pairs(path, Interner())
+
+
+def read_labels(path):
+    """The topic labels of `path` against vectors for "A" and "B", as `eval-topic` reads them
+    next to the embeddings file of `test_malformed_row_cites_path_and_line`."""
+    interner = Interner()
+    return load_topic_labels(path, interner, EmbeddingTable(interner.intern_all(["A", "B"]),
+                                                            np.eye(2)), 64)
+
+
 # case -> (file text with a malformed line 2, direct reader or None,
 #          CLI argv over the files {input, graph, emb, out} or None)
 MALFORMED_ROWS = {
@@ -245,25 +259,25 @@ MALFORMED_ROWS = {
                                lambda f: ["build-sessions", "--events", f["input"],
                                           "--out", f["out"] + "/sessions.tsv"]),
     "interning": ("0\tA\n1\tB\textra\n", Interner.read_tsv, None),
-    "pairs-columns": ("A\tB\t0.5\nA\n", lambda p: _load_pairs(p, Interner()),
+    "pairs-columns": ("A\tB\t0.5\nA\n", read_pairs,
                       lambda f: ["eval-related", "--embeddings", f["emb"],
                                  "--pairs", f["input"], "--out-dir", f["out"]]),
-    "pairs-score": ("A\tB\t0.5\nA\tB\thigh\n", lambda p: _load_pairs(p, Interner()),
+    "pairs-score": ("A\tB\t0.5\nA\tB\thigh\n", read_pairs,
                     lambda f: ["eval-related", "--embeddings", f["emb"],
                                "--pairs", f["input"], "--out-dir", f["out"]]),
-    "pairs-score-nan": ("A\tB\t0.5\nA\tB\tnan\n", lambda p: _load_pairs(p, Interner()),
+    "pairs-score-nan": ("A\tB\t0.5\nA\tB\tnan\n", read_pairs,
                         lambda f: ["eval-related", "--embeddings", f["emb"],
                                    "--pairs", f["input"], "--out-dir", f["out"]]),
-    "pairs-score-inf": ("A\tB\t0.5\nA\tB\t-inf\n", lambda p: _load_pairs(p, Interner()),
+    "pairs-score-inf": ("A\tB\t0.5\nA\tB\t-inf\n", read_pairs,
                         lambda f: ["eval-related", "--embeddings", f["emb"],
                                    "--pairs", f["input"], "--out-dir", f["out"]]),
-    "labels-columns": ("A\t1\nB\n", None,
+    "labels-columns": ("A\t1\nB\n", read_labels,
                        lambda f: ["eval-topic", "--embeddings", f["emb"],
                                   "--labels", f["input"], "--out-dir", f["out"]]),
-    "labels-utf8": ("A\t1\nB\udcc3\t1\n", None,
+    "labels-utf8": ("A\t1\nB\udcc3\t1\n", read_labels,
                     lambda f: ["eval-topic", "--embeddings", f["emb"],
                                "--labels", f["input"], "--out-dir", f["out"]]),
-    "labels-topic": ("A\t1\nB\t1,x\n", None,
+    "labels-topic": ("A\t1\nB\t1,x\n", read_labels,
                      lambda f: ["eval-topic", "--embeddings", f["emb"],
                                 "--labels", f["input"], "--out-dir", f["out"]]),
     "embeddings-value": ("2 2\nA 1.0 x\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
@@ -281,22 +295,30 @@ MALFORMED_ROWS = {
     "embeddings-nan": ("2 2\nA 1.0 nan\nB 0.0 1.0\n", lambda p: load_embeddings(p, Interner()),
                        lambda f: ["diffusion", "--embeddings", f["input"],
                                   "--corpus", f["graph"], "--out-dir", f["out"]]),
-    "labels-topic-negative": ("A\t1\nB\t-1\n", None,
+    "labels-topic-negative": ("A\t1\nB\t-1\n", read_labels,
                               lambda f: ["eval-topic", "--embeddings", f["emb"],
                                          "--labels", f["input"], "--out-dir", f["out"]]),
-    "labels-topic-high": ("A\t1\nB\t0,64\n", None,
+    "labels-topic-high": ("A\t1\nB\t0,64\n", read_labels,
                           lambda f: ["eval-topic", "--embeddings", f["emb"],
                                      "--labels", f["input"], "--out-dir", f["out"]]),
-    "labels-duplicate": ("A\t0\nA\t1\n", None,
+    "labels-duplicate": ("A\t0\nA\t1\n", read_labels,
                          lambda f: ["eval-topic", "--embeddings", f["emb"],
                                     "--labels", f["input"], "--out-dir", f["out"]]),
-    "labels-no-vector": ("A\t1\nC\t1\n", None,
+    "labels-no-vector": ("A\t1\nC\t1\n", read_labels,
                          lambda f: ["eval-topic", "--embeddings", f["emb"],
                                     "--labels", f["input"], "--out-dir", f["out"]]),
-    "report-row": ("Logs,mrr_all,0.5\nLogs,mrr_all\n", None,
+    "report-row": ("Logs,mrr_all,0.5\nLogs,mrr_all\n", lambda p: load_result_values([p]),
                    lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
-    "report-duplicate": ("Logs,mrr_all,0.5\nLogs,mrr_all,0.7\n", None,
+    "report-duplicate": ("Logs,mrr_all,0.5\nLogs,mrr_all,0.7\n",
+                         lambda p: load_result_values([p]),
                          lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+    "report-utf8": ("Logs,mrr_all,0.5\nLogs,mrr\udcff,0.7\n",
+                    lambda p: load_result_values([p]),
+                    lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+    "embeddings-utf8": ("2 2\nB\udcc3 0.0 1.0\nA 1.0 0.0\n",
+                        lambda p: load_embeddings(p, Interner()),
+                        lambda f: ["eval-related", "--embeddings", f["input"],
+                                   "--pairs", f["graph"], "--out-dir", f["out"]]),
 }
 # the whole message after "path:2: ", where a case pins it
 MALFORMED_MESSAGES = {
@@ -304,6 +326,8 @@ MALFORMED_MESSAGES = {
     "clickstream-total-overflow": "click total reaches 2**63\n",
     "corpus-empty-name": "empty article name\n",
     "edges-utf8": "invalid UTF-8\n",
+    "embeddings-utf8": "invalid UTF-8\n",
+    "report-utf8": "invalid UTF-8\n",
     "events-key": "invalid reader key 'zz'\n",
     "labels-utf8": "invalid UTF-8\n",
     "events-empty-article": "empty article name\n",
@@ -376,6 +400,36 @@ def test_eval_link_corpus_without_path_rejected(tmp_path, chain_graph, reference
               "--out-dir", str(tmp_path / "out")])
     assert exit_.value.code == 2
     assert "argument --corpus: expected name=path, got 'Logs'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", ["10,x", "0", "5,-1", ""])
+def test_eval_link_bad_ks_rejected_before_reading(tmp_path, capsys, ks):
+    absent = str(tmp_path / "absent.tsv")
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval-link", "--old-graph", absent, "--new-graph", absent, "--reference", absent,
+              "--corpus", "A=%s" % absent, "--ks", ks])
+    assert exit_.value.code == 2
+    assert ("argument --ks: expected comma-separated integers >= 1, got %r" % ks
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("synth", "--graph"), ("synth", "--clickstream"), ("synth", "--reference"),
+    ("build-sessions", "--events"), ("train-emb", "--corpus")])
+def test_out_naming_an_input_rejected_before_reading(tmp_path, capsys, command, flag):
+    inputs = {"synth": ["--graph", "--clickstream", "--reference"],
+              "build-sessions": ["--events"], "train-emb": ["--corpus"]}[command]
+    out = os.path.join(str(tmp_path), ".", "in%d.tsv" % inputs.index(flag))  # another spelling
+    argv = [command, "--out", out]
+    for i, name in enumerate(inputs):
+        argv += [name, write(tmp_path / ("in%d.tsv" % i), "A\tB\n")]
+    if command == "synth":
+        argv += ["--kind", "clickstream-priv"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --out %s names an input of the command\n" % out
+    assert all((tmp_path / ("in%d.tsv" % i)).read_text() == "A\tB\n"
+               for i in range(len(inputs)))
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 def test_eval_next_train_without_path_rejected_before_reading(tmp_path, capsys):
@@ -455,7 +509,7 @@ class TestReport:
 
 class TestConfigFile:
     def test_flags_beat_config(self, tmp_path, chain_graph, capsys):
-        cfg = write(tmp_path / "run.cfg", "seed=99\nout_dir=%s\n" % (tmp_path / "cfg_out"))
+        cfg = write(tmp_path / "run.cfg", "out_dir=%s\n" % (tmp_path / "cfg_out"))
         flag_out = tmp_path / "flag_out"
         rc = main(["ingest", "--graph", chain_graph, "--config", cfg,
                    "--out-dir", str(flag_out)])
@@ -469,11 +523,19 @@ class TestConfigFile:
         assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
         assert (out / "graph_cache.npz").exists()
 
-    def test_non_option_keys_ignored(self, tmp_path, chain_graph):
+    @pytest.mark.parametrize("key", ["func", "command", "min_tripels", "seed"])
+    def test_non_option_keys_rejected(self, tmp_path, chain_graph, capsys, key):
+        # `func` and `command` are in the namespace but are no options; ingest takes no --seed
         out = tmp_path / "from_cfg"
-        cfg = write(tmp_path / "run.cfg", "func=x\ncommand=mixing\nout_dir=%s\n" % out)
-        assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 0
-        assert (out / "graph_cache.npz").exists()
+        cfg = write(tmp_path / "run.cfg", "out_dir=%s\n%s=0\n" % (out, key.replace("_", "-")))
+        assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: %s:2: unknown option %r\n" % (cfg, key)
+        assert not out.exists()
+
+    def test_invalid_utf8_cites_line(self, tmp_path, chain_graph, capsys):
+        cfg = write(tmp_path / "run.cfg", "# run settings\nout_dir=caf\udcc3\n")
+        assert main(["ingest", "--graph", chain_graph, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: %s:2: invalid UTF-8\n" % cfg
 
     def test_bad_value_cites_line(self, tmp_path, capsys):
         corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\n")

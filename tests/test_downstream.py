@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from navsynth.diffusion import EmbeddingTable
 from navsynth.downstream import (LabeledLinkSet,
                                  build_added_links, corpus_triples,
-                                 evaluate_mrr, fit_markov2, logreg_loss_grad,
-                                 make_split, precision_at_k,
-                                 rank_links, relatedness_eval,
-                                 relative_difference, topic_classification,
-                                 train_logreg)
-from navsynth.graph import load_edge_list, pair_keys, unpack_pairs
+                                 evaluate_mrr, fit_markov2, link_prediction_rows,
+                                 logreg_loss_grad, make_split, next_article_rows,
+                                 precision_at_k, rank_links, relatedness_eval,
+                                 relative_difference, relative_difference_rows,
+                                 topic_classification, train_logreg)
+from navsynth.graph import HyperlinkGraph, load_edge_list, pair_keys, unpack_pairs
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
+from navsynth.synth import PlantedWorldSpec, generate_planted_world
 from oracles import vector
 
 
@@ -520,3 +521,68 @@ class TestRelativeDifference:
     def test_zero_baseline_error(self):
         with pytest.raises(ValueError):
             relative_difference(0.0, 0.1)
+
+
+# ---------------------------------------------------------------- command rows, in memory
+
+@pytest.fixture(scope="module")
+def world():
+    # the planted world of the golden run, whose every other edge gives the old graph
+    return generate_planted_world(PlantedWorldSpec(num_nodes=60, out_degree=5,
+                                                   memory_strength=0.6, corpus_size=1500, seed=3))
+
+
+def half_corpus(corpus):
+    """The second half of `corpus`'s sequences, as another training corpus."""
+    half = len(corpus) // 2
+    return SequenceCorpus(corpus.pages[corpus.offsets[half]:],
+                          corpus.offsets[half:] - corpus.offsets[half], "Half")
+
+
+class TestNextArticleRows:
+    def test_matches_the_models_it_names(self, world):
+        half = half_corpus(world.corpus)
+        rows = next_article_rows(world.graph, world.corpus, [("Logs", None), ("Half", half)], 3)
+        triples = corpus_triples(world.corpus)
+        split = make_split(len(triples), seed=3)
+        # None fits the reference's own train split
+        models = [fit_markov2(triples[split.train]), fit_markov2(corpus_triples(half))]
+        expected = []
+        for name, model in zip(["Logs", "Half"], models):
+            expected += [(name, metric, "%.6f" % evaluate_mrr(model, world.graph,
+                                                              triples[split.test], compared).mrr)
+                         for metric, compared in (("mrr_all", None), ("mrr_filtered", models))]
+        assert rows == expected
+
+    def test_names_keep_their_order(self, world):
+        train = {"B": half_corpus(world.corpus), "A": None}
+        rows = next_article_rows(world.graph, world.corpus, iter(train.items()), 0)
+        assert [row[:2] for row in rows] == [("B", "mrr_all"), ("B", "mrr_filtered"),
+                                             ("A", "mrr_all"), ("A", "mrr_filtered")]
+
+
+class TestLinkPredictionRows:
+    def test_matches_the_rankings_it_names(self, world):
+        sources, targets = world.graph.edge_arrays()
+        kept = np.arange(len(sources)) % 2 == 1
+        indptr = np.append(0, np.cumsum(np.bincount(sources[kept],
+                                                    minlength=world.graph.num_nodes)))
+        old = HyperlinkGraph(world.graph.interner, indptr, targets[kept])
+        corpora = {"Logs": world.corpus, "Half": half_corpus(world.corpus)}
+        rows = link_prediction_rows(old, world.graph, world.corpus, corpora.items(), 5, [5, 20])
+        labels = build_added_links(old, world.graph, world.corpus, min_paths=5)
+        candidates = np.union1d(labels.positives, labels.negatives)
+        expected = [(name, "precision_at_%d" % r.k, "%.6f" % r.precision)
+                    for name, corpus in corpora.items()
+                    for r in precision_at_k(rank_links(corpus, candidates)[0], labels, [5, 20])]
+        assert rows == expected and len(rows) == 4
+
+
+class TestRelativeDifferenceRows:
+    def test_against_the_baseline_of_each_metric(self):
+        values = {("A", "mrr"): 0.4, ("Logs", "mrr"): 0.5, ("A", "p10"): 0.3,
+                  ("Logs", "p10"): 0.0, ("B", "other"): 1.0, ("B", "mrr"): 0.6}
+        # no row for the baseline itself, a baseline of 0 or a metric the baseline lacks
+        assert relative_difference_rows(values, "Logs") == [("A", "mrr", "20.0000"),
+                                                             ("B", "mrr", "-20.0000")]
+        assert relative_difference_rows(values, "C") == []

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navsynth import stats, synth
-from navsynth.graph import Interner, build_transition_model, load_edge_list
+from navsynth.graph import (Interner, apply_k_anonymity, build_transition_model,
+                            load_edge_list)
 from navsynth.sessions import SequenceCorpus, save_corpus
 from navsynth.stats import counter_uniforms, rng_stream
 from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
@@ -193,6 +194,41 @@ class TestDeriveIntrinsicStops:
         t = table({(0, 1): 200, (1, 2): 150})  # node 1: in=200, out=150
         stops = derive_intrinsic_stops(t, 3)
         assert stops[1] == pytest.approx(0.25)
+
+
+class TestSynthesize:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_planted_world(PlantedWorldSpec(num_nodes=40, out_degree=4,
+                                                       memory_strength=0.5, corpus_size=300,
+                                                       seed=2))
+
+    @staticmethod
+    def model_of(kind, world):
+        """The transition model that each kind walks, built step by step."""
+        if kind == "graph":
+            return build_transition_model(world.graph)
+        clicks = world.clickstream
+        if kind != "clickstream-priv":
+            clicks = apply_k_anonymity(clicks)
+        model = build_transition_model(world.graph, clicks)
+        if kind == "clickstream-pub-intrinsic":
+            model = model.with_stops(derive_intrinsic_stops(clicks, model.num_nodes))
+        return model
+
+    @pytest.mark.parametrize("kind", sorted(synth.SYNTH_KINDS))
+    def test_walks_the_model_of_its_kind(self, world, kind):
+        corpus = synth.synthesize(kind, world.graph, world.clickstream, world.corpus, 7)
+        expected = generate_corpus(self.model_of(kind, world), world.corpus,
+                                   kind == "clickstream-pub-intrinsic", 7, synth.SYNTH_KINDS[kind])
+        assert corpus.kind == expected.kind
+        assert np.array_equal(corpus.pages, expected.pages)
+        assert np.array_equal(corpus.offsets, expected.offsets)
+        assert corpus.metadata == expected.metadata
+
+    def test_click_kinds_need_a_clickstream(self, world):
+        with pytest.raises(ValueError, match="requires a clickstream"):
+            synth.synthesize("clickstream-priv", world.graph, None, world.corpus, 7)
 
 
 class TestPlantedWorld:
