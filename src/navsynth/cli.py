@@ -163,11 +163,15 @@ def cmd_train_emb(args):
     return 0
 
 
+class _InvalidValue(argparse.ArgumentTypeError, ValueError):
+    """A flag value's message for argparse, and a ValueError for a `--config` value."""
+
+
 def _named_path(text):
     """Check a `name=path` value of --train or --corpus; kept as text, which the
     header's config digest hashes."""
     if not text.partition("=")[2]:
-        raise argparse.ArgumentTypeError("expected name=path, got %r" % text)
+        raise _InvalidValue("expected name=path, got %r" % text)
     return text
 
 
@@ -178,7 +182,7 @@ def _ks(text):
             return text
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("expected comma-separated integers >= 1, got %r" % text)
+    raise _InvalidValue("expected comma-separated integers >= 1, got %r" % text)
 
 
 def _paths_by_name(named_paths):
@@ -243,15 +247,17 @@ def cmd_report(args):
     return 0
 
 
-def _apply_config_file(parser_args, argv):
-    """Fill the command's options from a flat key=value config file; explicit flags win."""
+def _apply_config_file(parser, parser_args, argv):
+    """Fill the command's options from a flat key=value config file, each value through its
+    flag's `type`; explicit flags win."""
     if not parser_args.config:
         return parser_args
     explicit = {token.split("=")[0][2:].replace("-", "_")
                 for token in argv if token.startswith("--")}
-    # besides `command` and `func`, the namespace holds exactly the command's options
-    options = {key: value for key, value in vars(parser_args).items()
-               if key not in ("command", "func")}
+    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
+    # the namespace holds the command's options (all but `help`), `command` and `func`
+    options = {action.dest: action.type for action in commands[parser_args.command]._actions
+               if action.dest in vars(parser_args)}
     for key, value in load_config(parser_args.config, options).items():
         if key not in explicit:
             setattr(parser_args, key, value)
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .graph import Interner, ParseError, _chunks, _lines, _parse, open_text, write_csv
+from .graph import Interner, ParseError, _chunks, _parse, _row_texts, open_text, write_csv
 from .sessions import SequenceCorpus
 from .stats import bootstrap_mean_ci
 
@@ -60,33 +61,33 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
     """Read the text format: header "N dim", then "name v1 ... v_dim" rows. The last `dim`
     space-separated fields are the vector and the rest is the name, which may hold spaces."""
     vectors: dict[int, np.ndarray] = {}
-    lines = _lines(path)
-    header = next(lines, (1, ""))[1].split()
+    chunks = _row_texts(path)
+    line_nos, lines = next((chunk for chunk in chunks if chunk[1]), ([1], [""]))
+    header = lines[0].split() if line_nos[0] == 1 else []
     if len(header) != 2:
         raise ParseError(path, 1, "expected 'N dim' header")
     n = _parse(int, header[0], path, 1, "row count")
     dim = _parse(int, header[1], path, 1, "dimension")
-    for line_no, line in lines:
-        line = line.rstrip()
-        if not line:
-            continue
-        name, *values = line.rsplit(" ", dim)
-        if len(values) != dim:
-            raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
-        if not name:
-            raise ParseError(path, line_no, "empty article name")
-        article = interner.intern(name)
-        if article in vectors:
-            raise ParseError(path, line_no, "duplicate article %r" % name)
-        try:
-            vector = np.array(values, dtype=float)
-        except ValueError as e:
-            raise ParseError(path, line_no, str(e)) from None
-        if not vector.any():
-            raise ParseError(path, line_no, "all-zero vector for article %r" % name)
-        if not np.isfinite(vector).all():
-            raise ParseError(path, line_no, "non-finite value for article %r" % name)
-        vectors[article] = vector
+    for line_nos, lines in chain([(line_nos[1:], lines[1:])], chunks):
+        rows = [(line_no, line.rsplit(" ", dim))
+                for line_no, line in zip(line_nos, map(str.rstrip, lines)) if line]
+        articles = interner.intern_all([fields[0] for _, fields in rows]).tolist()
+        for (line_no, (name, *values)), article in zip(rows, articles):
+            if len(values) != dim:
+                raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
+            if not name:
+                raise ParseError(path, line_no, "empty article name")
+            if article in vectors:
+                raise ParseError(path, line_no, "duplicate article %r" % name)
+            try:
+                vector = np.array(values, dtype=float)
+            except ValueError as e:
+                raise ParseError(path, line_no, str(e)) from None
+            if not vector.any():
+                raise ParseError(path, line_no, "all-zero vector for article %r" % name)
+            if not np.isfinite(vector).all():
+                raise ParseError(path, line_no, "non-finite value for article %r" % name)
+            vectors[article] = vector
     if len(vectors) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(vectors)))
     return EmbeddingTable(list(vectors), np.array(list(vectors.values())).reshape(n, dim))
@@ -103,10 +104,14 @@ def load_relatedness_pairs(path, interner: Interner) -> tuple[np.ndarray, np.nda
     """The (n, 2) int64 article ids and the n float scores of "a<TAB>b<TAB>score" rows."""
     ids, scores = [], []
     for line_nos, _, fields in _chunks(path, 3):
-        for line_no, a, b, score in zip(line_nos.tolist(), *(fields[i::3] for i in range(3))):
-            ids += interner.intern(a), interner.intern(b)
+        texts = fields[2::3]
+        del fields[2::3]  # the two names of each row are left
+        for line_no, a, b, score in zip(line_nos.tolist(), fields[0::2], fields[1::2], texts):
+            if "" in (a, b):
+                raise ParseError(path, line_no, "empty article name")
             scores.append(_parse(_finite_float, score, path, line_no, "score"))
-    return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(scores, dtype=float)
+        ids.append(interner.intern_all(fields))
+    return np.concatenate(ids).reshape(-1, 2), np.array(scores, dtype=float)
 
 
 def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics: int) -> dict:
@@ -114,13 +119,14 @@ def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics:
     covered = set(emb.articles.tolist())
     labels: dict[int, set[int]] = {}
     for line_nos, _, fields in _chunks(path, 2):
-        for line_no, name, ids in zip(line_nos.tolist(), fields[0::2], fields[1::2]):
+        articles = interner.intern_all(fields[0::2]).tolist()
+        for line_no, name, ids, article in zip(line_nos.tolist(), fields[0::2], fields[1::2],
+                                               articles):
             topics = {_parse(int, x, path, line_no, "topic") for x in ids.split(",")}
             outside = sorted(t for t in topics if not 0 <= t < num_topics)
             if outside:
                 raise ParseError(path, line_no, "topic %d outside [0, %d)"
                                  % (outside[0], num_topics))
-            article = interner.intern(name)
             if article in labels:
                 raise ParseError(path, line_no, "duplicate article %r" % name)
             if article not in covered:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass, field
-from itertools import compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse
 
 import numpy as np
 
@@ -41,18 +41,21 @@ def write_csv(path, columns, rows, header_comment: str = ""):
 def _chunks(path, ncols=0):
     """Read a TSV file in chunks of whole lines. Yields, per chunk and at least once, the int64
     1-based line number and the width of each row (non-blank line), and the flat list of their
-    fields. With `ncols`, a row of another width raises ParseError after the rows before it."""
+    fields. A line not valid UTF-8, or with `ncols` a row of another width, raises ParseError
+    after the rows before it."""
     line_no, tail, text = 1, "", None  # the first line not yet split, and its text read so far
     with open_text(path, errors="surrogateescape") as f:  # an undecodable byte reads as U+DCxx
         while text != "":
             text = f.read(CHUNK_CHARS)  # "" at the end, where the last line may lack "\n"
             head, newline, tail = (tail + (text or "\n")).rpartition("\n")
-            block = head + newline  # whole lines
+            block, undecodable = head + newline, None  # whole lines
             try:
                 raw = np.frombuffer(block.encode(), np.uint8)
             except UnicodeEncodeError as e:
-                raise ParseError(path, line_no + block.count("\n", 0, e.start),
-                                 "invalid UTF-8") from None
+                undecodable = ParseError(path, line_no + block.count("\n", 0, e.start),
+                                         "invalid UTF-8")
+                block = block[:block.rfind("\n", 0, e.start) + 1]  # the lines before it
+                raw = np.frombuffer(block.encode(), np.uint8)
             # tabs and newlines are single bytes in UTF-8; the newlines among them end the rows
             ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
             widths = np.diff(ends, prepend=-1)
@@ -66,6 +69,8 @@ def _chunks(path, ncols=0):
             yield line_nos[:end], widths[:end], fields[:widths[:end].sum()]
             if end < len(widths):
                 raise ParseError(path, int(line_nos[end]), "expected %d columns" % ncols)
+            if undecodable:
+                raise undecodable
 
 
 def _parse(convert, text, path, line_no, what):
@@ -76,51 +81,51 @@ def _parse(convert, text, path, line_no, what):
         raise ParseError(path, line_no, "invalid %s %r" % (what, text)) from None
 
 
-def _lines(path):
-    """(1-based line number, line) of a text file; a line not valid UTF-8 raises ParseError."""
-    with open_text(path, errors="surrogateescape") as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                line.encode()
-            except UnicodeEncodeError:
-                raise ParseError(path, line_no, "invalid UTF-8") from None
-            yield line_no, line
+def _row_texts(path):
+    """Per chunk of `_chunks`, the line numbers and the texts of its rows: each row's fields
+    joined by tabs again."""
+    for line_nos, widths, fields in _chunks(path):
+        ends = np.cumsum(widths).tolist()
+        yield line_nos.tolist(), ["\t".join(fields[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def load_config(path, options: dict) -> dict:
-    """The settings of a flat "key=value" file; a key outside `options` (name -> current
-    value) is an error, and a value takes its option's type where that is int or float."""
+    """The settings of a flat "key=value" file. `options` maps each key to the function that
+    converts its value's text, or to None to keep the text; any other key is an error."""
     settings = {}
-    for line_no, line in _lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in options:
-            raise ParseError(path, line_no, "unknown option %r" % key)
-        value = value.strip()
-        if isinstance(options[key], (int, float)):
-            value = _parse(type(options[key]), value, path, line_no, key)
-        settings[key] = value
+    for line_nos, lines in _row_texts(path):
+        for line_no, line in zip(line_nos, lines):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in options:
+                raise ParseError(path, line_no, "unknown option %r" % key)
+            settings[key] = _parse(options[key] or str, value.strip(), path, line_no, key)
     return settings
 
 
 def load_result_values(paths) -> dict[tuple[str, str], float]:
-    """(dataset, metric) -> value of the rows of "dataset,metric,value" files, in file order."""
+    """(dataset, metric) -> value of the rows of "dataset,metric,value" files, in file order.
+    A file's first row that is no comment is its column names if it starts "dataset,metric,"."""
     values: dict[tuple[str, str], float] = {}
     for path in paths:
-        for line_no, line in _lines(path):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("dataset,"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ParseError(path, line_no, "expected 3 columns")
-            key = (fields[0], fields[1])
-            if key in values:
-                raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
-            values[key] = _parse(float, fields[2], path, line_no, "value")
+        first = True
+        for line_nos, lines in _row_texts(path):
+            for line_no, line in zip(line_nos, lines):
+                if line.startswith("#"):
+                    continue
+                columns, first = first and line.startswith("dataset,metric,"), False
+                if columns:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 3:
+                    raise ParseError(path, line_no, "expected 3 columns")
+                key = (fields[0], fields[1])
+                if key in values:
+                    raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
+                values[key] = _parse(float, fields[2], path, line_no, "value")
     return values
 
 
@@ -131,22 +136,11 @@ class Interner:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
 
-    def intern(self, name: str) -> int:
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self._names)
-            self._ids[name] = i
-            self._names.append(name)
-        return i
-
     def intern_all(self, names: list[str]) -> np.ndarray:
         """The int64 id of each name, interning new names in order of first appearance."""
         self._names += filterfalse(self._ids.__contains__, dict.fromkeys(names))
         self._ids.update(zip(self._names[len(self._ids):], count(len(self._ids))))
         return np.fromiter(map(self._ids.__getitem__, names), np.int64, len(names))
-
-    def id(self, name: str) -> int:
-        return self._ids[name]
 
     def name(self, article_id: int) -> str:
         return self._names[article_id]
@@ -163,8 +157,9 @@ class Interner:
     def read_tsv(cls, path) -> "Interner":
         interner = cls()
         for line_nos, _, fields in _chunks(path, 2):
-            for line_no, article_id, name in zip(line_nos.tolist(), fields[0::2], fields[1::2]):
-                if interner.intern(name) != _parse(int, article_id, path, line_no, "id"):
+            ids = interner.intern_all(fields[1::2]).tolist()
+            for line_no, article_id, i in zip(line_nos.tolist(), fields[0::2], ids):
+                if i != _parse(int, article_id, path, line_no, "id"):
                     raise ParseError(path, line_no, "non-contiguous interning ids")
         return interner
 
@@ -284,17 +279,17 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
     for line_nos, _, fields in _chunks(path, 4):
         kept = [*map(CLICK_LINK_TYPES.__contains__, fields[2::4])]
         skipped += kept.count(False)
-        for line_no, prev, curr, count_str in compress(zip(
-                line_nos.tolist(), fields[0::4], fields[1::4], fields[3::4]), kept):
+        for line_no, count_str in compress(zip(line_nos.tolist(), fields[3::4]), kept):
             count = _parse(int, count_str, path, line_no, "count")
             if count < 1:
                 raise ParseError(path, line_no, "non-positive count %d" % count)
             total += count
             if total >= 2**63:
                 raise ParseError(path, line_no, "click total reaches 2**63")
-            ids += interner.intern(prev), interner.intern(curr)
             counts.append(count)
-    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+        ids.append(interner.intern_all([*chain.from_iterable(
+            compress(zip(fields[0::4], fields[1::4]), kept))]))
+    pairs = np.concatenate(ids).reshape(-1, 2)
     entries, pair = np.unique(pair_keys(pairs[:, 0], pairs[:, 1]), return_inverse=True)
     sums = np.zeros(len(entries), dtype=np.int64)
     np.add.at(sums, pair, np.array(counts, dtype=np.int64))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -155,9 +155,14 @@ def load_pageview_events(path, interner: Interner) -> PageviewEvents:
             stamps.append(_parse(int, ts, path, line_no, "timestamp"))
             if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
                 raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
-            ids += -1 if referrer == "-" else interner.intern(referrer), interner.intern(article)
+        referrers = fields[3::4]
+        named = np.ones(2 * len(referrers), dtype=bool)  # the referrer and article of each row
+        named[0::2] = np.fromiter(map("-".__ne__, referrers), bool, len(referrers))
+        ids.append(np.full(len(named), -1, dtype=np.int64))
+        ids[-1][named] = interner.intern_all(
+            [*compress(chain.from_iterable(zip(referrers, fields[2::4])), named.tolist())])
     # the inverse of the byte-order permutation of the keys is the rank of each
     rank = np.argsort(sorted(range(len(keys)), key=[*keys].__getitem__))
-    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    ids = np.concatenate(ids).reshape(-1, 2)
     return PageviewEvents(rank[np.array(readers, dtype=np.int64)],
                           np.array(stamps, dtype=np.int64), ids[:, 1], ids[:, 0])

@@ -228,8 +228,7 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     """
     rng = rng_stream(spec.seed, 0)
     interner = Interner()
-    for i in range(spec.num_nodes):
-        interner.intern("n%05d" % i)
+    interner.intern_all(["n%05d" % i for i in range(spec.num_nodes)])
 
     n, d = spec.num_nodes, spec.out_degree
     out = np.empty((n, d), dtype=np.int64)
@@ -283,8 +282,7 @@ class GeometricWorld:
 def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
     rng = rng_stream(spec.seed, 0)
     interner = Interner()
-    for i in range(spec.num_nodes):
-        interner.intern("g%05d" % i)
+    interner.intern_all(["g%05d" % i for i in range(spec.num_nodes)])
 
     pos = rng.normal(size=(spec.num_nodes, spec.dim))
     pos /= np.linalg.norm(pos, axis=1, keepdims=True)

@@ -1,9 +1,11 @@
 """Per-item reference implementations that the tests check the vectorized code against."""
 
+import math
+
 import numpy as np
 from scipy.special import expit, log_expit
 
-from navsynth.graph import ParseError, open_text
+from navsynth.graph import ParseError
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,44 +89,216 @@ def root_to_leaf_paths(articles, parent, rng) -> list[list[int]]:
     return paths
 
 
+def intern(ids: dict, name: str) -> int:
+    """The id of `name` in a name -> id dict, which gives a new name the next id."""
+    return ids.setdefault(name, len(ids))
+
+
+def name_ids(interner) -> dict:
+    """name -> id of every name an Interner holds."""
+    return {interner.name(i): i for i in range(len(interner))}
+
+
+def parse(convert, text, path, line_no, what):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(path, line_no, "invalid %s %r" % (what, text)) from None
+
+
+def lines(path):
+    """(line_no, line without its line end) of each line of a text file."""
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            yield line_no, line.rstrip("\n")
+
+
 def rows(path, ncols):
     """(line_no, fields) of each non-blank line of a TSV file of `ncols` columns, one line at a
     time."""
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != ncols:
-                raise ParseError(path, line_no, "expected %d columns" % ncols)
-            yield line_no, parts
+    for line_no, line in lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != ncols:
+            raise ParseError(path, line_no, "expected %d columns" % ncols)
+        yield line_no, parts
 
 
-def edge_ids(path, interner) -> list[tuple[int, int]]:
+def edge_ids(path, ids) -> list[tuple[int, int]]:
     """The (source, target) ids of each row of an edge list, interned one name at a time."""
-    ids = []
+    pairs = []
     for line_no, (source, target) in rows(path, 2):
         if not source or not target:
             raise ParseError(path, line_no, "empty article name")
-        ids.append((interner.intern(source), interner.intern(target)))
-    return ids
+        pairs.append((intern(ids, source), intern(ids, target)))
+    return pairs
 
 
-def corpus(path, interner) -> tuple[str, list[list[int]]]:
+def corpus(path, ids) -> tuple[str, list[list[int]]]:
     """The kind and the id sequences of a corpus file, one line and one name at a time."""
     kind, sequences = "Logs", []
-    with open_text(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("#kind="):
-                    kind = line[len("#kind="):]
-                continue
-            names = line.split("\t")
-            if "" in names:
-                raise ParseError(path, line_no, "empty article name")
-            sequences.append([interner.intern(name) for name in names])
+    for line_no, line in lines(path):
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#kind="):
+                kind = line[len("#kind="):]
+            continue
+        names = line.split("\t")
+        if "" in names:
+            raise ParseError(path, line_no, "empty article name")
+        sequences.append([intern(ids, name) for name in names])
     return kind, sequences
+
+
+def interning(path) -> list[str]:
+    """The names of an interning file, in id order, checked one row at a time."""
+    ids = {}
+    for line_no, (article_id, name) in rows(path, 2):
+        if intern(ids, name) != parse(int, article_id, path, line_no, "id"):
+            raise ParseError(path, line_no, "non-contiguous interning ids")
+    return [*ids]
+
+
+def clickstream(path, ids) -> tuple[list, int]:
+    """The sorted ((source, target), summed count) pairs of a clickstream's link rows, and the
+    number of other rows."""
+    sums, skipped, total = {}, 0, 0
+    for line_no, (prev, curr, row_type, count_text) in rows(path, 4):
+        if row_type != "link":
+            skipped += 1
+            continue
+        count = parse(int, count_text, path, line_no, "count")
+        if count < 1:
+            raise ParseError(path, line_no, "non-positive count %d" % count)
+        total += count
+        if total >= 2**63:
+            raise ParseError(path, line_no, "click total reaches 2**63")
+        pair = intern(ids, prev), intern(ids, curr)
+        sums[pair] = sums.get(pair, 0) + count
+    return sorted(sums.items()), skipped
+
+
+def pageview_events(path, ids) -> list[tuple]:
+    """(reader rank, timestamp, article, referrer or -1) of each event row, where readers rank
+    by their key's bytes."""
+    events = []
+    for line_no, (key_hex, ts, article, referrer) in rows(path, 4):
+        if "" in (article, referrer):
+            raise ParseError(path, line_no, "empty article name")
+        key = parse(bytes.fromhex, key_hex, path, line_no, "reader key")
+        stamp = parse(int, ts, path, line_no, "timestamp")
+        if not -2**62 <= stamp < 2**62:
+            raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
+        events.append((key, stamp, -1 if referrer == "-" else intern(ids, referrer),
+                       intern(ids, article)))
+    rank = {key: r for r, key in enumerate(sorted({event[0] for event in events}))}
+    return [(rank[key], stamp, article, referrer) for key, stamp, referrer, article in events]
+
+
+def embeddings(path, ids) -> tuple[list[int], list[list[float]]]:
+    """The article ids and vectors of an embeddings file, one line at a time."""
+    vectors = {}
+    numbered = lines(path)
+    header = next(numbered, (1, ""))[1].split()
+    if len(header) != 2:
+        raise ParseError(path, 1, "expected 'N dim' header")
+    n = parse(int, header[0], path, 1, "row count")
+    dim = parse(int, header[1], path, 1, "dimension")
+    for line_no, line in numbered:
+        line = line.rstrip()
+        if not line:
+            continue
+        name, *values = line.rsplit(" ", dim)
+        if len(values) != dim:
+            raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
+        if not name:
+            raise ParseError(path, line_no, "empty article name")
+        article = intern(ids, name)
+        if article in vectors:
+            raise ParseError(path, line_no, "duplicate article %r" % name)
+        try:
+            vector = np.array(values, dtype=float)
+        except ValueError as e:
+            raise ParseError(path, line_no, str(e)) from None
+        if not vector.any():
+            raise ParseError(path, line_no, "all-zero vector for article %r" % name)
+        if not np.isfinite(vector).all():
+            raise ParseError(path, line_no, "non-finite value for article %r" % name)
+        vectors[article] = vector.tolist()
+    if len(vectors) != n:
+        raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(vectors)))
+    return [*vectors], [*vectors.values()]
+
+
+def finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def relatedness_pairs(path, ids) -> list[tuple[int, int, float]]:
+    """(a, b, score) of each row of a relatedness pairs file."""
+    pairs = []
+    for line_no, (a, b, score) in rows(path, 3):
+        if "" in (a, b):
+            raise ParseError(path, line_no, "empty article name")
+        pairs.append((intern(ids, a), intern(ids, b),
+                      parse(finite_float, score, path, line_no, "score")))
+    return pairs
+
+
+def topic_labels(path, ids, covered, num_topics) -> dict:
+    """Article id -> topic id set of a labels file, for articles in `covered`."""
+    labels = {}
+    for line_no, (name, topic_ids) in rows(path, 2):
+        topics = {parse(int, x, path, line_no, "topic") for x in topic_ids.split(",")}
+        outside = sorted(t for t in topics if not 0 <= t < num_topics)
+        if outside:
+            raise ParseError(path, line_no, "topic %d outside [0, %d)" % (outside[0], num_topics))
+        article = intern(ids, name)
+        if article in labels:
+            raise ParseError(path, line_no, "duplicate article %r" % name)
+        if article not in covered:
+            raise ParseError(path, line_no, "article %r has no vector" % name)
+        labels[article] = topics
+    return labels
+
+
+def config(path, options) -> dict:
+    """The settings of a key=value file, where `options` maps a key to its converter or None."""
+    settings = {}
+    for line_no, line in lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise ParseError(path, line_no, "unknown option %r" % key)
+        settings[key] = parse(options[key] or str, value.strip(), path, line_no, key)
+    return settings
+
+
+def result_values(paths) -> dict:
+    """(dataset, metric) -> value of result CSV files, skipping each file's column names."""
+    values = {}
+    for path in paths:
+        first = True
+        for line_no, line in lines(path):
+            if not line or line.startswith("#"):
+                continue
+            if first and line.startswith("dataset,metric,"):
+                first = False
+                continue
+            first = False
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(path, line_no, "expected 3 columns")
+            key = (fields[0], fields[1])
+            if key in values:
+                raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
+            values[key] = parse(float, fields[2], path, line_no, "value")
+    return values

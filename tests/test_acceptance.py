@@ -27,6 +27,7 @@ from navsynth.stats import bootstrap_mean_ci, f1_micro_macro, rng_stream, spearm
 from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
                             generate_corpus, generate_geometric_world,
                             generate_planted_world)
+from oracles import name_ids
 
 
 def announce(number, text):
@@ -266,20 +267,20 @@ def test_criterion_07_link_prediction(tmp_path):
     new_path.write_text("\n".join(new_lines) + "\n", encoding="utf-8")
     old = load_edge_list(str(old_path))
     new = load_edge_list(str(new_path))
-    ids = old.interner
+    ids = name_ids(old.interner)
 
     seqs = []
     for i in range(5):
-        s, m, t = ids.id("s%d" % i), ids.id("m%d" % i), ids.id("t%d" % i)
+        s, m, t = ids["s%d" % i], ids["m%d" % i], ids["t%d" % i]
         seqs.extend([[s, m, t]] * 20)
         for j in range(5):
             if j != i:
-                seqs.extend([[s, m, ids.id("t%d" % j)]] * 11)
+                seqs.extend([[s, m, ids["t%d" % j]]] * 11)
     corpus = SequenceCorpus.from_sequences(seqs, "Logs")
 
     labels = build_added_links(old, new, corpus, min_paths=10)
-    expected_pos = {(ids.id("s%d" % i), ids.id("t%d" % i)) for i in range(5)}
-    expected_neg = {(ids.id("s%d" % i), ids.id("t%d" % j))
+    expected_pos = {(ids["s%d" % i], ids["t%d" % i]) for i in range(5)}
+    expected_neg = {(ids["s%d" % i], ids["t%d" % j])
                     for i in range(5) for j in range(5) if i != j}
     assert link_pairs(labels.positives) == expected_pos
     assert link_pairs(labels.negatives) == expected_neg

@@ -315,6 +315,16 @@ MALFORMED_ROWS = {
     "report-utf8": ("Logs,mrr_all,0.5\nLogs,mrr\udcff,0.7\n",
                     lambda p: load_result_values([p]),
                     lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+    "pairs-empty-name": ("A\tB\t0.5\n\tB\t4.0\n", read_pairs,
+                         lambda f: ["eval-related", "--embeddings", f["emb"],
+                                    "--pairs", f["input"], "--out-dir", f["out"]]),
+    "report-columns-twice": ("dataset,metric,value\ndataset,metric,value\n",
+                             lambda p: load_result_values([p]),
+                             lambda f: ["report", "--inputs", f["input"], "--out-dir", f["out"]]),
+    "config-ks": ("# settings\nks=10,x\n", None,
+                  lambda f: ["eval-link", "--old-graph", f["graph"], "--new-graph", f["graph"],
+                             "--reference", f["graph"], "--corpus", "Graph=" + f["graph"],
+                             "--config", f["input"], "--out-dir", f["out"]]),
     "embeddings-utf8": ("2 2\nB\udcc3 0.0 1.0\nA 1.0 0.0\n",
                         lambda p: load_embeddings(p, Interner()),
                         lambda f: ["eval-related", "--embeddings", f["input"],
@@ -342,6 +352,9 @@ MALFORMED_MESSAGES = {
     "labels-duplicate": "duplicate article 'A'\n",
     "labels-no-vector": "article 'C' has no vector\n",
     "report-duplicate": "duplicate row 'Logs,mrr_all'\n",
+    "pairs-empty-name": "empty article name\n",
+    "report-columns-twice": "invalid value 'value'\n",
+    "config-ks": "invalid ks '10,x'\n",
 }
 
 
@@ -506,6 +519,14 @@ class TestReport:
         assert rc == 1
         assert "missing result files" in capsys.readouterr().err
 
+    def test_keeps_rows_of_a_dataset_named_dataset(self, tmp_path):
+        # only each file's first row that is no comment can be its column names
+        first = write(tmp_path / "a.csv", "# navsynth\ndataset,metric,value\ndataset,mrr,0.5\n")
+        second = write(tmp_path / "b.csv", "dataset,metric,value\nLogs,mrr,0.25\n")
+        assert main(["report", "--inputs", first, second, "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert rows == ["dataset,mrr,0.500000", "Logs,mrr,0.250000"]
+
 
 class TestConfigFile:
     def test_flags_beat_config(self, tmp_path, chain_graph, capsys):
@@ -560,6 +581,16 @@ class TestConfigFile:
             return
         assert rc == 0
         assert capsys.readouterr().out.startswith("surveyed 1 articles")
+
+    @pytest.mark.parametrize("ks", ["10,x", "0"])
+    def test_value_goes_through_the_flag_type(self, tmp_path, capsys, ks):
+        # checked as `--ks` checks it, before any input is read: none of them exists here
+        cfg = write(tmp_path / "run.cfg", "ks=%s\n" % ks)
+        absent = str(tmp_path / "absent.tsv")
+        rc = main(["eval-link", "--old-graph", absent, "--new-graph", absent, "--reference",
+                   absent, "--corpus", "Graph=" + absent, "--config", cfg])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s:1: invalid ks %r\n" % (cfg, ks)
 
     def test_missing_file_errors(self, tmp_path, chain_graph, capsys):
         cfg = str(tmp_path / "absent.cfg")

@@ -8,7 +8,7 @@ from navsynth.diffusion import (EmbeddingTable, _distances_at_k, diffusion_curve
 from navsynth.graph import Interner, ParseError
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
-from oracles import cosine_distance, vector
+from oracles import cosine_distance, name_ids, vector
 
 
 def make_table(vectors):
@@ -46,7 +46,7 @@ class TestEmbeddingIO:
         table = load_embeddings(str(path), interner)
         assert table.dim == 3
         assert len(table) == 2
-        assert np.allclose(vector(table, interner.id("A")), [1, 0, 0])
+        assert np.allclose(vector(table, name_ids(interner)["A"]), [1, 0, 0])
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -57,7 +57,7 @@ class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = rng_stream(50)
         interner = Interner()
-        table = EmbeddingTable([interner.intern("a%d" % i) for i in range(5)],
+        table = EmbeddingTable(interner.intern_all(["a%d" % i for i in range(5)]),
                                rng.normal(size=(5, 4)))
         path = str(tmp_path / "emb.txt")
         save_embeddings(table, path, interner)
@@ -70,7 +70,7 @@ class TestEmbeddingIO:
         interner = Interner()
         vectors = rng.normal(size=(12, 9))
         vectors[::2, 0] = [4e-7, -4e-7, 1e-12, -1e-12, -0.0, 5e-7]
-        table = EmbeddingTable([interner.intern("a%d" % i) for i in range(12)], vectors)
+        table = EmbeddingTable(interner.intern_all(["a%d" % i for i in range(12)]), vectors)
         path = tmp_path / "emb.txt"
         save_embeddings(table, str(path), interner)
         expected = "12 9\n" + "".join(
@@ -106,7 +106,7 @@ def test_embeddings_save_load_round_trip(tmp_path_factory, names, dim, data):
     vectors = np.array(values).reshape(len(names), dim)
     vectors[np.abs(vectors).max(axis=1) < 1e-6, 0] = 1.0  # no row the format rounds to zero
     interner = Interner()
-    table = EmbeddingTable([interner.intern(name) for name in names], vectors)
+    table = EmbeddingTable(interner.intern_all(names), vectors)
     base = tmp_path_factory.mktemp("emb")
     save_embeddings(table, base / "a.txt", interner)
     fresh = Interner()

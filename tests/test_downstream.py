@@ -14,7 +14,7 @@ from navsynth.graph import HyperlinkGraph, load_edge_list, pair_keys, unpack_pai
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from navsynth.synth import PlantedWorldSpec, generate_planted_world
-from oracles import vector
+from oracles import name_ids, vector
 
 
 def graph_from(tmp_path, edges):
@@ -32,7 +32,7 @@ def int_graph(tmp_path, edges, num_nodes):
     text = "".join("%d\t%d\n" % (i, (i + 1) % num_nodes) for i in range(num_nodes))
     path.write_text(text + "".join(lines), encoding="utf-8")
     g = load_edge_list(str(path))
-    assert all(g.interner.id(str(i)) == i for i in range(num_nodes))
+    assert all(name_ids(g.interner)[str(i)] == i for i in range(num_nodes))
     return g
 
 

@@ -1,4 +1,5 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from navsynth import graph
+from navsynth.diffusion import (EmbeddingTable, load_embeddings, load_relatedness_pairs,
+                                load_topic_labels)
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
-                            build_transition_model, load_clickstream,
-                            load_edge_list, pair_keys, unpack_pairs, TransitionModel)
-from navsynth.sessions import load_corpus
+                            build_transition_model, load_clickstream, load_config,
+                            load_edge_list, load_result_values, pair_keys, unpack_pairs,
+                            TransitionModel)
+from navsynth.sessions import load_corpus, load_pageview_events
 from navsynth.stats import rng_stream
 
 
@@ -80,7 +84,7 @@ class TestLoadClickstream:
     def test_basic_row(self, tmp_path, click_counts):
         path = write(tmp_path, "c.tsv", "A\tB\tlink\t25\n")
         t = load_clickstream(path)
-        a, b = t.interner.id("A"), t.interner.id("B")
+        a, b = map(oracles.name_ids(t.interner).__getitem__, "AB")
         assert click_counts(t)[(a, b)] == 25
 
     def test_type_filter(self, tmp_path):
@@ -119,7 +123,7 @@ class TestLoadClickstream:
 class TestKAnonymity:
     def test_strict_threshold(self, click_table, click_counts):
         interner = Interner()
-        a, b, c = (interner.intern(x) for x in "ABC")
+        a, b, c = interner.intern_all([*"ABC"]).tolist()
         table = click_table(interner, {(a, b): 10, (a, c): 11})
         out = apply_k_anonymity(table, 10)
         assert click_counts(out) == {(a, c): 11}
@@ -127,14 +131,14 @@ class TestKAnonymity:
 
     def test_threshold_zero_identity(self, click_table, click_counts):
         interner = Interner()
-        a, b = interner.intern("A"), interner.intern("B")
+        a, b = interner.intern_all(["A", "B"]).tolist()
         table = click_table(interner, {(a, b): 1})
         assert click_counts(apply_k_anonymity(table, 0)) == click_counts(table)
 
     def test_matches_brute_force(self, click_table, click_counts):
         rng = rng_stream(5)
         interner = Interner()
-        ids = [interner.intern("n%d" % i) for i in range(30)]
+        ids = interner.intern_all(["n%d" % i for i in range(30)]).tolist()
         entries = {}
         while len(entries) < 100:
             s, t = rng.choice(30, size=2, replace=False)
@@ -148,7 +152,7 @@ class TestKAnonymity:
     def test_monotone_and_idempotent(self, click_table, click_counts):
         rng = rng_stream(6)
         interner = Interner()
-        ids = [interner.intern("n%d" % i) for i in range(10)]
+        ids = interner.intern_all(["n%d" % i for i in range(10)]).tolist()
         entries = {(ids[i], ids[(i + 1) % 10]): int(rng.integers(1, 25))
                    for i in range(10)}
         table = click_table(interner, entries)
@@ -162,13 +166,13 @@ class TestTransitionModel:
     def test_uniform(self, tmp_path):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nA\tC\n"))
         m = build_transition_model(g)
-        a = g.interner.id("A")
+        a = oracles.name_ids(g.interner)["A"]
         assert m.row_probs(a) == pytest.approx([0.5, 0.5])
 
     def test_weighted_proportional(self, tmp_path, click_table):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nA\tC\n"))
         interner = g.interner
-        a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
+        a, b, c = map(oracles.name_ids(interner).__getitem__, "ABC")
         table = click_table(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
         row = dict(zip(m.successors(a).tolist(), m.row_probs(a)))
@@ -188,9 +192,8 @@ class TestTransitionModel:
         path = write(tmp_path, "e.tsv", "\n".join(lines) + "\n")
         g = load_edge_list(path)
         interner = g.interner
-        table = click_table(
-            interner, {(interner.id(s), interner.id(t)): c
-                       for (s, t), c in weights.items()})
+        ids = oracles.name_ids(interner)
+        table = click_table(interner, {(ids[s], ids[t]): c for (s, t), c in weights.items()})
         m = build_transition_model(g, table)
         totals = {}
         for (s, _), c in weights.items():
@@ -216,8 +219,8 @@ class TestTransitionModel:
     def test_dropped_mass_and_empty_error(self, tmp_path, click_table):
         g = load_edge_list(write(tmp_path, "e.tsv", "A\tB\n"))
         interner = g.interner
-        a, b = interner.id("A"), interner.id("B")
-        z = interner.intern("Z")
+        a, b = map(oracles.name_ids(interner).__getitem__, "AB")
+        [z] = interner.intern_all(["Z"]).tolist()
         table = click_table(interner, {(a, b): 5, (a, z): 9})
         m = build_transition_model(g, table)
         assert m.dropped_click_mass == 9
@@ -285,7 +288,7 @@ class TestCsrProperties:
                                                 clicks):
         g = load_edge_list(_edge_file(tmp_path_factory, edges))
         interner = g.interner
-        entries = {(interner.intern(s), interner.intern(t)): c for (s, t), c in clicks.items()}
+        entries = {tuple(interner.intern_all([s, t]).tolist()): c for (s, t), c in clicks.items()}
         edge_set = set(zip(*(a.tolist() for a in g.edge_arrays())))
         rows: dict[int, dict[int, int]] = {}
         dropped = 0
@@ -312,13 +315,12 @@ class TestCsrProperties:
 
 def test_interner_round_trip(tmp_path):
     interner = Interner()
-    for name in ["Foo", "Bar", "Baz qux"]:
-        interner.intern(name)
+    interner.intern_all(["Foo", "Bar", "Baz qux"])
     path = tmp_path / "intern.tsv"
     interner.write_tsv(str(path))
     loaded = Interner.read_tsv(str(path))
     assert len(loaded) == 3
-    assert loaded.id("Baz qux") == interner.id("Baz qux")
+    assert oracles.name_ids(loaded)["Baz qux"] == oracles.name_ids(interner)["Baz qux"]
 
 
 # article names as clickstream rows can carry them: no tab or line break
@@ -330,16 +332,14 @@ ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 @given(names=st.lists(ARTICLES, min_size=1, max_size=8, unique=True), data=st.data())
 def test_clickstream_write_read_round_trip(tmp_path_factory, click_table, names, data):
     interner = Interner()
-    for name in names:
-        interner.intern(name)
+    interner.intern_all(names)
     ids = st.integers(0, len(names) - 1)
     counts = data.draw(st.dictionaries(st.tuples(ids, ids), st.integers(1, 2**40), max_size=30))
     table = click_table(interner, counts)
     path = str(tmp_path_factory.mktemp("clicks") / "c.tsv")
     table.write_tsv(path)
     reread = Interner()
-    for name in names:
-        reread.intern(name)
+    reread.intern_all(names)
     loaded = load_clickstream(path, reread)
     assert [reread.name(i) for i in range(len(reread))] == names
     assert loaded.entries.tolist() == table.entries.tolist()
@@ -371,13 +371,12 @@ def test_edge_list_write_read_round_trip(tmp_path_factory, names, data):
 @given(names=st.lists(ARTICLES, max_size=12, unique=True), suffix=st.sampled_from([".tsv", ".gz"]))
 def test_interner_write_read_round_trip(tmp_path_factory, names, suffix):
     interner = Interner()
-    for name in names:
-        interner.intern(name)
+    interner.intern_all(names)
     path = str(tmp_path_factory.mktemp("interning") / ("interning" + suffix))
     interner.write_tsv(path)
     reread = Interner.read_tsv(path)
     assert [reread.name(i) for i in range(len(reread))] == names
-    assert all(reread.id(name) == i for i, name in enumerate(names))
+    assert all(oracles.name_ids(reread)[name] == i for i, name in enumerate(names))
 
 
 @settings(max_examples=80, deadline=None)
@@ -444,10 +443,17 @@ def interned(names, read):
     """The result of `read(interner)` over an interner holding `names`, and the interner's
     names after it."""
     interner = Interner()
-    for name in names:
-        interner.intern(name)
+    interner.intern_all(names)
     result = read(interner)
     return result, [interner.name(i) for i in range(len(interner))]
+
+
+def dict_interned(names, read):
+    """The result of `read(ids)` over a name -> id dict holding `names`, and the dict's names
+    after it."""
+    ids = dict(zip(names, range(len(names))))
+    result = read(ids)
+    return result, [*ids]
 
 
 def edge_summary(pairs):
@@ -458,17 +464,33 @@ def edge_summary(pairs):
 
 # "\x0b" to "\u2028" end lines for str.splitlines but not in a file; "#" starts a comment
 # line in a corpus
-FIELD = st.text("ab#\u00e9\u65e5 \x0b\x0c\x1c\x85\u2028", max_size=3) | st.just("#kind=k")
+FIELD = st.text("ab#\u00e9\u65e5 \x0b\x0c\x1c\x85\u2028", max_size=3) | st.sampled_from(
+    ["#kind=k", "0", "1", "-", "link"])
+# per format, its width and rows that its reader accepts ("" is a blank line): embeddings,
+# config and result rows; edges or corpus rows, interning rows and topic labels; relatedness
+# pairs; clickstream and pageview rows
+VALID_ROWS = [(1, ["", "a 1", "b 0.5", "ab -1"]), (1, ["", "x=1", "a=", "# c", "b=2"]),
+              (1, ["", "a,b,1", "b,a,2", "dataset,metric,v", "# c"]),
+              (2, ["", "a\tb", "b\tab", "ab\ta"]), (2, ["", "0\ta", "1\tb", "2\tab"]),
+              (2, ["", "a\t0,1", "b\t1", "ab\t0"]), (3, ["", "a\tb\t1", "b\tab\t0.5"]),
+              (4, ["", "a\tb\tlink\t1", "b\ta\tother\t2", "ab\tb\tlink\t3"]),
+              (4, ["", "00\t1\ta\t-", "ab\t2\tb\ta", "00\t3\tab\tb"])]
 
 
 @st.composite
 def tsv_files(draw):
     """(ncols, text) of a file of mostly `ncols` columns, with blank lines, CR and CRLF line
-    ends, rows of other widths and empty fields, and perhaps no final line end."""
-    ncols = draw(st.integers(1, 3))
-    width = st.just(ncols) | st.integers(0, 4)
-    lines = draw(st.lists(width.flatmap(lambda w: st.lists(FIELD, min_size=w, max_size=w)),
-                          max_size=12))
+    ends, and perhaps no final line end; in about half the files, rows of other widths, empty
+    fields, fields that no reader accepts and repeated rows are mixed with the rows of one
+    format."""
+    ncols, valid = draw(st.sampled_from(VALID_ROWS))
+    row = st.sampled_from(valid).map(lambda text: text.split("\t"))
+    if draw(st.booleans()):
+        width = st.just(ncols) | st.integers(0, 4)
+        row |= width.flatmap(lambda w: st.lists(FIELD, min_size=w, max_size=w))
+        lines = draw(st.lists(row, max_size=12))
+    else:  # no row repeats, so a reader that rejects a repeated name can accept the file
+        lines = draw(st.lists(row, max_size=12, unique_by=tuple))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join("\t".join(fields) + end for fields, end in zip(lines, ends))
@@ -483,9 +505,18 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
     # with chunks shorter than some lines, the readers give the ids, interner order and first
     # error of a reader that takes one line at a time
     ncols, text = file
-    path = tmp_path_factory.mktemp("tsv") / "input.tsv"
-    path.write_bytes(text.encode("utf-8"))
-    path = str(path)
+    base = tmp_path_factory.mktemp("tsv")
+    (base / "input.tsv").write_bytes(text.encode("utf-8"))
+    # the same lines as embeddings of dimension 1, under a header that counts the non-blank ones
+    rows = sum(1 for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+               if line.rstrip())
+    (base / "emb.txt").write_bytes(("%d 1\n" % rows + text).encode("utf-8"))
+    path, emb = str(base / "input.tsv"), str(base / "emb.txt")
+
+    def same(read, reference):
+        assert outcome(lambda: interned(prefill, read)) == outcome(
+            lambda: dict_interned(prefill, reference))
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "CHUNK_CHARS", chunk)
         assert outcome(lambda: chunked_rows(path, ncols)) == \
@@ -495,14 +526,48 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
                 g = load_edge_list(path, interner)
                 return (list(zip(*(a.tolist() for a in g.edge_arrays()))),
                         g.self_loops_dropped, g.duplicates_dropped)
-            assert outcome(lambda: interned(prefill, edges)) == outcome(
-                lambda: interned(prefill, lambda i: edge_summary(oracles.edge_ids(path, i))))
+            same(edges, lambda ids: edge_summary(oracles.edge_ids(path, ids)))
+            def interning():
+                interner = Interner.read_tsv(path)
+                return [interner.name(i) for i in range(len(interner))]
+            assert outcome(interning) == outcome(lambda: oracles.interning(path))
+            labeled = ["a", "b", "ab"]  # the articles with a vector
+            same(lambda interner: load_topic_labels(
+                path, interner, EmbeddingTable(interner.intern_all(labeled), np.eye(3)), 2),
+                lambda ids: oracles.topic_labels(
+                    path, ids, [oracles.intern(ids, name) for name in labeled], 2))
+        if ncols == 3:
+            def pairs(interner):
+                ids, scores = load_relatedness_pairs(path, interner)
+                return [(a, b, s) for (a, b), s in zip(ids.tolist(), scores.tolist())]
+            same(pairs, lambda ids: oracles.relatedness_pairs(path, ids))
+        if ncols == 4:
+            def clicks(interner):
+                table = load_clickstream(path, interner)
+                pairs = zip(*(a.tolist() for a in unpack_pairs(table.entries)))
+                return list(zip(pairs, table.counts.tolist())), table.skipped_rows
+            same(clicks, lambda ids: oracles.clickstream(path, ids))
+
+            def events(interner):
+                e = load_pageview_events(path, interner)
+                return list(zip(*(a.tolist() for a in (e.readers, e.timestamps, e.articles,
+                                                       e.referrers))))
+            same(events, lambda ids: oracles.pageview_events(path, ids))
 
         def corpus(interner):
             c = load_corpus(path, interner)
             return c.kind, c.sequences
-        assert outcome(lambda: interned(prefill, corpus)) == outcome(
-            lambda: interned(prefill, lambda i: oracles.corpus(path, i)))
+        same(corpus, lambda ids: oracles.corpus(path, ids))
+
+        def embeddings(interner):
+            table = load_embeddings(emb, interner)
+            return table.articles.tolist(), table.vectors.tolist()
+        same(embeddings, lambda ids: oracles.embeddings(emb, ids))
+        options = {"a": None, "b": int, "x": int}
+        assert outcome(lambda: load_config(path, options)) == \
+            outcome(lambda: oracles.config(path, options))
+        assert outcome(lambda: load_result_values([path])) == \
+            outcome(lambda: oracles.result_values([path]))
 
 
 def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
@@ -511,3 +576,35 @@ def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(graph, "CHUNK_CHARS", 4)
     with pytest.raises(ParseError, match=r"e\.tsv:8: invalid UTF-8$"):
         load_edge_list(str(path))
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (lambda p: load_embeddings(p, Interner()), "2 1\n\nalpha 1.5\nbeta x\n",
+     ":4: could not convert string to float: 'x'"),
+    (lambda p: load_embeddings(p, Interner()), "\n2 1\nalpha 1.5\nbeta 2\n",
+     ":1: expected 'N dim' header"),
+    (lambda p: load_config(p, {"x": int}), "# run settings\n\nx = 12\nx=twelve\n",
+     ":4: invalid x 'twelve'"),
+    (lambda p: load_result_values([p]), "# navsynth\ndataset,metric,value\n\nA,m,1\nA,m\n",
+     ":5: expected 3 columns"),
+], ids=["embeddings-value", "embeddings-header", "config", "report"])
+def test_text_readers_cite_lines_past_the_first_chunk(tmp_path, monkeypatch, read, text,
+                                                      message):
+    path = write(tmp_path, "input.txt", text)
+    monkeypatch.setattr(graph, "CHUNK_CHARS", 4)
+    with pytest.raises(ParseError, match="^%s%s$" % (re.escape(path), re.escape(message))):
+        read(path)
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (load_edge_list, b"A\tB\nA\n\xff\tB\n", ":2: expected 2 columns"),
+    (lambda p: load_embeddings(p, Interner()), b"2 1\nA x\n\xff 1\n",
+     ":2: could not convert string to float: 'x'"),
+    (lambda p: load_config(p, {"x": int}), b"x=1\nx=y\nx=\xff\n", ":2: invalid x 'y'"),
+], ids=["edges", "embeddings", "config"])
+def test_first_fault_in_file_order_before_an_undecodable_line(tmp_path, read, text, message):
+    # within one chunk, a malformed row is reported before a later line that is not UTF-8
+    path = tmp_path / "input.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match="^%s%s$" % (re.escape(str(path)), re.escape(message))):
+        read(str(path))

@@ -297,8 +297,7 @@ class TestSurvey:
         from navsynth.mixing import write_cdf_csv, write_survey_csv
         rng = rng_stream(42)
         interner = Interner()
-        for i in range(6):
-            interner.intern("n%d" % i)
+        interner.intern_all(["n%d" % i for i in range(6)])
         seqs = [[int(x) for x in rng.integers(0, 6, size=5)] for _ in range(300)]
         corpus = SequenceCorpus.from_sequences(seqs, "Logs")
         outputs = []

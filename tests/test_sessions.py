@@ -170,7 +170,7 @@ def test_forest_and_paths_match_scalar_oracle(rows, inactivity_ms, seed):
 
 def test_corpus_round_trip(tmp_path):
     interner = Interner()
-    ids = [interner.intern(n) for n in ("A", "B", "C")]
+    ids = interner.intern_all(["A", "B", "C"]).tolist()
     corpus = SequenceCorpus.from_sequences([[ids[0], ids[1]], [ids[1], ids[2], ids[0]]], "Logs")
     path = str(tmp_path / "corpus.tsv")
     save_corpus(corpus, path, interner)
@@ -222,8 +222,7 @@ ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 @example(names=["a", "b", "c", "d"], seqs=[[3], [1], [1, 3]], suffix=".tsv")
 def test_corpus_save_load_round_trip(tmp_path_factory, names, seqs, suffix):
     interner = Interner()
-    for name in names:
-        interner.intern(name)
+    interner.intern_all(names)
     corpus = SequenceCorpus.from_sequences(seqs, "Clickstream-Pub")
     path = str(tmp_path_factory.mktemp("corpus") / ("corpus" + suffix))
     save_corpus(corpus, path, interner)
@@ -231,12 +230,11 @@ def test_corpus_save_load_round_trip(tmp_path_factory, names, seqs, suffix):
     assert (loaded.kind, loaded.sequences, len(interner)) == ("Clickstream-Pub", seqs, 4)
     assert loaded.pages.dtype == loaded.offsets.dtype == np.int64
     # a fresh interner numbers the names as interning them one token at a time would
-    oracle = Interner()
-    expected = [[oracle.intern(names[a]) for a in s] for s in seqs]
+    oracle = {}
+    expected = [[oracle.setdefault(names[a], len(oracle)) for a in s] for s in seqs]
     fresh = Interner()
     assert load_corpus(path, fresh).sequences == expected
-    assert [fresh.name(i) for i in range(len(fresh))] == [oracle.name(i)
-                                                          for i in range(len(oracle))]
+    assert [fresh.name(i) for i in range(len(fresh))] == [*oracle]
 
 
 def test_load_pageview_events(tmp_path):
@@ -248,8 +246,9 @@ def test_load_pageview_events(tmp_path):
     assert events.readers.tolist() == [0, 0]
     assert all(a.dtype == np.int64 for a in vars(events).values())
     assert events.timestamps.tolist() == [100, 200]
-    assert events.articles.tolist() == [interner.id("A"), interner.id("B")]
-    assert events.referrers.tolist() == [-1, interner.id("A")]
+    ids = oracles.name_ids(interner)
+    assert events.articles.tolist() == [ids["A"], ids["B"]]
+    assert events.referrers.tolist() == [-1, ids["A"]]
 
 
 @settings(max_examples=200, deadline=None)

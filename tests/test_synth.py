@@ -12,7 +12,7 @@ from navsynth.stats import counter_uniforms, rng_stream
 from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
                             derive_intrinsic_stops, generate_corpus, generate_geometric_world,
                             generate_planted_world, generate_sequence)
-from oracles import step
+from oracles import name_ids, step
 
 
 def graph_from(tmp_path, edges):
@@ -25,7 +25,7 @@ class TestGenerateSequence:
     def test_forced_chain(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "C")])
         m = build_transition_model(g)
-        a = g.interner.id("A")
+        a = name_ids(g.interner)["A"]
         for seed in range(5):
             seq, flagged = generate_sequence(m, a, 3, rng_stream(seed).random)
             assert not flagged
@@ -36,14 +36,14 @@ class TestGenerateSequence:
         m = build_transition_model(g)
         names = g.interner
         for seed in range(20):
-            seq, flagged = generate_sequence(m, names.id("A"), 3, rng_stream(seed).random)
+            seq, flagged = generate_sequence(m, name_ids(names)["A"], 3, rng_stream(seed).random)
             assert not flagged
             assert [names.name(x) for x in seq] == ["A", "C", "D"]
 
     def test_first_step_frequencies(self, tmp_path, click_table):
         g = graph_from(tmp_path, [("A", "B"), ("A", "C")])
         interner = g.interner
-        a, b, c = interner.id("A"), interner.id("B"), interner.id("C")
+        a, b, c = map(name_ids(interner).__getitem__, "ABC")
         table = click_table(interner, {(a, b): 30, (a, c): 10})
         m = build_transition_model(g, table)
         draw = rng_stream(23).random
@@ -54,9 +54,9 @@ class TestGenerateSequence:
     def test_terminal_start_flagged(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B")])
         m = build_transition_model(g)
-        seq, flagged = generate_sequence(m, g.interner.id("B"), 3, rng_stream(0).random)
+        seq, flagged = generate_sequence(m, name_ids(g.interner)["B"], 3, rng_stream(0).random)
         assert flagged
-        assert seq == [g.interner.id("B")]
+        assert seq == [name_ids(g.interner)["B"]]
 
     def test_steps_follow_model_support(self, tmp_path):
         rng = rng_stream(24)
@@ -150,7 +150,7 @@ class TestGenerateCorpus:
         # fail their reruns and walks from D stop at once; id 9 is not in the model
         g = graph_from(tmp_path, [("A", "B"), ("A", "D"), ("B", "C")])
         m = build_transition_model(g)
-        a, d = g.interner.id("A"), g.interner.id("D")
+        a, d = map(name_ids(g.interner).__getitem__, "AD")
         seqs = [[[a, d, 9][i % 3]] * (1 + i % 5) for i in range(60)]
         out = generate_corpus(m, SequenceCorpus.from_sequences(seqs, "Logs"), False, 2,
                               "Graph")
@@ -176,8 +176,7 @@ class TestDeriveIntrinsicStops:
     @pytest.fixture
     def table(self, click_table):
         interner = Interner()
-        for i in range(3):
-            interner.intern("n%d" % i)
+        interner.intern_all(["n%d" % i for i in range(3)])
         return lambda entries: click_table(interner, entries)
 
     def test_balanced_flow_hits_floor(self, table):
@@ -344,7 +343,7 @@ class TestLockstepKernel:
     def test_extrinsic_matches_scalar_oracle(self, tmp_path):
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
-        a = g.interner.id("A")
+        a = name_ids(g.interner)["A"]
         ref = SequenceCorpus.from_sequences([[a] * (2 + i % 9) for i in range(400)], "Logs")
         out = generate_corpus(m, ref, False, 4, "Graph")
         for i, ref_seq in enumerate(ref.sequences):
@@ -357,7 +356,7 @@ class TestLockstepKernel:
     def test_rerun_retraces_lockstep_prefix(self, tmp_path):
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
-        a = g.interner.id("A")
+        a = name_ids(g.interner)["A"]
         ref = SequenceCorpus.from_sequences([[a] * 4] * 300, "Logs")
         out = generate_corpus(m, ref, False, 4, "Graph")
         pages, offsets, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
