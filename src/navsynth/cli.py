@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -16,15 +17,28 @@ from . import mixing as mix
 from . import synth
 from .embeddings import SgnsConfig, SgnsTrainer
 from .graph import (Interner, load_clickstream, load_config, load_edge_list,
-                    load_result_values, unpack_pairs, write_csv)
+                    load_result_values, save_edge_list, unpack_pairs, write_csv, write_rows)
 from .sessions import (build_forest, corpus_from_trees, load_corpus,
                        load_pageview_events, save_corpus)
 from .stats import rng_stream
 from .synth import SYNTH_KINDS
 
 
+class _Path(str):
+    """The value of a flag that names a file, which the header's config digest leaves out."""
+
+
+def _digested(value):
+    """`value` with None for each file path in it, as the header's config digest hashes it."""
+    if isinstance(value, (list, tuple)):
+        return [*map(_digested, value)]
+    return None if isinstance(value, _Path) else value
+
+
 def _header(args) -> str:
-    items = sorted((k, str(v)) for k, v in vars(args).items() if k != "func")
+    """Version, seed and a digest of the options: the same options on the same input bytes
+    write the same header wherever the files are."""
+    items = sorted((k, str(_digested(v))) for k, v in vars(args).items() if k != "func")
     digest = hashlib.sha256(repr(items).encode()).hexdigest()[:12]
     seed = " seed=%d" % args.seed if "seed" in vars(args) else ""
     return "navsynth %s%s config=%s" % (__version__, seed, digest)
@@ -35,7 +49,7 @@ def _out(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _write_rows(path, args, rows):
+def _write_results(path, args, rows):
     write_csv(path, ["dataset", "metric", "value"], rows, _header(args))
 
 
@@ -87,10 +101,7 @@ def cmd_synth(args):
     save_corpus(corpus, args.out, interner)
     report = dict(corpus.metadata)
     report["kind"] = corpus.kind
-    with open(args.out + ".report.json", "w", encoding="utf-8") as f:
-        import json
-        json.dump(report, f, sort_keys=True)
-        f.write("\n")
+    write_rows(args.out + ".report.json", [[json.dumps(report, sort_keys=True)]])
     print("generated %d sequences (%d flagged)" % (len(corpus), len(corpus.flagged)))
     return 0
 
@@ -129,12 +140,12 @@ def cmd_eval_next(args):
     reference = load_corpus(args.reference, interner)
     if len(interner) > graph.num_nodes:
         raise ValueError("%s: article '%s' is not in the graph"
-                         % (args.reference, interner.name(graph.num_nodes)))
+                         % (args.reference, *interner.names([graph.num_nodes])))
     # "Logs" trains on the reference's train split, and its path is not read
     train = ((name, None if name == "Logs" else load_corpus(path, interner))
              for name, path in _paths_by_name(args.train).items())
     rows = ds.next_article_rows(graph, reference, train, args.seed)
-    _write_rows(_out(args, "next_article.csv"), args, rows)
+    _write_results(_out(args, "next_article.csv"), args, rows)
     return 0
 
 
@@ -147,7 +158,7 @@ def cmd_eval_link(args):
                for name, path in _paths_by_name(args.corpus).items())
     rows = ds.link_prediction_rows(old_graph, new_graph, reference, corpora, args.min_paths,
                                    [int(k) for k in args.ks.split(",")])
-    _write_rows(_out(args, "link_prediction.csv"), args, rows)
+    _write_results(_out(args, "link_prediction.csv"), args, rows)
     return 0
 
 
@@ -168,11 +179,11 @@ class _InvalidValue(argparse.ArgumentTypeError, ValueError):
 
 
 def _named_path(text):
-    """Check a `name=path` value of --train or --corpus; kept as text, which the
-    header's config digest hashes."""
-    if not text.partition("=")[2]:
+    """The (name, path) of a `name=path` value of --train or --corpus."""
+    name, _, path = text.partition("=")
+    if not path:
         raise _InvalidValue("expected name=path, got %r" % text)
-    return text
+    return name, _Path(path)
 
 
 def _ks(text):
@@ -186,10 +197,10 @@ def _ks(text):
 
 
 def _paths_by_name(named_paths):
-    """name -> path of `name=path` values, in flag order; a repeated name is an error."""
-    paths = dict(item.partition("=")[::2] for item in named_paths)
+    """name -> path of (name, path) values, in flag order; a repeated name is an error."""
+    paths = dict(named_paths)
     if len(paths) < len(named_paths):
-        raise ValueError("a dataset name repeats in %s" % " ".join(named_paths))
+        raise ValueError("a dataset name repeats in %s" % " ".join(map("=".join, named_paths)))
     return paths
 
 
@@ -197,10 +208,10 @@ def cmd_eval_related(args):
     interner = Interner()
     emb = diff.load_embeddings(args.embeddings, interner)
     result = ds.relatedness_eval(emb, diff.load_relatedness_pairs(args.pairs, interner))
-    _write_rows(_out(args, "relatedness.csv"), args,
-                [(args.name, "spearman_rho", "%.6f" % result.rho),
-                 (args.name, "pairs_used", "%d" % result.num_pairs),
-                 (args.name, "pairs_dropped", "%d" % result.num_dropped)])
+    _write_results(_out(args, "relatedness.csv"), args,
+                    [(args.name, "spearman_rho", "%.6f" % result.rho),
+                     (args.name, "pairs_used", "%d" % result.num_pairs),
+                     (args.name, "pairs_dropped", "%d" % result.num_dropped)])
     return 0
 
 
@@ -210,9 +221,9 @@ def cmd_eval_topic(args):
     labels = diff.load_topic_labels(args.labels, interner, emb, args.num_topics)
     result = ds.topic_classification(emb, labels, ds.make_split(len(labels), seed=args.seed),
                                      num_topics=args.num_topics)
-    _write_rows(_out(args, "topic_classification.csv"), args,
-                [(args.name, "micro_f1", "%.6f" % result.micro_f1),
-                 (args.name, "macro_f1", "%.6f" % result.macro_f1)])
+    _write_results(_out(args, "topic_classification.csv"), args,
+                    [(args.name, "micro_f1", "%.6f" % result.micro_f1),
+                     (args.name, "macro_f1", "%.6f" % result.macro_f1)])
     return 0
 
 
@@ -221,13 +232,9 @@ def cmd_planted_world(args):
                                   memory_strength=args.memory,
                                   corpus_size=args.corpus_size, seed=args.seed)
     world = synth.generate_planted_world(spec)
-    interner = world.graph.interner
-    sources, targets = world.graph.edge_arrays()
-    with open(_out(args, "graph.tsv"), "w", encoding="utf-8", newline="\n") as f:
-        f.writelines("%s\t%s\n" % (interner.name(s), interner.name(t))
-                     for s, t in zip(sources.tolist(), targets.tolist()))
+    save_edge_list(world.graph, _out(args, "graph.tsv"))
     world.clickstream.write_tsv(_out(args, "clickstream.tsv"))
-    save_corpus(world.corpus, _out(args, "corpus.tsv"), interner)
+    save_corpus(world.corpus, _out(args, "corpus.tsv"), world.graph.interner)
     print("planted world: %d nodes, %d sequences, memory=%.2f"
           % (args.nodes, args.corpus_size, args.memory))
     return 0
@@ -239,8 +246,8 @@ def cmd_report(args):
         print("missing result files: %s" % ", ".join(missing), file=sys.stderr)
         return 1
     values = load_result_values(args.inputs)
-    _write_rows(_out(args, "report.csv"), args,
-                [(dataset, metric, "%.6f" % value) for (dataset, metric), value in values.items()])
+    _write_results(_out(args, "report.csv"), args, [(dataset, metric, "%.6f" % value)
+                                                    for (dataset, metric), value in values.items()])
     write_csv(_out(args, "relative_difference.csv"),
               ["dataset", "metric", "relative_difference_pct"],
               ds.relative_difference_rows(values, args.baseline), _header(args))
@@ -276,69 +283,70 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
+        p.add_argument("--config", default=None, type=_Path,
+                       help="flat key=value file; explicit flags win")
         if out_dir:
-            p.add_argument("--out-dir", default=".")
+            p.add_argument("--out-dir", default=".", type=_Path)
         return p
 
     p = command("ingest", cmd_ingest, out_dir=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--clickstream", default=None)
+    p.add_argument("--graph", required=True, type=_Path)
+    p.add_argument("--clickstream", default=None, type=_Path)
 
     p = command("build-sessions", cmd_build_sessions, seed=True)
-    p.add_argument("--events", required=True)
+    p.add_argument("--events", required=True, type=_Path)
     p.add_argument("--inactivity-minutes", type=int, default=60)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_Path)
 
     p = command("synth", cmd_synth, seed=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--clickstream", default=None)
-    p.add_argument("--reference", required=True)
+    p.add_argument("--graph", required=True, type=_Path)
+    p.add_argument("--clickstream", default=None, type=_Path)
+    p.add_argument("--reference", required=True, type=_Path)
     p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_Path)
 
     p = command("mixing", cmd_mixing, out_dir=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, type=_Path)
     p.add_argument("--min-triples", type=int, default=100)
 
     p = command("diffusion", cmd_diffusion, seed=True, out_dir=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--corpus", required=True, type=_Path)
+    p.add_argument("--embeddings", required=True, type=_Path)
     p.add_argument("--k-max", type=int, default=9)
     p.add_argument("--hist-k", type=int, default=0)
 
     p = command("eval-next", cmd_eval_next, seed=True, out_dir=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--reference", required=True)
+    p.add_argument("--graph", required=True, type=_Path)
+    p.add_argument("--reference", required=True, type=_Path)
     p.add_argument("--train", action="append", required=True, type=_named_path,
                    help="name=corpus_path; 'Logs' fits the --reference train split, path unread")
 
     p = command("eval-link", cmd_eval_link, out_dir=True)
-    p.add_argument("--old-graph", required=True)
-    p.add_argument("--new-graph", required=True)
-    p.add_argument("--reference", required=True)
+    p.add_argument("--old-graph", required=True, type=_Path)
+    p.add_argument("--new-graph", required=True, type=_Path)
+    p.add_argument("--reference", required=True, type=_Path)
     p.add_argument("--corpus", action="append", required=True, type=_named_path,
                    help="name=corpus_path")
     p.add_argument("--min-paths", type=int, default=10)
     p.add_argument("--ks", default="10,50,100", type=_ks)
 
     p = command("train-emb", cmd_train_emb, seed=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, type=_Path)
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_Path)
 
     p = command("eval-related", cmd_eval_related, out_dir=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--pairs", required=True)
+    p.add_argument("--embeddings", required=True, type=_Path)
+    p.add_argument("--pairs", required=True, type=_Path)
     p.add_argument("--name", default="corpus")
 
     p = command("eval-topic", cmd_eval_topic, seed=True, out_dir=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--embeddings", required=True, type=_Path)
+    p.add_argument("--labels", required=True, type=_Path)
     p.add_argument("--num-topics", type=int, default=64)
     p.add_argument("--name", default="corpus")
 
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-size", type=int, default=5000)
 
     p = command("report", cmd_report, out_dir=True)
-    p.add_argument("--inputs", nargs="+", required=True)
+    p.add_argument("--inputs", nargs="+", required=True, type=_Path)
     p.add_argument("--baseline", default="Logs")
 
     return parser

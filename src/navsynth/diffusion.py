@@ -8,7 +8,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Interner, ParseError, _chunks, _parse, _row_texts, open_text, write_csv
+from .graph import Interner, ParseError, _chunks, _parse, _row_texts, write_csv, write_rows
 from .sessions import SequenceCorpus
 from .stats import bootstrap_mean_ci
 
@@ -136,12 +136,11 @@ def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics:
 
 
 def save_embeddings(table: EmbeddingTable, path, interner: Interner):
-    row = "%s" + " %.6f" * table.dim + "\n"
-    with open_text(path, "wt") as f:
-        f.write("%d %d\n" % (len(table), table.dim))
-        # one row at a time: a whole-matrix tolist() would raise the peak RSS
-        f.writelines(row % (interner.name(a), *v.tolist())
-                     for a, v in zip(table.articles.tolist(), table.vectors))
+    vector = " ".join(["%.6f"] * table.dim)
+    # one row at a time: a whole-matrix tolist() would raise the peak RSS
+    write_rows(path, ((name, vector % tuple(v.tolist()))
+                      for name, v in zip(interner.names(table.articles), table.vectors)),
+               "%d %d\n" % (len(table), table.dim), " ")
 
 
 @dataclass

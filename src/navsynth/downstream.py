@@ -262,7 +262,8 @@ class TrainTestSplit:
 def make_split(num_items: int, seed: int = 0) -> TrainTestSplit:
     perm = rng_stream(seed, 0).permutation(num_items)
     n_train = round(TRAIN_FRACTION * num_items)
-    n_val = round(VALIDATION_FRACTION * num_items)
+    # at most all but one of the rest, so that 3 or more items leave a test item
+    n_val = max(0, min(round(VALIDATION_FRACTION * num_items), num_items - n_train - 1))
     return TrainTestSplit(perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
 
 

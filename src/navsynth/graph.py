@@ -1,11 +1,13 @@
 """Hyperlink graph and clickstream ingestion, the transition models built from them, and the
-text readers and CSV writer that every module shares."""
+text readers and the one writer that every module shares."""
 
 from __future__ import annotations
 
+import csv
 import gzip
+import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse, repeat
 
 import numpy as np
 
@@ -28,14 +30,26 @@ def open_text(path, mode="rt", errors="strict"):
     return open(path, mode, encoding="utf-8", errors=errors)
 
 
+_CSV_QUOTED = re.compile(r'^#|[,"\r\n]')  # a CSV field that a reader would split or skip
+
+
+def write_rows(path, rows, head="", sep="\t"):
+    """Write `head`, then one line per row of text fields joined by `sep`; `rows` is read
+    lazily. With sep "," the rows are CSV: a field that holds a comma, a quote or a line break,
+    or starts with "#", is quoted (RFC 4180). Every text output is written here."""
+    with open_text(path, "wt") as f:
+        f.write(head)
+        if sep == ",":
+            rows = (['"%s"' % x.replace('"', '""') if _CSV_QUOTED.search(x) else x for x in row]
+                    for row in rows)
+        f.writelines(sep.join(row) + "\n" for row in rows)
+
+
 def write_csv(path, columns, rows, header_comment: str = ""):
     """Write rows of pre-formatted fields below the column names and, when
     given, a "# header_comment" line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if header_comment:
-            f.write("# %s\n" % header_comment)
-        f.write(",".join(columns) + "\n")
-        f.writelines(",".join(row) + "\n" for row in rows)
+    write_rows(path, chain([columns], rows), "# %s\n" % header_comment if header_comment else "",
+               ",")
 
 
 def _chunks(path, ncols=0):
@@ -107,7 +121,7 @@ def load_config(path, options: dict) -> dict:
 
 
 def load_result_values(paths) -> dict[tuple[str, str], float]:
-    """(dataset, metric) -> value of the rows of "dataset,metric,value" files, in file order.
+    """(dataset, metric) -> value of the rows of "dataset,metric,value" CSV files, in file order.
     A file's first row that is no comment is its column names if it starts "dataset,metric,"."""
     values: dict[tuple[str, str], float] = {}
     for path in paths:
@@ -119,7 +133,10 @@ def load_result_values(paths) -> dict[tuple[str, str], float]:
                 columns, first = first and line.startswith("dataset,metric,"), False
                 if columns:
                     continue
-                fields = line.split(",")
+                try:
+                    fields = next(csv.reader([line]))  # a quoted field may hold "," or '"'
+                except csv.Error as e:  # a field over csv.field_size_limit()
+                    raise ParseError(path, line_no, str(e)) from None
                 if len(fields) != 3:
                     raise ParseError(path, line_no, "expected 3 columns")
                 key = (fields[0], fields[1])
@@ -142,24 +159,25 @@ class Interner:
         self._ids.update(zip(self._names[len(self._ids):], count(len(self._ids))))
         return np.fromiter(map(self._ids.__getitem__, names), np.int64, len(names))
 
-    def name(self, article_id: int) -> str:
-        return self._names[article_id]
+    def names(self, ids) -> list[str]:
+        """The name of each id."""
+        return [*map(self._names.__getitem__, np.asarray(ids).tolist())]
 
     def __len__(self):
         return len(self._names)
 
     def write_tsv(self, path):
-        with open_text(path, "wt") as f:
-            for i, name in enumerate(self._names):
-                f.write("%d\t%s\n" % (i, name))
+        write_rows(path, zip(map(str, range(len(self._names))), self._names))
 
     @classmethod
     def read_tsv(cls, path) -> "Interner":
+        """The interner of "id<TAB>name" rows, where row k gives id k to a new name."""
         interner = cls()
         for line_nos, _, fields in _chunks(path, 2):
+            rows = count(len(interner))  # the rows before this chunk were all new names
             ids = interner.intern_all(fields[1::2]).tolist()
-            for line_no, article_id, i in zip(line_nos.tolist(), fields[0::2], ids):
-                if i != _parse(int, article_id, path, line_no, "id"):
+            for line_no, article_id, i, k in zip(line_nos.tolist(), fields[0::2], ids, rows):
+                if _parse(int, article_id, path, line_no, "id") != k or i != k:
                     raise ParseError(path, line_no, "non-contiguous interning ids")
         return interner
 
@@ -241,6 +259,11 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
                           int(loops.sum()), len(keys) - len(unique))
 
 
+def save_edge_list(graph: HyperlinkGraph, path):
+    """Write the edges as the "source<TAB>target" rows that `load_edge_list` reads."""
+    write_rows(path, zip(*map(graph.interner.names, graph.edge_arrays())))
+
+
 @dataclass
 class ClickstreamTable:
     """Aggregate (source, target) -> click count table over interned ids: the sorted unique
@@ -256,10 +279,8 @@ class ClickstreamTable:
         return int(self.counts.sum())
 
     def write_tsv(self, path):
-        sources, targets = unpack_pairs(self.entries)
-        with open_text(path, "wt") as f:
-            for s, t, c in zip(sources.tolist(), targets.tolist(), self.counts.tolist()):
-                f.write("%s\t%s\tlink\t%d\n" % (self.interner.name(s), self.interner.name(t), c))
+        write_rows(path, zip(*map(self.interner.names, unpack_pairs(self.entries)), repeat("link"),
+                             map(str, self.counts.tolist())))
 
 
 CLICK_LINK_TYPES = frozenset({"link"})  # row types that are clicks on a hyperlink

@@ -169,9 +169,10 @@ def ami_cdf(records: list[AmiRecord]) -> list[tuple[float, float]]:
 
 
 def write_survey_csv(result: SurveyResult, path, interner, header_comment: str = ""):
+    names = interner.names([r.middle for r in result.records])
     write_csv(path, ["article", "num_triples", "mi_bits", "ami"],
-              [(interner.name(r.middle), "%d" % r.num_triples, "%.10g" % r.mi_bits,
-                "%.10g" % r.ami) for r in result.records], header_comment)
+              [(name, "%d" % r.num_triples, "%.10g" % r.mi_bits, "%.10g" % r.ami)
+               for name, r in zip(names, result.records)], header_comment)
 
 
 def write_cdf_csv(records: list[AmiRecord], path, header_comment: str = ""):

@@ -7,7 +7,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .graph import Interner, ParseError, _chunks, _parse, open_text, pair_keys
+from .graph import Interner, ParseError, _chunks, _parse, pair_keys, write_rows
 
 
 @dataclass
@@ -116,10 +116,14 @@ def corpus_from_trees(articles: np.ndarray, parent: np.ndarray,
 
 
 def save_corpus(corpus: SequenceCorpus, path, interner: Interner):
-    names, b = [interner.name(a) for a in corpus.pages.tolist()], corpus.offsets.tolist()
-    with open_text(path, "wt") as f:
-        f.write("#kind=%s\n" % corpus.kind)
-        f.writelines("\t".join(names[lo:hi]) + "\n" for lo, hi in zip(b, b[1:]))
+    """Write one tab-separated sequence per line below "#kind=". A sequence whose first article
+    starts with "#" would read back as a comment, so it is refused before the file is opened."""
+    names, b = interner.names(corpus.pages), corpus.offsets.tolist()
+    comment = next((names[lo] for lo in b[:-1] if names[lo][:1] == "#"), None)
+    if comment is not None:
+        raise ValueError("%s: article %r starts a sequence, which would read back as a comment"
+                         % (path, comment))
+    write_rows(path, (names[lo:hi] for lo, hi in zip(b, b[1:])), "#kind=%s\n" % corpus.kind)
 
 
 def load_corpus(path, interner: Interner) -> SequenceCorpus:

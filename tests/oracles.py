@@ -96,7 +96,7 @@ def intern(ids: dict, name: str) -> int:
 
 def name_ids(interner) -> dict:
     """name -> id of every name an Interner holds."""
-    return {interner.name(i): i for i in range(len(interner))}
+    return {name: i for i, name in enumerate(interner.names(range(len(interner))))}
 
 
 def parse(convert, text, path, line_no, what):
@@ -153,10 +153,11 @@ def corpus(path, ids) -> tuple[str, list[list[int]]]:
 
 
 def interning(path) -> list[str]:
-    """The names of an interning file, in id order, checked one row at a time."""
+    """The names of an interning file, in id order, checked one row at a time: row k gives id
+    k to a new name."""
     ids = {}
-    for line_no, (article_id, name) in rows(path, 2):
-        if intern(ids, name) != parse(int, article_id, path, line_no, "id"):
+    for k, (line_no, (article_id, name)) in enumerate(rows(path, 2)):
+        if parse(int, article_id, path, line_no, "id") != k or intern(ids, name) != k:
             raise ParseError(path, line_no, "non-contiguous interning ids")
     return [*ids]
 

@@ -107,29 +107,40 @@ def test_cli_uses_no_private_name_of_another_module():
     assert private == []
 
 
-def opens_for_reading(call):
-    """Whether an `open`, `gzip.open` or `open_text` call can open a file to read: its mode is
-    not a literal that writes, appends or creates."""
+def opens(call, to_write):
+    """Whether an `open`, `gzip.open` or `open_text` call can open a file to write (`to_write`)
+    or to read: a mode that is a literal with "w", "a" or "x" writes, and any other reads."""
     name = getattr(call.func, "id", getattr(call.func, "attr", None))
     if name not in ("open", "open_text"):
         return False
     mode = call.args[1] if len(call.args) > 1 else next(
         (keyword.value for keyword in call.keywords if keyword.arg == "mode"), None)
-    return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
+    return to_write == (isinstance(mode, ast.Constant) and bool(set(mode.value) & set("wax")))
+
+
+def opening_calls(exempt_functions, to_write):
+    """"module.py:line" of each call that opens a file, to write or to read, outside the
+    (module, function) pairs given."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
+                  and (path.stem, function.name) in exempt_functions
+                  for node in ast.walk(function)}
+        calls += ["%s.py:%d" % (path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and opens(node, to_write)]
+    return calls
 
 
 def test_only_chunks_reads_a_file():
     # every input goes through `graph._chunks`; `open_text` is the opener it calls
-    readers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        exempt = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
-                  and (path.stem, function.name) in (("graph", "_chunks"), ("graph", "open_text"))
-                  for node in ast.walk(function)}
-        readers += ["%s.py:%d" % (path.stem, node.lineno) for node in ast.walk(tree)
-                    if isinstance(node, ast.Call) and id(node) not in exempt
-                    and opens_for_reading(node)]
-    assert readers == []
+    assert opening_calls({("graph", "_chunks"), ("graph", "open_text")}, False) == []
+
+
+def test_only_one_function_writes_a_file():
+    # every output goes through `graph.write_rows`, except `ingest`'s binary `np.savez` caches
+    assert opening_calls({("graph", "write_rows")}, True) == []
 
 
 def test_import_loads_no_scipy():

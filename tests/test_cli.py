@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -140,6 +141,15 @@ class TestAnalysisCommands:
         # the row below the provenance header (version, config hash) and the columns
         assert (out / "ami_survey.csv").read_text().splitlines()[2] == "B,5500,0.9940302115,1"
 
+    def test_mixing_quotes_an_article_with_a_comma(self, tmp_path):
+        corpus = write(tmp_path / "c.tsv", "#kind=Logs\n" + "A\tWashington,_D.C.\tC\n" * 3)
+        out = tmp_path / "out"
+        assert main(["mixing", "--corpus", corpus, "--min-triples", "1",
+                     "--out-dir", str(out)]) == 0
+        with open(out / "ami_survey.csv", encoding="utf-8", newline="") as f:
+            rows = [*csv.reader(f)][2:]
+        assert [row[:2] for row in rows] == [["Washington,_D.C.", "3"]]
+
     def test_header_names_a_seed_only_for_a_command_that_takes_one(self, tmp_path):
         corpus = write(tmp_path / "c.tsv", "#kind=Logs\nA\tB\tC\nB\tC\tA\n")
         emb = write(tmp_path / "emb.txt", "3 2\nA 1.0 0.0\nB 0.0 1.0\nC 1.0 1.0\n")
@@ -195,6 +205,12 @@ class TestPipeline:
         rel_rows = [line.split(",") for line in rel[2:]]
         assert all(row[0] == "Graph" for row in rel_rows)
         assert {row[1] for row in rel_rows} == {"mrr_all", "mrr_filtered"}
+
+    def test_header_digest_leaves_out_paths(self, tmp_path):
+        # the same options on the same input bytes, under other paths and another --out-dir
+        first, second = self.run_pipeline(tmp_path / "a"), self.run_pipeline(tmp_path / "b" / "c")
+        for name in ("next_article.csv", "report.csv", "relative_difference.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_pipeline_deterministic(self, tmp_path):
         # identical invocations (same paths, same seeds) must be byte-identical
@@ -501,6 +517,15 @@ def test_train_emb_without_negatives(tmp_path, reference):
     assert len(load_embeddings(str(out), Interner())) == 3
 
 
+def test_build_sessions_refuses_a_sequence_that_reads_as_a_comment(tmp_path, capsys):
+    # a tree rooted at "#x": its path would start a corpus line with "#"
+    events = write(tmp_path / "events.tsv", "00\t1000\t#x\t-\n00\t2000\tB\t#x\n")
+    out = tmp_path / "built.tsv"
+    assert main(["build-sessions", "--events", events, "--out", str(out)]) == 1
+    assert "article '#x' starts a sequence" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_topic_rejects_empty_test_split(tmp_path, capsys):
     # the 0.8/0.1/0.1 split of 2 labeled articles leaves no test article
     emb = write(tmp_path / "emb.txt", "2 2\nA 1.0 0.0\nB 0.0 1.0\n")
@@ -526,6 +551,24 @@ class TestReport:
         assert main(["report", "--inputs", first, second, "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert rows == ["dataset,mrr,0.500000", "Logs,mrr,0.250000"]
+
+
+    def test_dataset_names_with_a_comma_or_a_leading_hash_survive(self, tmp_path):
+        emb = write(tmp_path / "emb.txt", "3 2\nA 1 0\nB 0 1\nC 1 1\n")
+        pairs = write(tmp_path / "pairs.tsv", "A\tB\t0.1\nA\tC\t0.5\nB\tC\t0.9\n")
+        inputs = []
+        for name in ("Washington,_D.C.", "#x"):
+            out = tmp_path / str(len(inputs))
+            assert main(["eval-related", "--embeddings", emb, "--pairs", pairs,
+                         "--name", name, "--out-dir", str(out)]) == 0
+            inputs.append(str(out / "relatedness.csv"))
+        assert main(["report", "--inputs", *inputs, "--baseline", "#x",
+                     "--out-dir", str(tmp_path)]) == 0
+        values = load_result_values([str(tmp_path / "report.csv")])
+        assert sorted({dataset for dataset, _ in values}) == ["#x", "Washington,_D.C."]
+        assert len(values) == 6
+        relative = load_result_values([str(tmp_path / "relative_difference.csv")])
+        assert relative[("Washington,_D.C.", "pairs_used")] == 0.0
 
 
 class TestConfigFile:

@@ -22,7 +22,7 @@ class TestEmbeddingIO:
         path.write_text("3 2\nNew York 0.5 1\n 1 2  3 -1\nA\x0b\x0c 1 0\n", encoding="utf-8")
         interner = Interner()
         table = load_embeddings(str(path), interner)
-        assert [interner.name(a) for a in table.articles.tolist()] == ["New York", " 1 2 ",
+        assert interner.names(table.articles) == ["New York", " 1 2 ",
                                                                       "A\x0b\x0c"]
         assert table.vectors.tolist() == [[0.5, 1.0], [3.0, -1.0], [1.0, 0.0]]
         save_embeddings(table, tmp_path / "again.txt", interner)
@@ -36,7 +36,7 @@ class TestEmbeddingIO:
         path.write_text("2 2\nA 1 2 3\nB  0 1\n", encoding="utf-8")
         interner = Interner()
         table = load_embeddings(str(path), interner)
-        assert [interner.name(a) for a in table.articles.tolist()] == ["A 1", "B "]
+        assert interner.names(table.articles) == ["A 1", "B "]
         assert table.vectors.tolist() == [[2.0, 3.0], [0.0, 1.0]]
 
     def test_load_basic(self, tmp_path):
@@ -111,7 +111,7 @@ def test_embeddings_save_load_round_trip(tmp_path_factory, names, dim, data):
     save_embeddings(table, base / "a.txt", interner)
     fresh = Interner()
     loaded = load_embeddings(base / "a.txt", fresh)
-    assert [fresh.name(a) for a in loaded.articles.tolist()] == names
+    assert fresh.names(loaded.articles) == names
     assert np.abs(loaded.vectors - vectors).max() <= 5e-7
     save_embeddings(loaded, base / "b.txt", fresh)
     assert (base / "b.txt").read_bytes() == (base / "a.txt").read_bytes()

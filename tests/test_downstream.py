@@ -484,9 +484,9 @@ class TestLogisticRegression:
             with pytest.raises(ValueError, match="topic id %d out of range" % topic):
                 topic_classification(table, {0: {0}, 1: {topic}}, make_split(2), num_topics=3)
 
-    @pytest.mark.parametrize("labeled", [0, 1, 2, 6, 7])
+    @pytest.mark.parametrize("labeled", [0, 1, 2])
     def test_empty_test_split_error(self, labeled):
-        # the rounded 0.8/0.1/0.1 split of these counts leaves no test article
+        # the 0.8/0.1/0.1 split of fewer than 3 items leaves no test article
         table = EmbeddingTable(range(7), np.eye(7))
         split = make_split(labeled)
         assert len(split.test) == 0
@@ -501,6 +501,16 @@ class TestSplit:
         assert not (parts[0] & parts[1]) and not (parts[0] & parts[2]) \
             and not (parts[1] & parts[2])
         assert parts[0] | parts[1] | parts[2] == set(range(100))
+
+    def test_every_split_of_3_or_more_items_has_a_test_item(self):
+        for n in range(1000):
+            split = make_split(n)
+            sizes = len(split.train), len(split.validation), len(split.test)
+            # the train and validation sizes each rounded on their own, as before the test
+            # split was kept non-empty
+            rounded = round(0.8 * n), round(0.1 * n), n - round(0.8 * n) - round(0.1 * n)
+            assert sizes == ({6: (5, 0, 1), 7: (6, 0, 1)}.get(n, rounded))
+            assert (sizes[2] > 0) == (n >= 3)
 
     def test_sizes_near_fractions(self):
         split = make_split(103, seed=4)

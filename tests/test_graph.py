@@ -12,7 +12,7 @@ from navsynth.diffusion import (EmbeddingTable, load_embeddings, load_relatednes
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream, load_config,
                             load_edge_list, load_result_values, pair_keys, unpack_pairs,
-                            TransitionModel)
+                            TransitionModel, write_csv)
 from navsynth.sessions import load_corpus, load_pageview_events
 from navsynth.stats import rng_stream
 
@@ -203,7 +203,7 @@ class TestTransitionModel:
                 continue
             assert m.row_probs(node).sum() == pytest.approx(1.0, abs=1e-9)
             for t, p in zip(m.successors(node), m.row_probs(node)):
-                key = (interner.name(node), interner.name(int(t)))
+                key = tuple(interner.names([node, t]))
                 assert p == pytest.approx(weights[key] / totals[key[0]])
 
     def test_uniform_equals_equal_count_weighted(self, tmp_path, click_table):
@@ -323,6 +323,35 @@ def test_interner_round_trip(tmp_path):
     assert oracles.name_ids(loaded)["Baz qux"] == oracles.name_ids(interner)["Baz qux"]
 
 
+def test_interner_rejects_a_repeated_row(tmp_path):
+    # the repeated name would get its first id back, which matches the row's id
+    path = write(tmp_path, "interning.tsv", "0\tA\n1\tB\n0\tA\n")
+    with pytest.raises(ParseError, match=r"interning.tsv:3: non-contiguous interning ids$"):
+        Interner.read_tsv(path)
+
+
+@pytest.mark.parametrize("dataset", ["Washington,_D.C.", 'The "Hub"', "#x", "a\nb", "plain"])
+def test_csv_fields_round_trip(tmp_path, dataset):
+    # a field with a comma, a quote or a line break is quoted, and so is one that starts with
+    # "#", which a reader would skip as a comment
+    path = tmp_path / "r.csv"
+    write_csv(path, ["dataset", "metric", "value"], [(dataset, "m,1", "0.5")], "header")
+    text = path.read_text(encoding="utf-8")
+    if dataset == "plain":
+        assert text == "# header\ndataset,metric,value\nplain,\"m,1\",0.5\n"
+    if "\n" in dataset:  # written quoted, but a row cannot span two lines of a result file
+        with pytest.raises(ParseError, match=r"r.csv:3: expected 3 columns$"):
+            load_result_values([path])
+    else:
+        assert load_result_values([path]) == {(dataset, "m,1"): 0.5}
+
+
+def test_result_field_over_the_csv_limit_cites_its_line(tmp_path):
+    path = write(tmp_path, "r.csv", 'Logs,m,1\n"%s",m,2\n' % ("x" * 200_000))
+    with pytest.raises(ParseError, match=r"r.csv:2: field larger than field limit"):
+        load_result_values([path])
+
+
 # article names as clickstream rows can carry them: no tab or line break
 ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
                    min_size=1, max_size=8)
@@ -341,7 +370,7 @@ def test_clickstream_write_read_round_trip(tmp_path_factory, click_table, names,
     reread = Interner()
     reread.intern_all(names)
     loaded = load_clickstream(path, reread)
-    assert [reread.name(i) for i in range(len(reread))] == names
+    assert reread.names(range(len(reread))) == names
     assert loaded.entries.tolist() == table.entries.tolist()
     assert loaded.counts.tolist() == table.counts.tolist()
     assert loaded.skipped_rows == 0
@@ -357,7 +386,7 @@ def test_edge_list_write_read_round_trip(tmp_path_factory, names, data):
                     encoding="utf-8")
     graph = load_edge_list(str(path))
     interner = graph.interner
-    pairs = [(interner.name(s), interner.name(t)) for s, t in zip(*graph.edge_arrays())]
+    pairs = [*zip(*map(interner.names, graph.edge_arrays()))]
     assert set(pairs) == {(names[s], names[t]) for s, t in edges}
     # written back as `planted-world` writes its graph, then read again
     path.write_text("".join("%s\t%s\n" % p for p in pairs), encoding="utf-8")
@@ -375,7 +404,7 @@ def test_interner_write_read_round_trip(tmp_path_factory, names, suffix):
     path = str(tmp_path_factory.mktemp("interning") / ("interning" + suffix))
     interner.write_tsv(path)
     reread = Interner.read_tsv(path)
-    assert [reread.name(i) for i in range(len(reread))] == names
+    assert reread.names(range(len(reread))) == names
     assert all(oracles.name_ids(reread)[name] == i for i, name in enumerate(names))
 
 
@@ -390,8 +419,7 @@ def test_clickstream_sums_match_dict_oracle(tmp_path_factory, click_counts, rows
     for s, t, row_type, count in rows:
         if row_type == "link":
             oracle[(s, t)] = oracle.get((s, t), 0) + count
-    named = {(table.interner.name(s), table.interner.name(t)): c
-             for (s, t), c in click_counts(table).items()}
+    named = {tuple(table.interner.names(pair)): c for pair, c in click_counts(table).items()}
     assert named == oracle
     assert table.skipped_rows == sum(row[2] != "link" for row in rows)
     assert table.total_clicks == sum(oracle.values())
@@ -445,7 +473,7 @@ def interned(names, read):
     interner = Interner()
     interner.intern_all(names)
     result = read(interner)
-    return result, [interner.name(i) for i in range(len(interner))]
+    return result, interner.names(range(len(interner)))
 
 
 def dict_interned(names, read):
@@ -529,7 +557,7 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
             same(edges, lambda ids: edge_summary(oracles.edge_ids(path, ids)))
             def interning():
                 interner = Interner.read_tsv(path)
-                return [interner.name(i) for i in range(len(interner))]
+                return interner.names(range(len(interner)))
             assert outcome(interning) == outcome(lambda: oracles.interning(path))
             labeled = ["a", "b", "ab"]  # the articles with a vector
             same(lambda interner: load_topic_labels(

@@ -181,6 +181,18 @@ def test_corpus_round_trip(tmp_path):
     assert loaded.sequences == corpus.sequences
 
 
+def test_save_corpus_refuses_a_sequence_that_reads_as_a_comment(tmp_path):
+    interner = Interner()
+    a, x = interner.intern_all(["A", "#x"]).tolist()
+    path = tmp_path / "corpus.tsv"
+    save_corpus(SequenceCorpus.from_sequences([[a, x]], "Logs"), path, interner)
+    assert load_corpus(path, interner).sequences == [[a, x]]  # "#" inside a row is no comment
+    path.unlink()
+    with pytest.raises(ValueError, match="article '#x' starts a sequence"):
+        save_corpus(SequenceCorpus.from_sequences([[a, x], [x, a]], "Logs"), path, interner)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("row", ["A\t\tB", "\tA", "A\t", "\t"])
 def test_load_corpus_rejects_empty_name(tmp_path, row):
     path = tmp_path / "corpus.tsv"
@@ -234,7 +246,7 @@ def test_corpus_save_load_round_trip(tmp_path_factory, names, seqs, suffix):
     expected = [[oracle.setdefault(names[a], len(oracle)) for a in s] for s in seqs]
     fresh = Interner()
     assert load_corpus(path, fresh).sequences == expected
-    assert [fresh.name(i) for i in range(len(fresh))] == [*oracle]
+    assert fresh.names(range(len(fresh))) == [*oracle]
 
 
 def test_load_pageview_events(tmp_path):
