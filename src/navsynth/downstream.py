@@ -7,18 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import EmbeddingTable
-from .graph import HyperlinkGraph, pair_keys, unpack_pairs
+from .graph import HyperlinkGraph, _lookup, pair_keys, unpack_pairs
 from .sessions import SequenceCorpus, corpus_triples
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
 # ---------------------------------------------------------------- next article
-
-def _lookup(keys: np.ndarray, query) -> np.ndarray:
-    """Index of each query key in the sorted unique `keys`; len(keys) where absent."""
-    i = np.searchsorted(keys, query)
-    return np.where(np.searchsorted(keys, query, side="right") > i, i, len(keys))
-
 
 def _count_of(keys: np.ndarray, counts: np.ndarray, query) -> np.ndarray:
     """The count of each query key in the sorted unique `keys`; 0 where absent."""
@@ -146,16 +140,18 @@ def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
     (s, t') and (s', t) over positive endpoints that are neither old edges
     nor positives, again with at least `min_paths` indirect-path sequences.
     """
-    old_keys = pair_keys(*old_graph.edge_arrays())
-    added = np.setdiff1d(pair_keys(*new_graph.edge_arrays()), old_keys, assume_unique=True)
+    old_keys = pair_keys(*old_graph.edge_arrays())  # sorted: CSR order is key order
+    added = pair_keys(*new_graph.edge_arrays())
+    added = added[_lookup(old_keys, added) == len(old_keys)]
     positives = added[_indirect_path_counts(corpus, added) >= min_paths]
     if not len(positives):
         raise ValueError("no positive examples")
 
     sources, targets = (np.unique(ids) for ids in unpack_pairs(positives))
-    grid = pair_keys(np.repeat(sources, len(targets)), np.tile(targets, len(sources)))
-    excluded = np.hstack([positives, old_keys, pair_keys(sources, sources)])  # disjoint parts
-    candidates = np.setdiff1d(grid, excluded, assume_unique=True)
+    s, t = np.repeat(sources, len(targets)), np.tile(targets, len(sources))
+    grid = pair_keys(s[s != t], t[s != t])  # sorted
+    candidates = grid[(_lookup(positives, grid) == len(positives))
+                      & (_lookup(old_keys, grid) == len(old_keys))]
     negatives = candidates[_indirect_path_counts(corpus, candidates) >= min_paths]
     return LabeledLinkSet(positives, negatives)
 

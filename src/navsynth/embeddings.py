@@ -125,6 +125,8 @@ class SgnsTrainer:
         return centers[order], np.concatenate(contexts)[order]
 
     def train(self) -> EmbeddingTable:
+        """Train for `config.epochs` epochs. The table holds the trainer's own input matrix, not
+        a copy: a further `train` call would go on updating its vectors."""
         cfg = self.config
         rng = rng_stream(cfg.seed, 1)
         for epoch in range(cfg.epochs):
@@ -141,4 +143,4 @@ class SgnsTrainer:
                 self.w_in[in_rows] -= lr * g_in
                 self.w_out[out_rows] -= lr * g_out
             self.epoch_losses.append(total_loss / len(centers))
-        return EmbeddingTable(self.vocab, self.w_in.copy())
+        return EmbeddingTable(self.vocab, self.w_in)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, filterfalse, repeat
@@ -23,11 +24,11 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def open_text(path, mode="rt", errors="strict"):
-    """Open a text file, transparently gunzipping on a .gz extension."""
+def open_text(path, errors="strict"):
+    """Open a text file to read, transparently gunzipping on a .gz extension."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8", errors=errors)
-    return open(path, mode, encoding="utf-8", errors=errors)
+        return gzip.open(path, "rt", encoding="utf-8", errors=errors)
+    return open(path, encoding="utf-8", errors=errors)
 
 
 _CSV_QUOTED = re.compile(r'^#|[,"\r\n]')  # a CSV field that a reader would split or skip
@@ -36,8 +37,12 @@ _CSV_QUOTED = re.compile(r'^#|[,"\r\n]')  # a CSV field that a reader would spli
 def write_rows(path, rows, head="", sep="\t"):
     """Write `head`, then one line per row of text fields joined by `sep`; `rows` is read
     lazily. With sep "," the rows are CSV: a field that holds a comma, a quote or a line break,
-    or starts with "#", is quoted (RFC 4180). Every text output is written here."""
-    with open_text(path, "wt") as f:
+    or starts with "#", is quoted (RFC 4180). A .gz path is gzipped with no time and no file
+    name in its header, so the same rows give the same bytes. Every text output is written
+    here."""
+    with open(path, "wb") as raw, io.TextIOWrapper(
+            gzip.GzipFile("", "wb", fileobj=raw, mtime=0) if str(path).endswith(".gz") else raw,
+            encoding="utf-8") as f:
         f.write(head)
         if sep == ",":
             rows = (['"%s"' % x.replace('"', '""') if _CSV_QUOTED.search(x) else x for x in row]
@@ -213,6 +218,12 @@ def unpack_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, keys & 0xFFFFFFFF
 
 
+def _lookup(keys: np.ndarray, query) -> np.ndarray:
+    """Index of each query key in the sorted unique `keys`; len(keys) where absent."""
+    i = np.searchsorted(keys, query)
+    return np.where(np.searchsorted(keys, query, side="right") > i, i, len(keys))
+
+
 def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
     """`indptr` of `n` rows for the sorted row id of every entry."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -244,19 +255,20 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     """
     if interner is None:
         interner = Interner()
-    ids = []
+    keys, loops = [], 0  # per chunk, the packed keys of its edges that are no self-loop
     for line_nos, _, names in _chunks(path, 2):
         if "" in names:
             raise ParseError(path, int(line_nos[names.index("") // 2]), "empty article name")
-        ids.append(interner.intern_all(names))
-    pairs = np.concatenate(ids).reshape(-1, 2)
-    loops = pairs[:, 0] == pairs[:, 1]
-    n = len(interner)
-    keys = np.sort(pair_keys(pairs[~loops, 0], pairs[~loops, 1]))
-    unique = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-    sources, targets = unpack_pairs(unique)
-    return HyperlinkGraph(interner, _row_offsets(sources, n), targets,
-                          int(loops.sum()), len(keys) - len(unique))
+        sources, targets = interner.intern_all(names).reshape(-1, 2).T
+        loops += int((sources == targets).sum())
+        keys.append(pair_keys(sources, targets)[sources != targets])
+    keys = np.concatenate(keys)
+    keys.sort()
+    first = np.diff(keys, prepend=-1) != 0  # keys are >= 0
+    keys = keys[first]
+    sources, targets = unpack_pairs(keys)
+    return HyperlinkGraph(interner, _row_offsets(sources, len(interner)), targets, loops,
+                          len(first) - len(keys))
 
 
 def save_edge_list(graph: HyperlinkGraph, path):
@@ -295,11 +307,12 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
     """
     if interner is None:
         interner = Interner()
-    ids, counts = [], []
+    keys, counts = [], []  # per chunk, the packed keys and click counts of its link rows
     skipped = total = 0
     for line_nos, _, fields in _chunks(path, 4):
         kept = [*map(CLICK_LINK_TYPES.__contains__, fields[2::4])]
         skipped += kept.count(False)
+        clicks = []
         for line_no, count_str in compress(zip(line_nos.tolist(), fields[3::4]), kept):
             count = _parse(int, count_str, path, line_no, "count")
             if count < 1:
@@ -307,14 +320,19 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
             total += count
             if total >= 2**63:
                 raise ParseError(path, line_no, "click total reaches 2**63")
-            counts.append(count)
-        ids.append(interner.intern_all([*chain.from_iterable(
-            compress(zip(fields[0::4], fields[1::4]), kept))]))
-    pairs = np.concatenate(ids).reshape(-1, 2)
-    entries, pair = np.unique(pair_keys(pairs[:, 0], pairs[:, 1]), return_inverse=True)
-    sums = np.zeros(len(entries), dtype=np.int64)
-    np.add.at(sums, pair, np.array(counts, dtype=np.int64))
-    return ClickstreamTable(interner, entries, sums, skipped)
+            clicks.append(count)
+        counts.append(np.array(clicks, dtype=np.int64))
+        ids = interner.intern_all([*chain.from_iterable(
+            compress(zip(fields[0::4], fields[1::4]), kept))])
+        keys.append(pair_keys(ids[0::2], ids[1::2]))
+    keys, counts = np.concatenate(keys), np.concatenate(counts)
+    order = np.argsort(keys)
+    keys = keys[order]
+    counts = counts[order]
+    del order  # each temporary is freed before the next is made, which bounds the peak
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first row of each pair
+    keys = keys[starts]
+    return ClickstreamTable(interner, keys, np.add.reduceat(counts, starts), skipped)
 
 
 def apply_k_anonymity(table: ClickstreamTable, threshold: int = 10) -> ClickstreamTable:
@@ -382,7 +400,8 @@ def build_transition_model(graph: HyperlinkGraph,
         probs = np.repeat(1.0 / np.maximum(degree, 1), degree)
         return TransitionModel(graph.interner, graph.indptr, graph.indices, probs)
 
-    on_graph = np.isin(weights.entries, pair_keys(*graph.edge_arrays()), assume_unique=True)
+    edges = pair_keys(*graph.edge_arrays())  # sorted: CSR order is key order
+    on_graph = _lookup(edges, weights.entries) < len(edges)
     if not on_graph.any():
         raise ValueError("empty transition model: no usable weighted entries")
     (s, t), c = unpack_pairs(weights.entries[on_graph]), weights.counts[on_graph]

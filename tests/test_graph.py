@@ -1,5 +1,7 @@
 import gzip
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from navsynth.diffusion import (EmbeddingTable, load_embeddings, load_relatednes
 from navsynth.graph import (Interner, ParseError, apply_k_anonymity,
                             build_transition_model, load_clickstream, load_config,
                             load_edge_list, load_result_values, pair_keys, unpack_pairs,
-                            TransitionModel, write_csv)
+                            TransitionModel, write_csv, write_rows)
 from navsynth.sessions import load_corpus, load_pageview_events
 from navsynth.stats import rng_stream
 
@@ -408,6 +410,15 @@ def test_interner_write_read_round_trip(tmp_path_factory, names, suffix):
     assert all(oracles.name_ids(reread)[name] == i for i, name in enumerate(names))
 
 
+def test_gz_output_bytes_depend_only_on_the_rows(tmp_path, monkeypatch):
+    rows = [["a", "b\u00e9"], ["c", "1"]]
+    write_rows(tmp_path / "one.tsv.gz", rows)
+    monkeypatch.setattr(gzip, "time", SimpleNamespace(time=lambda: 2e9))  # a later write
+    write_rows(tmp_path / "two.tsv.gz", rows)
+    assert (tmp_path / "one.tsv.gz").read_bytes() == (tmp_path / "two.tsv.gz").read_bytes()
+    assert chunked_rows(str(tmp_path / "two.tsv.gz"), 2) == [(1, rows[0]), (2, rows[1])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(st.tuples(NAMES, NAMES, st.sampled_from(["link", "external", "other"]),
                                st.integers(1, 2**40)), max_size=40))
@@ -435,6 +446,21 @@ def test_pair_keys_round_trip_and_order(pairs):
     assert list(zip(*(x.tolist() for x in unpack_pairs(keys)))) == pairs
     assert [pairs[i] for i in np.argsort(keys, kind="stable")] == sorted(pairs)
     assert len(set(keys.tolist())) == len(set(pairs))
+
+
+KEYS = st.integers(0, 40) | st.integers(0, 2**62)  # small keys, so that queries hit
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.sets(KEYS), query=st.lists(KEYS | st.just(-1)))
+@example(keys=set(), query=[0, 3])
+@example(keys={1, 5}, query=[])
+def test_lookup_matches_isin(keys, query):
+    keys, query = np.array(sorted(keys), dtype=np.int64), np.array(query, dtype=np.int64)
+    found = graph._lookup(keys, query)
+    assert np.array_equal(found < len(keys), np.isin(query, keys))
+    assert found.tolist() == [keys.tolist().index(q) if q in keys else len(keys)
+                              for q in query.tolist()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,6 +632,27 @@ def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
         load_edge_list(str(path))
 
 
+def test_pair_readers_give_the_same_result_in_any_chunk_size(tmp_path, monkeypatch):
+    # a duplicate edge, a self-loop and a repeated click pair fall in different chunks
+    edges = write(tmp_path, "e.tsv", "A\tB\nB\tC\nC\tC\nA\tB\nC\tA\nB\tB\n")
+    clicks = write(tmp_path, "c.tsv",
+                   "A\tB\tlink\t3\nB\tC\tother\t5\nC\tA\tlink\t2\nA\tB\tlink\t4\n")
+
+    def read():
+        g, t = load_edge_list(edges), load_clickstream(clicks)
+        return ([g.interner.names(range(g.num_nodes)), g.indptr.tolist(), g.indices.tolist(),
+                 g.self_loops_dropped, g.duplicates_dropped],
+                [t.interner.names(range(len(t.interner))), t.entries.tolist(),
+                 t.counts.tolist(), t.skipped_rows])
+
+    whole = read()
+    assert whole[0][3:] == [2, 1] and whole[1][2:] == [[7, 2], 1]
+    for chars in (1, 5, 12):
+        monkeypatch.setattr(graph, "CHUNK_CHARS", chars)
+        assert len([*graph._chunks(edges, 2)]) >= 3
+        assert read() == whole
+
+
 @pytest.mark.parametrize("read,text,message", [
     (lambda p: load_embeddings(p, Interner()), "2 1\n\nalpha 1.5\nbeta x\n",
      ":4: could not convert string to float: 'x'"),
@@ -636,3 +683,29 @@ def test_first_fault_in_file_order_before_an_undecodable_line(tmp_path, read, te
     path.write_bytes(text)
     with pytest.raises(ParseError, match="^%s%s$" % (re.escape(str(path)), re.escape(message))):
         read(str(path))
+
+
+def test_pair_readers_hold_at_most_24_bytes_per_row_beyond_their_result(tmp_path, monkeypatch):
+    # the temporaries that grow with the file: packed keys, counts and sort order. The fields
+    # of one chunk take about 20 bytes per character of CHUNK_CHARS whatever the file's
+    # length, so small chunks keep that fixed part out of the per-row bound
+    rows, rng = 50_000, rng_stream(9)
+    names = ["Article_%d" % i for i in range(5000)]
+    sources, targets, counts = (rng.integers(0, 5000, rows), rng.integers(0, 5000, rows),
+                                rng.integers(1, 1000, rows))
+    kinds = np.where(rng.random(rows) < 0.9, "link", "other")
+    edges = write(tmp_path, "e.tsv", "".join(
+        "%s\t%s\n" % (names[s], names[t]) for s, t in zip(sources, targets)))
+    clicks = write(tmp_path, "c.tsv", "".join(
+        "%s\t%s\t%s\t%d\n" % (names[s], names[t], k, c)
+        for s, t, k, c in zip(sources, targets, kinds, counts)))
+    monkeypatch.setattr(graph, "CHUNK_CHARS", 1 << 12)
+    for read, path in ((load_edge_list, edges), (load_clickstream, clicks)):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - size) / rows <= 24, (read.__name__, (peak - size) / rows)
+        del result
