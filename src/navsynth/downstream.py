@@ -113,46 +113,45 @@ class LabeledLinkSet:
     negatives: np.ndarray
 
 
-def _indirect_path_counts(corpus: SequenceCorpus, candidates: np.ndarray) -> np.ndarray:
-    """Number of sequences with s strictly before t, per sorted unique candidate key (s, t).
-
-    Callers pass no old-graph edge: those never qualify as indirect paths.
-    """
+def _path_counts(corpus: SequenceCorpus, first: np.ndarray,
+                 second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys (s, t), s != t, s in the `first` page mask and t in the `second`,
+    with s strictly before t in some sequence; and per key, the number of such sequences."""
     pages, lengths = corpus.pages, np.diff(corpus.offsets)
     sequence = np.repeat(np.arange(len(lengths)), lengths)
     ends = corpus.offsets[1:][sequence]
-    pos = np.arange(len(pages))
-    hits = [np.zeros(0, dtype=np.int64)]  # packed (candidate index, sequence) keys
+    pos = np.flatnonzero(first[pages])
+    hits = [np.zeros((0, 2), dtype=np.int64)]  # (pair key, sequence) rows
     for offset in range(1, int(lengths.max(initial=0))):
         pos = pos[pos + offset < ends[pos]]
-        found = _lookup(candidates, pair_keys(pages[pos], pages[pos + offset]))
-        hit = found < len(candidates)
-        hits.append(pair_keys(found[hit], sequence[pos[hit]]))
-    return np.bincount(unpack_pairs(np.unique(np.concatenate(hits)))[0], minlength=len(candidates))
+        s, t = pages[pos], pages[pos + offset]
+        hit = second[t] & (s != t)
+        hits.append(np.column_stack((pair_keys(s[hit], t[hit]), sequence[pos[hit]])))
+    return np.unique(np.unique(np.concatenate(hits), axis=0)[:, 0], return_counts=True)
 
 
 def build_added_links(old_graph: HyperlinkGraph, new_graph: HyperlinkGraph,
-                      corpus: SequenceCorpus, min_paths: int = 10) -> LabeledLinkSet:
-    """Label added links as positives and endpoint-sharing non-links as negatives.
-
-    Positives: edges present in the new graph but not the old one, with at
-    least `min_paths` sequences containing an indirect path. Negatives: pairs
-    (s, t') and (s', t) over positive endpoints that are neither old edges
-    nor positives, again with at least `min_paths` indirect-path sequences.
-    """
+                      corpus: SequenceCorpus, min_paths: int) -> LabeledLinkSet:
+    """Positives: new-graph edges that are not old edges, with an indirect path (s strictly
+    before t) in at least `min_paths` sequences. Negatives: the pairs (s, t), s != t, of a
+    positive's source and a positive's target that are neither positives nor old edges, with
+    indirect paths in at least `min_paths` sequences."""
     old_keys = pair_keys(*old_graph.edge_arrays())  # sorted: CSR order is key order
     added = pair_keys(*new_graph.edge_arrays())
     added = added[_lookup(old_keys, added) == len(old_keys)]
-    positives = added[_indirect_path_counts(corpus, added) >= min_paths]
-    if not len(positives):
-        raise ValueError("no positive examples")
+    # the masks cover both graphs and the corpus pages interned after them
+    size = max(old_graph.num_nodes, new_graph.num_nodes, int(corpus.pages.max(initial=-1)) + 1)
 
-    sources, targets = (np.unique(ids) for ids in unpack_pairs(positives))
-    s, t = np.repeat(sources, len(targets)), np.tile(targets, len(sources))
-    grid = pair_keys(s[s != t], t[s != t])  # sorted
-    candidates = grid[(_lookup(positives, grid) == len(positives))
-                      & (_lookup(old_keys, grid) == len(old_keys))]
-    negatives = candidates[_indirect_path_counts(corpus, candidates) >= min_paths]
+    def masks(keys):
+        return [np.bincount(ids, minlength=size) > 0 for ids in unpack_pairs(keys)]
+    counts = _count_of(*_path_counts(corpus, *masks(added)), added)
+    positives = added[counts >= min_paths]
+    if not len(positives):
+        raise ValueError("no positive examples: 0 of %d added links reach --min-paths %d "
+                         "(most: %d sequences)" % (len(added), min_paths, counts.max(initial=0)))
+    pairs, counts = _path_counts(corpus, *masks(positives))
+    negatives = pairs[(counts >= min_paths) & (_lookup(positives, pairs) == len(positives))
+                      & (_lookup(old_keys, pairs) == len(old_keys))]
     return LabeledLinkSet(positives, negatives)
 
 
@@ -189,7 +188,7 @@ class PrecisionAtK:
 
 def precision_at_k(ranked, labels: LabeledLinkSet, ks) -> list[PrecisionAtK]:
     """Fraction of positives among the top-k ranked link keys, per requested k."""
-    hits = np.cumsum(np.isin(ranked, labels.positives))
+    hits = np.cumsum(_lookup(labels.positives, ranked) < len(labels.positives))
     results = []
     for k in ks:
         if k < 1:

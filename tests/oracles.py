@@ -1,11 +1,13 @@
-"""Per-item reference implementations that the tests check the vectorized code against."""
+"""Reference implementations that the tests check the vectorized code against: per-item ones,
+and earlier designs of the same result."""
 
 import math
 
 import numpy as np
 from scipy.special import expit, log_expit
 
-from navsynth.graph import ParseError
+from navsynth.downstream import LabeledLinkSet
+from navsynth.graph import ParseError, _lookup, pair_keys, unpack_pairs
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -303,3 +305,37 @@ def result_values(paths) -> dict:
                 raise ParseError(path, line_no, "duplicate row %r" % ",".join(key))
             values[key] = parse(float, fields[2], path, line_no, "value")
     return values
+
+
+def indirect_path_counts(corpus, candidates: np.ndarray) -> np.ndarray:
+    """Number of sequences with s strictly before t, per sorted unique candidate key (s, t)."""
+    pages, lengths = corpus.pages, np.diff(corpus.offsets)
+    sequence = np.repeat(np.arange(len(lengths)), lengths)
+    ends = corpus.offsets[1:][sequence]
+    pos = np.arange(len(pages))
+    hits = [np.zeros(0, dtype=np.int64)]  # packed (candidate index, sequence) keys
+    for offset in range(1, int(lengths.max(initial=0))):
+        pos = pos[pos + offset < ends[pos]]
+        found = _lookup(candidates, pair_keys(pages[pos], pages[pos + offset]))
+        hit = found < len(candidates)
+        hits.append(pair_keys(found[hit], sequence[pos[hit]]))
+    return np.bincount(unpack_pairs(np.unique(np.concatenate(hits)))[0], minlength=len(candidates))
+
+
+def added_links_by_grid(old_graph, new_graph, corpus, min_paths) -> LabeledLinkSet:
+    """`build_added_links` as it was first built: count the added links' indirect paths, then
+    those of every pair of the grid of positive sources x positive targets. The grid grows with
+    the square of the positives."""
+    old_keys = pair_keys(*old_graph.edge_arrays())
+    added = pair_keys(*new_graph.edge_arrays())
+    added = added[_lookup(old_keys, added) == len(old_keys)]
+    positives = added[indirect_path_counts(corpus, added) >= min_paths]
+    if not len(positives):
+        raise ValueError("no positive examples")
+    sources, targets = (np.unique(ids) for ids in unpack_pairs(positives))
+    s, t = np.repeat(sources, len(targets)), np.tile(targets, len(sources))
+    grid = pair_keys(s[s != t], t[s != t])  # sorted
+    candidates = grid[(_lookup(positives, grid) == len(positives))
+                      & (_lookup(old_keys, grid) == len(old_keys))]
+    negatives = candidates[indirect_path_counts(corpus, candidates) >= min_paths]
+    return LabeledLinkSet(positives, negatives)

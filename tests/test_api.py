@@ -143,6 +143,14 @@ def test_only_one_function_writes_a_file():
     assert opening_calls({("graph", "write_rows")}, True) == []
 
 
+def test_only_lookup_looks_keys_up():
+    # `graph._lookup` is the one sorted-key lookup; `np.setdiff1d` of a set of ids stays
+    names = ["%s.py:%d" % (path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, "attr", getattr(node, "id", None)) in ("isin", "in1d")]
+    assert names == []
+
+
 def test_import_loads_no_scipy():
     code = ("import sys; sys.path.insert(0, %r); import navsynth; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])" % str(PACKAGE.parent))

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from navsynth.diffusion import EmbeddingTable
 from navsynth.downstream import (LabeledLinkSet,
@@ -10,11 +12,11 @@ from navsynth.downstream import (LabeledLinkSet,
                                  precision_at_k, rank_links, relatedness_eval,
                                  relative_difference, relative_difference_rows,
                                  topic_classification, train_logreg)
-from navsynth.graph import HyperlinkGraph, load_edge_list, pair_keys, unpack_pairs
+from navsynth.graph import HyperlinkGraph, Interner, load_edge_list, pair_keys, unpack_pairs
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from navsynth.synth import PlantedWorldSpec, generate_planted_world
-from oracles import name_ids, vector
+from oracles import added_links_by_grid, name_ids, vector
 
 
 def graph_from(tmp_path, edges):
@@ -34,6 +36,13 @@ def int_graph(tmp_path, edges, num_nodes):
     g = load_edge_list(str(path))
     assert all(name_ids(g.interner)[str(i)] == i for i in range(num_nodes))
     return g
+
+
+def csr_graph(edges, num_nodes):
+    """Graph of (s, t) id pairs, s != t, over `num_nodes` ids, built without a file."""
+    sources, targets = unpack_pairs(np.unique(keys_of(edges)))
+    indptr = np.append(0, np.cumsum(np.bincount(sources, minlength=num_nodes)))
+    return HyperlinkGraph(Interner(), indptr, targets)
 
 
 def keys_of(pairs):
@@ -281,8 +290,10 @@ class TestAddedLinks:
     def test_too_few_paths_raises(self, tmp_path):
         old, new = self.worlds(tmp_path)
         corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 9, "Logs")
-        with pytest.raises(ValueError, match="no positive"):
+        with pytest.raises(ValueError, match="no positive") as raised:
             build_added_links(old, new, corpus, min_paths=10)
+        assert str(raised.value) == ("no positive examples: 0 of 1 added links reach "
+                                     "--min-paths 10 (most: 9 sequences)")
 
     def test_old_edges_never_count_as_paths(self, tmp_path):
         old, new = self.worlds(tmp_path)
@@ -343,6 +354,54 @@ class TestAddedLinks:
         assert set(pairs_of(labels.positives)) == oracle_pos
         assert set(pairs_of(labels.negatives)) == oracle_neg
         assert oracle_pos and oracle_neg  # scenario actually exercises both
+
+    # ids 0-4 are graph nodes and 5-6 corpus pages interned after both graphs; short sequences
+    # over 7 pages repeat pages (s = t steps) and pairs, and some have length 1
+    @settings(max_examples=300, deadline=None)
+    @given(old=st.sets(st.tuples(*[st.integers(0, 4)] * 2).filter(lambda e: e[0] != e[1]),
+                       max_size=8),
+           new=st.sets(st.tuples(*[st.integers(0, 4)] * 2).filter(lambda e: e[0] != e[1]),
+                       max_size=12),
+           sequences=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=8), min_size=1,
+                              max_size=16),
+           min_paths=st.integers(1, 3))
+    @example(old={(0, 1)}, new={(0, 1), (0, 2), (1, 2), (3, 4)},
+             sequences=[[0, 0, 2, 0, 2], [5], [1, 6, 2, 4], [3, 1, 4, 4], [3, 2]], min_paths=1)
+    @example(old=set(), new={(0, 1)}, sequences=[[1, 1], [0]], min_paths=1)  # raises
+    def test_matches_the_endpoint_grid(self, old, new, sequences, min_paths):
+        # the old graph is interned first, so it may cover fewer ids than the new one; the new
+        # graph also links the ends of each sequence, so that some added links are positives
+        new = new | {(q[0], q[-1]) for q in sequences if q[0] != q[-1] and max(q[0], q[-1]) < 5}
+        old_graph = csr_graph(old, 1 + max(map(max, old), default=0))
+        new_graph = csr_graph(new, max(old_graph.num_nodes, 1 + max(map(max, new), default=0)))
+        corpus = SequenceCorpus.from_sequences(sequences, "Logs")
+        try:
+            expected = added_links_by_grid(old_graph, new_graph, corpus, min_paths)
+        except ValueError as error:
+            assert str(error) == "no positive examples"
+            with pytest.raises(ValueError, match="^no positive examples: 0 of "):
+                build_added_links(old_graph, new_graph, corpus, min_paths)
+            return
+        labels = build_added_links(old_graph, new_graph, corpus, min_paths)
+        assert np.array_equal(labels.positives, expected.positives)
+        assert np.array_equal(labels.negatives, expected.negatives)
+
+    def test_memory_grows_with_the_corpus_not_the_positives_squared(self):
+        # 2,000 added links i -> 2000 + i over distinct endpoints, each walked by one sequence
+        # of 4 pages. The endpoint grid of their 4M pairs peaks at 21 KB per corpus position,
+        # one counter over the corpus at 97 B.
+        n = 2000
+        new, old = csr_graph([(s, s + n) for s in range(n)], 2 * n), csr_graph([], 2 * n)
+        corpus = SequenceCorpus.from_sequences(
+            [[s, (s + 1) % n, s + n, (s + 1) % n + n] for s in range(n)], "Logs")
+        tracemalloc.start()
+        try:
+            labels = build_added_links(old, new, corpus, min_paths=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(labels.positives) == n and len(labels.negatives) == 2 * n
+        assert peak / len(corpus.pages) <= 200, peak / len(corpus.pages)
 
 
 class TestPrecisionAtK:
