@@ -13,6 +13,7 @@ from .sessions import SequenceCorpus
 from .stats import bootstrap_mean_ci
 
 HISTOGRAM_BIN_WIDTH = 0.02
+COSINE_BLOCK = 1 << 17  # vector values of each side that `cosines` gathers at once (1 MiB)
 
 
 @dataclass(eq=False)
@@ -54,13 +55,18 @@ class EmbeddingTable:
 
     def cosines(self, a, b) -> np.ndarray:
         """Cosine similarity of rows a[i] and b[i]; equals the per-pair np.dot formula bit for bit."""
-        return np.vecdot(self.vectors[a], self.vectors[b]) / (self.norms[a] * self.norms[b])
+        out, step = np.empty(len(a)), max(1, COSINE_BLOCK // self.dim)
+        for lo in range(0, len(a), step):
+            x, y = a[lo:lo + step], b[lo:lo + step]
+            out[lo:lo + step] = (np.vecdot(self.vectors[x], self.vectors[y])
+                                 / (self.norms[x] * self.norms[y]))
+        return out
 
 
 def load_embeddings(path, interner: Interner) -> EmbeddingTable:
     """Read the text format: header "N dim", then "name v1 ... v_dim" rows. The last `dim`
-    space-separated fields are the vector and the rest is the name, which may hold spaces."""
-    vectors: dict[int, np.ndarray] = {}
+    space-separated fields are the vector and the rest is the name, which may hold spaces.
+    The rows fill one (N, dim) array; rows past the N-th are checked and counted, not kept."""
     chunks = _row_texts(path)
     line_nos, lines = next((chunk for chunk in chunks if chunk[1]), ([1], [""]))
     header = lines[0].split() if line_nos[0] == 1 else []
@@ -68,16 +74,23 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
         raise ParseError(path, 1, "expected 'N dim' header")
     n = _parse(int, header[0], path, 1, "row count")
     dim = _parse(int, header[1], path, 1, "dimension")
+    if n < 0 or dim < 1:
+        raise ParseError(path, 1, "expected N >= 0 and dim >= 1, got %d %d" % (n, dim))
+    try:  # pages are only reserved: the rows a file holds are the memory it takes
+        articles, vectors = np.empty(n, dtype=np.int64), np.empty((n, dim))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+        raise ParseError(path, 1, "no memory for %d rows of %d values" % (n, dim)) from None
+    seen = set()
     for line_nos, lines in chain([(line_nos[1:], lines[1:])], chunks):
         rows = [(line_no, line.rsplit(" ", dim))
                 for line_no, line in zip(line_nos, map(str.rstrip, lines)) if line]
-        articles = interner.intern_all([fields[0] for _, fields in rows]).tolist()
-        for (line_no, (name, *values)), article in zip(rows, articles):
+        ids = interner.intern_all([fields[0] for _, fields in rows]).tolist()
+        for (line_no, (name, *values)), article in zip(rows, ids):
             if len(values) != dim:
                 raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
             if not name:
                 raise ParseError(path, line_no, "empty article name")
-            if article in vectors:
+            if article in seen:
                 raise ParseError(path, line_no, "duplicate article %r" % name)
             try:
                 vector = np.array(values, dtype=float)
@@ -87,10 +100,12 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
                 raise ParseError(path, line_no, "all-zero vector for article %r" % name)
             if not np.isfinite(vector).all():
                 raise ParseError(path, line_no, "non-finite value for article %r" % name)
-            vectors[article] = vector
-    if len(vectors) != n:
-        raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(vectors)))
-    return EmbeddingTable(list(vectors), np.array(list(vectors.values())).reshape(n, dim))
+            if len(seen) < n:
+                articles[len(seen)], vectors[len(seen)] = article, vector
+            seen.add(article)
+    if len(seen) != n:
+        raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(seen)))
+    return EmbeddingTable(articles, vectors)
 
 
 def _finite_float(text):
@@ -137,7 +152,7 @@ def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics:
 
 def save_embeddings(table: EmbeddingTable, path, interner: Interner):
     vector = " ".join(["%.6f"] * table.dim)
-    # one row at a time: a whole-matrix tolist() would raise the peak RSS
+    # `write_rows` draws the rows lazily, so only one row's text exists at a time
     write_rows(path, ((name, vector % tuple(v.tolist()))
                       for name, v in zip(interner.names(table.articles), table.vectors)),
                "%d %d\n" % (len(table), table.dim), " ")

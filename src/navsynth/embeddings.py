@@ -22,7 +22,12 @@ UNIGRAM_POWER = 0.75  # negatives are drawn from the unigram distribution to thi
 # busiest row's expected hits per batch at or below MAX_ROW_HITS: without
 # that bound, the loss on corpora with a hub article diverged.
 MAX_ROW_HITS = 32
-MAX_BATCH = 512  # bounds the (batch, 1 + negatives, dim) work arrays
+MAX_BATCH = 512  # the batch size where no row is busy; another value changes the vectors
+# blocks bound a batch's work arrays and change no bit: the (block, 1 + negatives, dim) out
+# rows of EXAMPLE_BLOCK examples are gathered at once, and ROW_BLOCK out rows summed at once.
+# Each block's out rows are gathered into one buffer per batch: a new array per block of 128
+# made glibc shrink and regrow the heap every batch (2.6x the page faults on `embed`).
+EXAMPLE_BLOCK, ROW_BLOCK = 128, 256
 
 
 @dataclass
@@ -44,13 +49,13 @@ class SgnsConfig:
             raise ValueError("learning_rate must be finite and positive")
 
 
-def _sum_rows(ids, cols, weights, vectors):
-    """The distinct ids and, for each id r, the sum of weights[i] * vectors[cols[i]]
-    over the entries i with ids[i] == r."""
+def _row_sums(ids, weights):
+    """The distinct values of a (B, J) id matrix, and a CSR matrix whose row r times a (B, dim)
+    M sums weights[b, j] * M[b] over the ids[b, j] equal to value r, bit for bit in any slice."""
     from scipy import sparse  # on use, as in `mixing.expected_mi`
-    rows, inv = np.unique(ids, return_inverse=True)
-    hits = sparse.csr_matrix((weights, (inv, cols)), shape=(len(rows), len(vectors)))
-    return rows, hits @ vectors
+    rows, inv = np.unique(ids.ravel(), return_inverse=True)
+    example = np.arange(ids.size) // ids.shape[1]  # the row b of each entry
+    return rows, sparse.csr_matrix((weights.ravel(), (inv, example)), shape=(len(rows), len(ids)))
 
 
 def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
@@ -58,22 +63,31 @@ def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
 
     Example b, with v = w_in[centers[b]], u = w_out[contexts[b]] and u_n =
     w_out[negatives[b, n]], has loss -log sigma(u . v) - sum_n log sigma(-u_n . v).
-    Returns (loss, (in_rows, g_in), (out_rows, g_out)): the rows of each matrix
-    that the batch touches, each with the sum of its gradients over the batch.
+    Returns (loss, (in_rows, g_in), out_blocks): the w_in rows the batch touches, each with its
+    summed gradient, and an iterator of (out_rows, g_out) over the w_out rows it touches, in
+    ascending blocks of at most ROW_BLOCK. A block is summed when drawn, from this call's
+    weights, so the caller may update either matrix between blocks.
     """
     from scipy.special import expit, log_expit  # on use, as in `mixing.expected_mi`
     out_ids = np.column_stack([contexts, negatives])  # (B, 1 + negatives)
     v = w_in[centers]
-    u = w_out[out_ids]
-    scores = np.einsum("bd,bjd->bj", v, u)
+    scores, g_scores, g_v = np.empty(out_ids.shape), np.empty(out_ids.shape), np.empty_like(v)
+    work = np.empty((min(EXAMPLE_BLOCK, len(v)),) + out_ids.shape[1:] + v.shape[1:])
+    for lo in range(0, len(v), EXAMPLE_BLOCK):
+        block = slice(lo, lo + EXAMPLE_BLOCK)
+        # mode="wrap" indexes as w_out[ids] does, without the copy that mode="raise" makes
+        u = np.take(w_out, out_ids[block], axis=0, out=work[:len(out_ids[block])], mode="wrap")
+        np.einsum("bd,bjd->bj", v[block], u, out=scores[block])
+        expit(scores[block], out=g_scores[block])
+        g_scores[block, 0] -= 1.0
+        np.einsum("bj,bjd->bd", g_scores[block], u, out=g_v[block])
     loss = -log_expit(scores[:, 0]).sum() - log_expit(-scores[:, 1:]).sum()
-    g_scores = expit(scores)
-    g_scores[:, 0] -= 1.0
-    g_v = np.einsum("bj,bjd->bd", g_scores, u)
     # the gradient of out row u_bj is g_scores[b, j] * v_b
-    b = np.arange(len(centers))
-    return (float(loss), _sum_rows(centers, b, np.ones(len(b)), g_v),
-            _sum_rows(out_ids.ravel(), np.repeat(b, out_ids.shape[1]), g_scores.ravel(), v))
+    in_rows, in_sums = _row_sums(centers[:, None], np.ones((len(centers), 1)))
+    out_rows, out_sums = _row_sums(out_ids, g_scores)
+    return float(loss), (in_rows, in_sums @ g_v), (
+        (out_rows[lo:lo + ROW_BLOCK], out_sums[lo:lo + ROW_BLOCK] @ v)
+        for lo in range(0, len(out_rows), ROW_BLOCK))
 
 
 class SgnsTrainer:
@@ -101,7 +115,9 @@ class SgnsTrainer:
         self.batch_size = int(np.clip(MAX_ROW_HITS // row_hits.max(), 1, MAX_BATCH))
         rng = rng_stream(config.seed, 0)
         v = len(self.vocab)
-        self.w_in = (rng.random((v, config.dim)) - 0.5) / config.dim
+        self.w_in = rng.random((v, config.dim))  # (u - 0.5) / dim, formed in place
+        self.w_in -= 0.5
+        self.w_in /= config.dim
         self.w_out = np.zeros((v, config.dim))
         self.epoch_losses: list[float] = []
 
@@ -137,10 +153,11 @@ class SgnsTrainer:
                 c = centers[lo:lo + self.batch_size]
                 o = contexts[lo:lo + self.batch_size]
                 negs = self._sample_negatives(rng, (len(c), cfg.negatives))
-                loss, (in_rows, g_in), (out_rows, g_out) = sgns_batch_gradients(
+                loss, (in_rows, g_in), out_blocks = sgns_batch_gradients(
                     self.w_in, self.w_out, c, o, negs)
                 total_loss += loss
                 self.w_in[in_rows] -= lr * g_in
-                self.w_out[out_rows] -= lr * g_out
+                for out_rows, g_out in out_blocks:
+                    self.w_out[out_rows] -= lr * g_out
             self.epoch_losses.append(total_loss / len(centers))
         return EmbeddingTable(self.vocab, self.w_in)

@@ -70,6 +70,7 @@ class BootstrapResult:
 
 CI_LEVEL = 0.95
 BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_BLOCK = 1 << 15  # resample indices that `bootstrap_mean_ci` draws and gathers at once
 
 
 def bootstrap_mean_ci(samples, rng: np.random.Generator | None = None) -> BootstrapResult:
@@ -80,10 +81,12 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator | None = None) -> Bootst
         raise ValueError("empty sample")
     if rng is None:
         rng = rng_stream(0)
-    # resamples in 16 blocks, each drawn as its rows of one (B, n) draw would be: the whole
-    # (B, n) index matrix would set the command's peak memory
+    # resamples in blocks of BOOTSTRAP_BLOCK indices (or one resample), each drawn as its rows of
+    # one (B, n) draw would be: the whole (B, n) index matrix would set the command's peak memory
+    step = max(1, BOOTSTRAP_BLOCK // n)
     means = np.concatenate([samples[rng.integers(0, n, size=(len(b), n))].mean(axis=1)
-                            for b in np.array_split(range(BOOTSTRAP_RESAMPLES), 16)])
+                            for b in np.array_split(range(BOOTSTRAP_RESAMPLES),
+                                                    range(step, BOOTSTRAP_RESAMPLES, step))])
     alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return BootstrapResult(float(samples.mean()), float(lo), float(hi))

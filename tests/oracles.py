@@ -45,6 +45,30 @@ def sgns_pair_gradients(center_vec, pos_out, neg_outs):
     return g_center, g_pos, g_negs
 
 
+def sgns_whole_batch_gradients(w_in, w_out, centers, contexts, negatives):
+    """`embeddings.sgns_batch_gradients` as one pass over the whole batch: the (B, 1 +
+    negatives, dim) out rows gathered at once and every touched row summed by one sparse
+    product. Returns (loss, (in_rows, g_in), (out_rows, g_out))."""
+    from scipy import sparse
+
+    def sum_rows(ids, cols, weights, vectors):
+        rows, inv = np.unique(ids, return_inverse=True)
+        hits = sparse.csr_matrix((weights, (inv, cols)), shape=(len(rows), len(vectors)))
+        return rows, hits @ vectors
+
+    out_ids = np.column_stack([contexts, negatives])
+    v = w_in[centers]
+    u = w_out[out_ids]
+    scores = np.einsum("bd,bjd->bj", v, u)
+    loss = -log_expit(scores[:, 0]).sum() - log_expit(-scores[:, 1:]).sum()
+    g_scores = expit(scores)
+    g_scores[:, 0] -= 1.0
+    g_v = np.einsum("bj,bjd->bd", g_scores, u)
+    b = np.arange(len(centers))
+    return (float(loss), sum_rows(centers, b, np.ones(len(b)), g_v),
+            sum_rows(out_ids.ravel(), np.repeat(b, out_ids.shape[1]), g_scores.ravel(), v))
+
+
 def step(model, node: int, u: float) -> int:
     """The successor of `node` that uniform `u` picks: a search of the model's cumulative row."""
     lo, hi = model.indptr[node], model.indptr[node + 1]

@@ -366,7 +366,8 @@ def test_criterion_08_gradient_checks():
         # out row 2 is drawn twice as a negative
         w_in, w_out = v[None, :], np.vstack([u_pos, u_negs])
         batch = (np.array([0, 0]), np.array([0, 1]), np.array([[1, 2, 3], [0, 2, 2]]))
-        _, (in_rows, g_in), (out_rows, g_out) = sgns_batch_gradients(w_in, w_out, *batch)
+        _, (in_rows, g_in), out_blocks = sgns_batch_gradients(w_in, w_out, *batch)
+        out_rows, g_out = map(np.concatenate, zip(*out_blocks))
         grad_in, grad_out = np.zeros_like(w_in), np.zeros_like(w_out)
         grad_in[in_rows], grad_out[out_rows] = g_in, g_out
         analytic = np.concatenate([grad_in.ravel(), grad_out.ravel()])

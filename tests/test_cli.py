@@ -390,6 +390,27 @@ def test_malformed_row_cites_path_and_line(tmp_path, capsys, case):
             in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("-1 2\nA 1 0\n", "expected N >= 0 and dim >= 1, got -1 2"),
+    ("2 0\nA\nB\n", "expected N >= 0 and dim >= 1, got 2 0"),
+    ("%d 128\nA%s\n" % (10**12, " 1" * 128), "no memory for 1000000000000 rows of 128 values"),
+    ("%d 1\nA 1\n" % 2**62, "no memory for %d rows of 1 values" % 2**62),
+    ("1 2\nA 1 0\nB 0 1\nC 1 1\n", "header declared 1 rows, found 3"),
+    ("3 2\nA 1 0\n", "header declared 3 rows, found 1"),
+], ids=["negative-count", "zero-dim", "count-beyond-memory", "count-beyond-addresses",
+        "more-rows", "fewer-rows"])
+def test_embeddings_header_faults_cite_line_1(tmp_path, capsys, text, message):
+    # the loader sizes its array from the header, so a header no file can match must end as
+    # a fault of line 1, not as a numpy error
+    path = write(tmp_path / "emb.txt", text)
+    with pytest.raises(ParseError, match="^%s:1: %s$" % (re.escape(path), message)):
+        load_embeddings(path, Interner())
+    pairs = write(tmp_path / "pairs.tsv", "A\tB\t1\n")
+    assert main(["eval-related", "--embeddings", path, "--pairs", pairs,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: %s:1: %s\n" % (path, message)
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--out-degree", "0", "out_degree must be >= 1 and < num_nodes"),
     ("--corpus-size", "-3", "corpus_size must be >= 0"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,24 @@ class TestEmbeddingIO:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             EmbeddingTable([0], np.zeros((1, 3)))
+
+
+def test_curve_holds_under_half_the_table_beyond_it():
+    # 50,000 three-page sequences over a 200,000 x 16 table: gathering both endpoints' rows
+    # whole would take half the table's bytes per k, and the whole bootstrap index matrix of
+    # 1000 x 50,000 resamples another 400 MB
+    rng = rng_stream(56)
+    emb = EmbeddingTable(np.arange(200_000), rng.normal(size=(200_000, 16)))
+    pages = rng.integers(0, 200_000, size=50_000 * 3)
+    corpus = SequenceCorpus(pages, np.arange(0, len(pages) + 1, 3), "Logs")
+    tracemalloc.start()
+    try:
+        curve = diffusion_curve(corpus, emb, 10, rng=rng_stream(57))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.ks == [1, 2] and curve.counts == [50_000, 50_000]
+    assert peak <= 0.5 * emb.vectors.nbytes, peak / emb.vectors.nbytes
 
 
 # every article name a corpus row can carry: no tab or line break; spaces, leading and

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from navsynth.embeddings import SgnsConfig, SgnsTrainer, sgns_batch_gradients
+from navsynth.embeddings import ROW_BLOCK, SgnsConfig, SgnsTrainer, sgns_batch_gradients
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
-from oracles import cosine_distance, sgns_pair_gradients, sgns_pair_loss, vector
+from oracles import (cosine_distance, sgns_pair_gradients, sgns_pair_loss,
+                     sgns_whole_batch_gradients, vector)
 
 
 def finite_difference(f, x, eps=1e-6):
@@ -74,8 +81,9 @@ class TestBatchGradients:
             want_out[o] += g_pos
             for n, g in zip(negs, g_negs):
                 want_out[n] += g
-        loss, (in_rows, g_in), (out_rows, g_out) = sgns_batch_gradients(
+        loss, (in_rows, g_in), out_blocks = sgns_batch_gradients(
             w_in, w_out, centers, contexts, negatives)
+        out_rows, g_out = map(np.concatenate, zip(*out_blocks))
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert in_rows.tolist() == sorted(set(centers.tolist()))
         touched = set(contexts.tolist()) | set(negatives.ravel().tolist())
@@ -85,6 +93,30 @@ class TestBatchGradients:
         got_out[out_rows] = g_out
         np.testing.assert_allclose(got_in, want_in, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got_out, want_out, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 700), vocab=st.integers(1, 900), dim=st.integers(1, 40),
+           negatives=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @example(batch=512, vocab=3000, dim=128, negatives=5, seed=0)  # as `train` runs on `embed`
+    def test_blocks_equal_the_whole_batch_bit_for_bit(self, batch, vocab, dim, negatives, seed):
+        rng = rng_stream(seed)
+        w_in, w_out = rng.normal(size=(vocab, dim)), rng.normal(size=(vocab, dim))
+        centers, contexts = rng.integers(0, vocab, size=(2, batch))
+        negs = rng.integers(0, vocab, size=(batch, negatives))
+        want = sgns_whole_batch_gradients(w_in, w_out, centers, contexts, negs)
+        loss, (in_rows, g_in), out_blocks = sgns_batch_gradients(
+            w_in, w_out, centers, contexts, negs)
+        w_in[in_rows] += 1.0  # the caller updates the weights between blocks
+        blocks = []
+        for rows, g in out_blocks:
+            assert 1 <= len(rows) <= ROW_BLOCK
+            w_out[rows] += 1.0
+            blocks.append((rows, g))
+        assert loss == want[0]
+        got = [(in_rows, g_in), tuple(map(np.concatenate, zip(*blocks)))]
+        for (rows, g), (want_rows, want_g) in zip(got, want[1:]):
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(g, want_g)
 
 
 def clustered_corpus(seed=72, n=400):
@@ -199,3 +231,19 @@ class TestTraining:
         losses = trainer.epoch_losses
         assert np.isfinite(losses).all()
         assert losses[-1] < losses[0]
+
+    def test_training_holds_under_4_mib_beyond_its_weights(self):
+        # 3000 articles drawn uniformly: no busy row, so batches of MAX_BATCH examples touch
+        # up to 3072 out rows each; summed whole, their gradients alone take 3 MiB
+        pages = rng_stream(81).integers(0, 3000, size=400 * 8)
+        corpus = SequenceCorpus(pages, np.arange(0, len(pages) + 1, 8), "Logs")
+        trainer = SgnsTrainer(corpus, SgnsConfig(dim=128, epochs=1, seed=82))
+        assert trainer.batch_size == 512
+        assert scipy.sparse and scipy.special  # imported on first use: not part of the peak
+        tracemalloc.start()  # after the weights are allocated
+        try:
+            trainer.train()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak / 2**20

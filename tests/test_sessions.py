@@ -168,6 +168,33 @@ def test_forest_and_paths_match_scalar_oracle(rows, inactivity_ms, seed):
     assert corpus.sequences == oracles.root_to_leaf_paths(ordered, parent, rng_stream(seed))
 
 
+def test_deep_chain_matches_scalar_oracle():
+    # one reader's 50,000 events, each referred by the one before: one tree 49,999 levels deep
+    n = 50_000
+    articles, parent = np.arange(n) * 7 % n, np.arange(-1, n - 1)
+    corpus = corpus_from_trees(articles, parent, rng_stream(17))
+    assert corpus.offsets.tolist() == [0, n]
+    assert corpus.sequences == oracles.root_to_leaf_paths(articles.tolist(), parent.tolist(),
+                                                          rng_stream(17))
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(0, 400), roots=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_deep_forests_match_scalar_oracle(size, roots, seed):
+    # each event after the first is a root with probability `roots`, and otherwise a child of
+    # one of the 6 events before it: trees up to about a hundred levels deep that branch at
+    # every depth
+    rng = rng_stream(seed, 1)
+    back = rng.integers(1, 7, size=size)
+    parent = np.where((rng.random(size) < roots) | (np.arange(size) < back), -1,
+                      np.arange(size) - back)
+    articles = rng.integers(0, 11, size=size)
+    corpus = corpus_from_trees(articles, parent, rng_stream(seed))
+    assert corpus.sequences == oracles.root_to_leaf_paths(articles.tolist(), parent.tolist(),
+                                                          rng_stream(seed))
+
+
 def test_corpus_round_trip(tmp_path):
     interner = Interner()
     ids = interner.intern_all(["A", "B", "C"]).tolist()
