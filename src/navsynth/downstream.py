@@ -8,7 +8,7 @@ import numpy as np
 
 from .diffusion import EmbeddingTable
 from .graph import HyperlinkGraph, _lookup, pair_keys, unpack_pairs
-from .sessions import SequenceCorpus, corpus_triples
+from .sessions import SequenceCorpus, corpus_triples, count_triples
 from .stats import f1_micro_macro, rng_stream, spearman
 
 
@@ -23,19 +23,17 @@ def _count_of(keys: np.ndarray, counts: np.ndarray, query) -> np.ndarray:
 class Markov2Model:
     """Pure count model over (prev, current) -> next transitions. No smoothing.
 
-    Sorted packed (prev, current) `contexts`; sorted packed (context index, next) `keys`."""
+    Sorted packed (current, prev) `contexts`; sorted packed (context index, next) `keys`, as
+    `sessions.count_triples` gives them."""
 
     contexts: np.ndarray
     keys: np.ndarray
     counts: np.ndarray
 
 
-def fit_markov2(triples) -> Markov2Model:
-    """Count (source, middle, target) rows."""
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    contexts, context = np.unique(pair_keys(triples[:, 0], triples[:, 1]), return_inverse=True)
-    keys, counts = np.unique(pair_keys(context, triples[:, 2]), return_counts=True)
-    return Markov2Model(contexts, keys, counts)
+def fit_markov2(pages: np.ndarray, starts: np.ndarray) -> Markov2Model:
+    """Count the windows of `pages` that start at `starts` (see `corpus_triples`)."""
+    return Markov2Model(*count_triples(pages, starts))
 
 
 @dataclass
@@ -59,7 +57,7 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
     if not len(test):
         raise ValueError("empty test split")
     if compared_models is not None:
-        keys = pair_keys(test[:, 0], test[:, 1])
+        keys = pair_keys(test[:, 1], test[:, 0])
         keep = np.ones(len(test), dtype=bool)
         for m in compared_models:
             keep &= _lookup(m.contexts, keys) < len(m.contexts)
@@ -73,7 +71,7 @@ def evaluate_mrr(model: Markov2Model, graph: HyperlinkGraph, test_triples,
     candidate = graph.indices[np.arange(len(query))
                               + np.repeat(graph.indptr[s2] - np.cumsum(degree) + degree, degree)]
     # an unseen context gets index len(contexts), which no key holds
-    context = _lookup(model.contexts, pair_keys(s1, s2))
+    context = _lookup(model.contexts, pair_keys(s2, s1))
     count = _count_of(model.keys, model.counts, pair_keys(context[query], candidate))
     target_count = _count_of(model.keys, model.counts, pair_keys(context, target))[query]
     ahead = (count > target_count) | ((count == target_count) & (candidate < target[query]))
@@ -88,16 +86,18 @@ def next_article_rows(graph: HyperlinkGraph, reference: SequenceCorpus, train,
     """(dataset, metric, value) rows: per (name, corpus) pair of `train`, the MRR over every
     and over the filtered `make_split` test triples of `reference` of a Markov-2 model fit to
     the corpus, or to the train triples of `reference` where the corpus is None. `train` is
-    read once, in order, so a generator that loads each corpus holds one at a time."""
-    triples = corpus_triples(reference)
-    split = make_split(len(triples), seed=seed)
-    test = triples[split.test]
+    read once, in order, so a generator that loads each corpus holds one at a time. A
+    `reference` with fewer than 3 triples leaves no test triple, which is an error."""
+    starts = corpus_triples(reference)
+    if len(starts) < 3:
+        raise ValueError("the reference has %d windows of 3 pages; 3 are needed" % len(starts))
+    split = make_split(len(starts), seed=seed)
+    test = reference.pages[starts[split.test, None] + np.arange(3)]
     models = {}
     for name, corpus in train:
-        fitted = triples[split.train] if corpus is None else corpus_triples(corpus)
-        del corpus  # hold neither a corpus while its model is fit nor its triples after
-        models[name] = fit_markov2(fitted)
-        del fitted
+        models[name] = (fit_markov2(reference.pages, starts[split.train]) if corpus is None
+                        else fit_markov2(corpus.pages, corpus_triples(corpus)))
+        del corpus  # hold no corpus after its model is fit
     return [(name, metric, "%.6f" % evaluate_mrr(model, graph, test, compared).mrr)
             for name, model in models.items()
             for metric, compared in (("mrr_all", None), ("mrr_filtered", [*models.values()]))]

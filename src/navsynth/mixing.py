@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import pair_keys, unpack_pairs, write_csv
-from .sessions import SequenceCorpus, corpus_triples
+from .graph import unpack_pairs, write_csv
+from .sessions import SequenceCorpus, corpus_triples, count_triples
 from .stats import spearman
 
 LOG2 = np.log(2.0)
@@ -44,13 +44,10 @@ class AmiRecord:
 
 def collect_flow_tables(corpus: SequenceCorpus) -> tuple[np.ndarray, ...]:
     """The distinct (middle, source, target) triples of the corpus in ascending order, as
-    parallel int64 arrays `middles, sources, targets`, and the count of each."""
-    triples = corpus_triples(corpus)
-    # distinct (middle, source) arrivals, then distinct (arrival index, target) keys
-    arrivals, arrival = np.unique(pair_keys(triples[:, 1], triples[:, 0]), return_inverse=True)
-    keys, counts = np.unique(pair_keys(arrival, triples[:, 2]), return_counts=True)
-    arrival, targets = unpack_pairs(keys)
-    return *unpack_pairs(arrivals[arrival]), targets, counts
+    parallel int64 arrays `middles, sources, targets`, and their `count_triples` counts."""
+    pairs, keys, counts = count_triples(corpus.pages, corpus_triples(corpus))
+    pair, targets = unpack_pairs(keys)
+    return *unpack_pairs(pairs[pair]), targets, counts
 
 
 def entropy_bits(counts: np.ndarray) -> float:

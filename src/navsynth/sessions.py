@@ -82,10 +82,34 @@ class SequenceCorpus:
 
 
 def corpus_triples(corpus: SequenceCorpus) -> np.ndarray:
-    """Every window of 3 consecutive pages as a (source, middle, target) row, in corpus order."""
-    pages, lengths = corpus.pages, np.diff(corpus.offsets)
-    first = np.flatnonzero(np.arange(len(pages)) + 2 < np.repeat(corpus.offsets[1:], lengths))
-    return np.column_stack((pages[first], pages[first + 1], pages[first + 2]))
+    """The int64 position in `corpus.pages` of the source of every window of 3 consecutive
+    pages (source, middle, target), ascending."""
+    lengths, starts = np.diff(corpus.offsets), np.ones(len(corpus.pages), dtype=bool)
+    for k in (1, 2):  # no window starts at the last or the second-to-last page of a sequence
+        starts[corpus.offsets[1:][lengths >= k] - k] = False
+    return np.flatnonzero(starts)
+
+
+def count_triples(pages: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The windows of `pages` starting at `starts`, counted: the sorted unique packed (middle,
+    source) `pairs`, the sorted unique packed (pair index, target) `keys` and their counts."""
+    key = pages[starts + 1] << 32  # pair_keys(middles, sources), packed in place
+    key |= pages[starts]
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)  # each window whose key differs from the one before
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    pairs = key[np.flatnonzero(new)]
+    np.cumsum(new, out=key)  # one past the window's pair index
+    key -= 1
+    key <<= 32
+    np.add(starts[order], 2, out=order)  # the position of the window's target
+    key |= pages[order]
+    del order
+    key.sort()
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return pairs, key[first], np.diff(first, append=len(key))
 
 
 def corpus_from_trees(articles: np.ndarray, parent: np.ndarray,

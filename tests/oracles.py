@@ -69,6 +69,13 @@ def sgns_whole_batch_gradients(w_in, w_out, centers, contexts, negatives):
             sum_rows(out_ids.ravel(), np.repeat(b, out_ids.shape[1]), g_scores.ravel(), v))
 
 
+def triple_pages(triples) -> tuple[np.ndarray, np.ndarray]:
+    """`(pages, starts)` whose windows are the given (source, middle, target) triples, in
+    order: the triples laid end to end, each window starting at a multiple of 3."""
+    pages = np.asarray(triples, dtype=np.int64).reshape(-1)
+    return pages, np.arange(0, len(pages), 3)
+
+
 def step(model, node: int, u: float) -> int:
     """The successor of `node` that uniform `u` picks: a search of the model's cumulative row."""
     lo, hi = model.indptr[node], model.indptr[node + 1]

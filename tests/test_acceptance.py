@@ -186,18 +186,18 @@ def test_criterion_05_mrr_ordering_and_filtering():
     world = generate_planted_world(PlantedWorldSpec(
         num_nodes=300, out_degree=8, memory_strength=0.9,
         corpus_size=20_000, seed=21))
-    triples = corpus_triples(world.corpus)
-    split = make_split(len(triples), seed=5)
-    test = [triples[i] for i in split.test]
-    m_ref = fit_markov2(triples[split.train])
+    pages, starts = world.corpus.pages, corpus_triples(world.corpus)
+    split = make_split(len(starts), seed=5)
+    test = [pages[i:i + 3] for i in starts[split.test]]
+    m_ref = fit_markov2(pages, starts[split.train])
 
     priv_model = build_transition_model(world.graph, world.clickstream)
     priv = generate_corpus(priv_model, world.corpus, False, 31,
                            "Clickstream-Priv")
     uni = generate_corpus(build_transition_model(world.graph), world.corpus,
                           False, 32, "Graph")
-    m_priv = fit_markov2(corpus_triples(priv))
-    m_uni = fit_markov2(corpus_triples(uni))
+    m_priv = fit_markov2(priv.pages, corpus_triples(priv))
+    m_uni = fit_markov2(uni.pages, corpus_triples(uni))
 
     ref_mrr, ref_lo, ref_hi = _mrr_with_ci(m_ref, world.graph, test, 1)
     priv_mrr, priv_lo, priv_hi = _mrr_with_ci(m_priv, world.graph, test, 2)
@@ -210,18 +210,18 @@ def test_criterion_05_mrr_ordering_and_filtering():
     world2 = generate_planted_world(PlantedWorldSpec(
         num_nodes=300, out_degree=16, memory_strength=0.0,
         corpus_size=3000, seed=22))
-    triples2 = corpus_triples(world2.corpus)
-    split2 = make_split(len(triples2), seed=5)
-    test2 = [triples2[i] for i in split2.test]
-    m_ref2 = fit_markov2(triples2[split2.train])
+    pages2, starts2 = world2.corpus.pages, corpus_triples(world2.corpus)
+    split2 = make_split(len(starts2), seed=5)
+    test2 = [pages2[i:i + 3] for i in starts2[split2.test]]
+    m_ref2 = fit_markov2(pages2, starts2[split2.train])
 
     pub_table = apply_k_anonymity(world2.clickstream, 5)
-    m_priv2 = fit_markov2(corpus_triples(generate_corpus(
-        build_transition_model(world2.graph, world2.clickstream),
-        world2.corpus, False, 41, "Clickstream-Priv")))
-    m_pub2 = fit_markov2(corpus_triples(generate_corpus(
-        build_transition_model(world2.graph, pub_table),
-        world2.corpus, False, 42, "Clickstream-Pub")))
+    priv2 = generate_corpus(build_transition_model(world2.graph, world2.clickstream),
+                            world2.corpus, False, 41, "Clickstream-Priv")
+    pub2 = generate_corpus(build_transition_model(world2.graph, pub_table),
+                           world2.corpus, False, 42, "Clickstream-Pub")
+    m_priv2 = fit_markov2(priv2.pages, corpus_triples(priv2))
+    m_pub2 = fit_markov2(pub2.pages, corpus_triples(pub2))
 
     models = [m_ref2, m_priv2, m_pub2]
     all_mrrs = [evaluate_mrr(m, world2.graph, test2).mrr for m in models]

@@ -431,6 +431,21 @@ def test_eval_next_rejects_reference_article_outside_graph(tmp_path, chain_graph
         "error: %s: article 'D' is not in the graph\n" % ref)
 
 
+@pytest.mark.parametrize("lines,windows", [(["A\tB", "C"], 0), (["A\tB\tC", "B\tC"], 1),
+                                           (["A\tB\tC\tA"], 2)])
+def test_eval_next_rejects_reference_with_too_few_windows(tmp_path, chain_graph, capsys,
+                                                          lines, windows):
+    # make_split leaves a test window only from 3 windows on
+    ref = write(tmp_path / "ref.tsv", "\n".join(["#kind=Logs", *lines]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["eval-next", "--graph", chain_graph, "--reference", ref,
+               "--train", "Logs=%s" % ref, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the reference has %d windows of 3 pages; 3 are needed\n" % windows)
+    assert not (out / "next_article.csv").exists()
+
+
 def test_eval_next_does_not_read_logs_path(tmp_path, chain_graph, reference):
     # "Logs" trains on the reference's train split, whatever path it names
     bodies = []

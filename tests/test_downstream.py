@@ -16,7 +16,7 @@ from navsynth.graph import HyperlinkGraph, Interner, load_edge_list, pair_keys, 
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from navsynth.synth import PlantedWorldSpec, generate_planted_world
-from oracles import added_links_by_grid, name_ids, vector
+from oracles import added_links_by_grid, name_ids, triple_pages, vector
 
 
 def graph_from(tmp_path, edges):
@@ -59,7 +59,7 @@ def pairs_of(keys):
 def count_dict(model):
     """A Markov-2 model's counts as {(prev, current): {next: count}}."""
     context, nxt = unpack_pairs(model.keys)
-    prev, current = unpack_pairs(model.contexts[context])
+    current, prev = unpack_pairs(model.contexts[context])
     out = {}
     for s1, s2, t, c in zip(prev.tolist(), current.tolist(), nxt.tolist(),
                             model.counts.tolist()):
@@ -92,12 +92,13 @@ class TestMarkov2:
     def test_counting(self):
         corpus = SequenceCorpus.from_sequences([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]],
                                                "Logs")
-        model = fit_markov2(corpus_triples(corpus))
+        model = fit_markov2(corpus.pages, corpus_triples(corpus))
         assert count_dict(model)[(0, 1)] == {2: 3, 3: 1}
         assert sum(count_dict(model)[(0, 1)].values()) == 4
 
     def test_empty(self):
-        model = fit_markov2(corpus_triples(SequenceCorpus.from_sequences([[0, 1]], "Logs")))
+        corpus = SequenceCorpus.from_sequences([[0, 1]], "Logs")
+        model = fit_markov2(corpus.pages, corpus_triples(corpus))
         assert count_dict(model) == {}
         assert (0, 1) not in count_dict(model)
 
@@ -105,7 +106,8 @@ class TestMarkov2:
         rng = rng_stream(80)
         seqs = [[int(x) for x in rng.integers(0, 6, size=int(rng.integers(1, 8)))]
                 for _ in range(50)]
-        model = fit_markov2(corpus_triples(SequenceCorpus.from_sequences(seqs, "Logs")))
+        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        model = fit_markov2(corpus.pages, corpus_triples(corpus))
         oracle = {}
         for s in seqs:
             for i in range(len(s) - 2):
@@ -118,13 +120,13 @@ class TestMarkov2:
     @given(triples=st.lists(st.tuples(*[st.integers(0, 2**31 - 1) | st.integers(0, 4)] * 3),
                             max_size=40))
     def test_matches_dict_oracle(self, triples):
-        assert count_dict(fit_markov2(triples)) == oracle_counts(triples)
+        assert count_dict(fit_markov2(*triple_pages(triples))) == oracle_counts(triples)
 
 
 class TestRankNext:
     def test_count_order_then_id(self, tmp_path):
         g = int_graph(tmp_path, [(1, 0), (1, 2), (1, 3)], 4)
-        model = fit_markov2([(0, 1, 3), (0, 1, 3), (0, 1, 0)])
+        model = fit_markov2(*triple_pages([(0, 1, 3), (0, 1, 3), (0, 1, 0)]))
         ranked = ranking(model, g, 0, 1)
         assert ranked[0] == 3 and ranked[1] == 0
         # the remaining zero-count candidates come in id order
@@ -134,7 +136,7 @@ class TestRankNext:
         rng = rng_stream(81)
         g = int_graph(tmp_path, [(i, j) for i in range(6) for j in range(6) if i != j], 6)
         triples = [(int(a), int(b), int(c)) for a, b, c in rng.integers(0, 6, size=(60, 3))]
-        model = fit_markov2(triples)
+        model = fit_markov2(*triple_pages(triples))
         for s1 in range(6):
             for s2 in range(6):
                 row = count_dict(model).get((s1, s2), {})
@@ -147,40 +149,41 @@ class TestMrr:
     def test_hand_computed(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2), (1, 3), (1, 4), (1, 5)], 6)
         # context (0,1): 2 ranks first; 5 ranks fourth after {2 counted, 3, 4 by id}
-        model = fit_markov2([(0, 1, 2)])
+        model = fit_markov2(*triple_pages([(0, 1, 2)]))
         res = evaluate_mrr(model, g, [(0, 1, 2), (0, 1, 5)])
         assert res.mrr == pytest.approx((1.0 + 0.25) / 2)  # 0.625
 
     def test_absent_target_scores_zero(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2)], 3)
-        model = fit_markov2([])
+        model = fit_markov2(*triple_pages([]))
         res = evaluate_mrr(model, g, [(0, 1, 0)])  # 0 not a successor of 1
         assert res.mrr == 0.0
 
     def test_empty_test_split_error(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2)], 3)
-        for compared in (None, [], [fit_markov2([(0, 1, 2)])]):
+        for compared in (None, [], [fit_markov2(*triple_pages([(0, 1, 2)]))]):
             with pytest.raises(ValueError, match="^empty test split$"):
-                evaluate_mrr(fit_markov2([]), g, np.zeros((0, 3), dtype=np.int64), compared)
+                evaluate_mrr(fit_markov2(*triple_pages([])), g, np.zeros((0, 3), dtype=np.int64),
+                             compared)
 
     def test_filtered_keeps_shared_contexts(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2), (1, 3), (4, 2)], 5)
-        m_a = fit_markov2([(0, 1, 2), (3, 4, 2)])
-        m_b = fit_markov2([(0, 1, 3)])
+        m_a = fit_markov2(*triple_pages([(0, 1, 2), (3, 4, 2)]))
+        m_b = fit_markov2(*triple_pages([(0, 1, 3)]))
         res = evaluate_mrr(m_a, g, [(0, 1, 2), (3, 4, 2)], compared_models=[m_a, m_b])
         assert res.num_queries == 1  # (3,4) unseen by m_b
 
     def test_no_compared_models_keeps_every_query(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2), (1, 3), (4, 2)], 5)
-        m = fit_markov2([(0, 1, 2)])
+        m = fit_markov2(*triple_pages([(0, 1, 2)]))
         test = [(0, 1, 2), (3, 4, 2)]
         kept, plain = evaluate_mrr(m, g, test, compared_models=[]), evaluate_mrr(m, g, test)
         assert kept.num_queries == plain.num_queries == 2 and kept.mrr == plain.mrr
 
     def test_empty_after_filter_error(self, tmp_path):
         g = int_graph(tmp_path, [(1, 2)], 3)
-        m_a = fit_markov2([(0, 1, 2)])
-        m_b = fit_markov2([])
+        m_a = fit_markov2(*triple_pages([(0, 1, 2)]))
+        m_b = fit_markov2(*triple_pages([]))
         with pytest.raises(ValueError, match="empty test set"):
             evaluate_mrr(m_a, g, [(0, 1, 2)], compared_models=[m_a, m_b])
 
@@ -208,7 +211,7 @@ class TestMrrOracle:
                     rrs.append(1.0 / (ranked.index(t) + 1) if t in ranked else 0.0)
             return rrs
 
-        model, other_model = fit_markov2(train), fit_markov2(other)
+        model, other_model = (fit_markov2(*triple_pages(t)) for t in (train, other))
         assert evaluate_mrr(model, g, queries).reciprocal_ranks.tolist() == oracle([])
         expected = oracle([counts, other_counts])
         if not expected:
@@ -612,14 +615,16 @@ class TestNextArticleRows:
     def test_matches_the_models_it_names(self, world):
         half = half_corpus(world.corpus)
         rows = next_article_rows(world.graph, world.corpus, [("Logs", None), ("Half", half)], 3)
-        triples = corpus_triples(world.corpus)
-        split = make_split(len(triples), seed=3)
+        pages, starts = world.corpus.pages, corpus_triples(world.corpus)
+        split = make_split(len(starts), seed=3)
+        test = [pages[i:i + 3] for i in starts[split.test]]
         # None fits the reference's own train split
-        models = [fit_markov2(triples[split.train]), fit_markov2(corpus_triples(half))]
+        models = [fit_markov2(pages, starts[split.train]),
+                  fit_markov2(half.pages, corpus_triples(half))]
         expected = []
         for name, model in zip(["Logs", "Half"], models):
             expected += [(name, metric, "%.6f" % evaluate_mrr(model, world.graph,
-                                                              triples[split.test], compared).mrr)
+                                                              test, compared).mrr)
                          for metric, compared in (("mrr_all", None), ("mrr_filtered", models))]
         assert rows == expected
 

@@ -68,8 +68,10 @@ def oracle_ami(m):
 
 class TestExtractTriples:
     def test_sliding_window(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2, 3]], "Logs")
-        assert corpus_triples(corpus).tolist() == [[0, 1, 2], [1, 2, 3]]
+        corpus = SequenceCorpus.from_sequences([[5, 6, 7, 8]], "Logs")
+        starts = corpus_triples(corpus)
+        assert starts.tolist() == [0, 1]
+        assert [corpus.pages[i:i + 3].tolist() for i in starts] == [[5, 6, 7], [6, 7, 8]]
 
     def test_short_sequence(self):
         corpus = SequenceCorpus.from_sequences([[0, 1]], "Logs")

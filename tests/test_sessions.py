@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,10 +8,13 @@ from scipy.stats import chisquare
 
 import oracles
 from navsynth import graph, sessions
-from navsynth.graph import Interner, ParseError
+from navsynth.downstream import fit_markov2
+from navsynth.graph import Interner, ParseError, unpack_pairs
+from navsynth.mixing import collect_flow_tables
 from navsynth.sessions import (PageviewEvents, SequenceCorpus, build_forest, corpus_from_trees,
-                               load_corpus, load_pageview_events, save_corpus)
+                               corpus_triples, load_corpus, load_pageview_events, save_corpus)
 from navsynth.stats import rng_stream
+from navsynth.synth import PlantedWorldSpec, generate_planted_world
 
 KEY = b"\x00" * 16
 HOUR_MS = 60 * 60 * 1000
@@ -245,6 +251,63 @@ def test_from_sequences_rejects_empty_sequence(seqs, index):
     # a sequence's start is pages[offsets[i]], which an empty sequence does not have
     with pytest.raises(ValueError, match="^empty sequence %d$" % index):
         SequenceCorpus.from_sequences(seqs, "Logs")
+
+
+def ragged(seqs) -> SequenceCorpus:
+    """A corpus of `seqs`, empty ones included, which `from_sequences` refuses."""
+    pages = np.array([a for s in seqs for a in s], dtype=np.int64)
+    return SequenceCorpus(pages, np.cumsum([0, *map(len, seqs)]), "Logs")
+
+
+SHORT = [[], [3], [4, 5]]  # sequences too short for a window
+
+
+@settings(max_examples=200, deadline=None)
+@given(seqs=st.lists(st.lists(st.integers(0, 3) | st.integers(0, 2**31 - 1), max_size=6),
+                     max_size=12))
+@example(seqs=SHORT + [[0, 1, 2, 0, 1, 2]])
+@example(seqs=[[0, 1, 2]] + SHORT + [[1, 2, 0, 1]] + SHORT[::-1] + [[0, 1, 2]])
+@example(seqs=[[2, 1, 0, 1]] + SHORT)
+@example(seqs=SHORT)
+def test_triples_match_counter_oracle(seqs):
+    corpus = ragged(seqs)
+    windows = [(lo + i, tuple(s[i:i + 3]))
+               for lo, s in zip(corpus.offsets.tolist(), seqs) for i in range(len(s) - 2)]
+    oracle = Counter(w for _, w in windows)
+    starts = corpus_triples(corpus)
+    assert starts.dtype == np.int64 and starts.tolist() == [pos for pos, _ in windows]
+    middles, sources, targets, counts = collect_flow_tables(corpus)
+    flows = [*zip(sources.tolist(), middles.tolist(), targets.tolist())]
+    assert flows == sorted(oracle, key=lambda w: (w[1], w[0], w[2]))
+    assert Counter(dict(zip(flows, counts.tolist()))) == oracle
+    model = fit_markov2(corpus.pages, starts)
+    assert (np.diff(model.contexts) > 0).all() and (np.diff(model.keys) > 0).all()
+    context, nexts = unpack_pairs(model.keys)
+    current, prev = unpack_pairs(model.contexts[context])
+    transitions = zip(prev.tolist(), current.tolist(), nexts.tolist())
+    assert Counter(dict(zip(transitions, model.counts.tolist()))) == oracle
+    assert all(a.dtype == np.int64 for a in (middles, sources, targets, counts, model.contexts,
+                                             model.keys, model.counts))
+
+
+def test_triple_counts_hold_under_40_bytes_per_window():
+    # 600 articles with second-order memory, as on real hub articles: windows repeat, so the
+    # counted result is smaller than the windows (a corpus of distinct windows needs up to
+    # 64 B per window, 32 of them for the flow tables' four result arrays)
+    corpus = generate_planted_world(PlantedWorldSpec(
+        num_nodes=600, out_degree=8, memory_strength=0.7, corpus_size=30_000, seed=4)).corpus
+    windows = len(corpus_triples(corpus))
+    assert windows >= 50_000
+    for count in (lambda: collect_flow_tables(corpus),
+                  lambda: fit_markov2(corpus.pages, corpus_triples(corpus))):
+        tracemalloc.start()
+        try:
+            result = count()  # the result is live at the peak or after it
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / windows <= 40, peak / windows
+        del result
 
 
 # article names a corpus row can carry: no tab or line break, and no leading "#",
