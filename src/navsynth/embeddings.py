@@ -52,7 +52,7 @@ class SgnsConfig:
 def _row_sums(ids, weights):
     """The distinct values of a (B, J) id matrix, and a CSR matrix whose row r times a (B, dim)
     M sums weights[b, j] * M[b] over the ids[b, j] equal to value r, bit for bit in any slice."""
-    from scipy import sparse  # on use, as in `mixing.expected_mi`
+    from scipy import sparse  # on use: SGNS is the one scipy caller
     rows, inv = np.unique(ids.ravel(), return_inverse=True)
     example = np.arange(ids.size) // ids.shape[1]  # the row b of each entry
     return rows, sparse.csr_matrix((weights.ravel(), (inv, example)), shape=(len(rows), len(ids)))
@@ -68,7 +68,7 @@ def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
     ascending blocks of at most ROW_BLOCK. A block is summed when drawn, from this call's
     weights, so the caller may update either matrix between blocks.
     """
-    from scipy.special import expit, log_expit  # on use, as in `mixing.expected_mi`
+    from scipy.special import expit, log_expit  # on use: SGNS is the one scipy caller
     out_ids = np.column_stack([contexts, negatives])  # (B, 1 + negatives)
     v = w_in[centers]
     scores, g_scores, g_v = np.empty(out_ids.shape), np.empty(out_ids.shape), np.empty_like(v)

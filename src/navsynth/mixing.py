@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -12,6 +14,11 @@ from .stats import spearman
 
 LOG2 = np.log(2.0)
 CDF_BIN_WIDTH = 0.01
+LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
+LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+          -2.77777777730099687205E-3, 8.33333333333331927722E-2)  # lgam's series, x < 1000
+LGAM_B = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_log_factorials = np.zeros(0)  # ln k! for k = 0, 1, ...: grown by `log_factorials`, never shrunk
 
 
 @dataclass
@@ -70,13 +77,36 @@ def mutual_information(m: np.ndarray) -> float:
     return float((p[nz] * np.log2(ratio[nz])).sum())
 
 
+def _lgam(x: float) -> float:
+    """ln Gamma(x) for an integer-valued x >= 1, as cephes `lgam` (`scipy.special.gammaln`)
+    computes it, operation for operation, on `math.log`."""
+    if x < 13:
+        return math.log(math.factorial(int(x) - 1))  # cephes multiplies the same exact product
+    q = (x - 0.5) * math.log(x) - x + LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)  # Horner's rule in p, as cephes `polevl`; a - c is a + (-c) exactly
+    return q + reduce(lambda acc, c: acc * p + c, LGAM_A if x < 1000 else LGAM_B) / x
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n at least, read-only. One table serves every call, so its values
+    never depend on which totals came before."""
+    global _log_factorials
+    if n >= len(_log_factorials):
+        _log_factorials = np.append(_log_factorials, [
+            _lgam(k + 1.0) for k in range(len(_log_factorials), n + 1)])
+        _log_factorials.flags.writeable = False
+    return _log_factorials
+
+
 def expected_mi(row_sums, col_sums, total: int) -> float:
     """Expected MI (bits) under the fixed-marginal permutation null, summed exactly:
     E[MI] = sum_{i,j} sum_{nij} (nij/n) log2(n*nij/(ai*bj)) * P_hypergeom(nij)
     (Vinh, Epps & Bailey, JMLR 2010). A cell depends only on (ai, bj), so the sum
     runs over distinct marginal values weighted by their multiplicities. Zero
-    marginals have empty support and are dropped."""
-    from scipy.special import gammaln  # on use: its 0.3 s import serves only scored tables
+    marginals have empty support and are dropped. ln k! comes from `log_factorials`, whose
+    cephes `lgam` formula gives the bits of `scipy.special.gammaln(k + 1)`."""
     a = np.asarray(row_sums, dtype=np.int64)
     b = np.asarray(col_sums, dtype=np.int64)
     n = int(total)
@@ -88,7 +118,8 @@ def expected_mi(row_sums, col_sums, total: int) -> float:
     a_vals, a_mult = np.unique(a[a > 0], return_counts=True)
     b_vals, b_mult = np.unique(b[b > 0], return_counts=True)
     b_col = b_vals[:, None]
-    lg_b = (gammaln(b_vals + 1) + gammaln(n - b_vals + 1))[:, None]
+    lf = log_factorials(n)
+    lg_b = (lf[b_vals] + lf[n - b_vals])[:, None]
     emi = 0.0
     for ai, wa in zip(a_vals, a_mult):
         # one row per distinct bj: the support lo..hi, padded to the widest
@@ -98,9 +129,8 @@ def expected_mi(row_sums, col_sums, total: int) -> float:
         nij = lo[:, None] + offsets
         inside = nij <= hi[:, None]
         nij = np.minimum(nij, hi[:, None])
-        log_pmf = (gammaln(ai + 1) + gammaln(n - ai + 1) - gammaln(n + 1) + lg_b
-                   - gammaln(nij + 1) - gammaln(ai - nij + 1)
-                   - gammaln(b_col - nij + 1) - gammaln(n - ai - b_col + nij + 1))
+        log_pmf = (lf[ai] + lf[n - ai] - lf[n] + lg_b
+                   - lf[nij] - lf[ai - nij] - lf[b_col - nij] - lf[n - ai - b_col + nij])
         term = (nij / n) * (np.log(nij) + log_n - np.log(ai) - np.log(b_col)) / LOG2
         cell = np.where(inside, term * np.exp(log_pmf), 0.0).sum(axis=1)
         emi += float(wa * (cell @ b_mult))

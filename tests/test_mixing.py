@@ -171,6 +171,24 @@ class TestExpectedMi:
             assert expected_mi(rows, cols, n) == pytest.approx(
                 oracle_emi_bits(rows, cols, n), abs=1e-9)
 
+    def test_log_factorials_are_gammaln_bit_for_bit(self):
+        # every k through 200,000 crosses cephes' branches at x = 13 and x = 1000
+        from scipy.special import gammaln
+        k = np.arange(200_001)
+        assert np.array_equal(mixing.log_factorials(len(k) - 1)[k], gammaln(k + 1.0))
+        # beyond any table: sampled x up to 2^40, and both sides of cephes' x > 1e8 cut
+        x = np.concatenate([rng_stream(38).integers(200_000, 2**40, size=20_000).astype(float),
+                            [1e8 - 1, 1e8, 1e8 + 1]])
+        assert np.array_equal([mixing._lgam(v) for v in x.tolist()], gammaln(x))
+
+    def test_growing_the_table_keeps_earlier_results(self, monkeypatch):
+        monkeypatch.setattr(mixing, "_log_factorials", np.zeros(0))
+        small = ([3, 5, 4], [6, 2, 4], 12)
+        first = expected_mi(*small)
+        expected_mi([900, 700, 400], [1200, 500, 300], 2000)
+        assert len(mixing._log_factorials) == 2001
+        assert expected_mi(*small) == first
+
 
 class TestAdjustedMi:
     def test_independent_near_zero(self):
