@@ -23,11 +23,8 @@ UNIGRAM_POWER = 0.75  # negatives are drawn from the unigram distribution to thi
 # that bound, the loss on corpora with a hub article diverged.
 MAX_ROW_HITS = 32
 MAX_BATCH = 512  # the batch size where no row is busy; another value changes the vectors
-# blocks bound a batch's work arrays and change no bit: the (block, 1 + negatives, dim) out
-# rows of EXAMPLE_BLOCK examples are gathered at once, and ROW_BLOCK out rows summed at once.
-# Each block's out rows are gathered into one buffer per batch: a new array per block of 128
-# made glibc shrink and regrow the heap every batch (2.6x the page faults on `embed`).
-EXAMPLE_BLOCK, ROW_BLOCK = 128, 256
+EXAMPLE_BLOCK, ROW_BLOCK = 128, 256  # examples gathered and out rows summed at once; no bit moves
+EXP_MAX = 709.782712893384  # math.exp(x) raises past it, where libm's exp is inf
 
 
 @dataclass
@@ -49,13 +46,48 @@ class SgnsConfig:
             raise ValueError("learning_rate must be finite and positive")
 
 
-def _row_sums(ids, weights):
-    """The distinct values of a (B, J) id matrix, and a CSR matrix whose row r times a (B, dim)
-    M sums weights[b, j] * M[b] over the ids[b, j] equal to value r, bit for bit in any slice."""
-    from scipy import sparse  # on use: SGNS is the one scipy caller
-    rows, inv = np.unique(ids.ravel(), return_inverse=True)
-    example = np.arange(ids.size) // ids.shape[1]  # the row b of each entry
-    return rows, sparse.csr_matrix((weights.ravel(), (inv, example)), shape=(len(rows), len(ids)))
+def _libm(f, x):
+    """f (math.exp or math.log1p) of each value by libm, whose bits scipy.special shares: numpy's
+    own exp and log1p differ from libm's in the last bit for about 5% of values on AVX-512."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _expit(s, e):
+    """scipy.special.expit(s) = 1 / (1 + exp(-s)) bit for bit, given e = exp(-|s|) for s >= 0."""
+    e, neg = e.copy(), s < 0
+    e[neg] = _libm(math.exp, np.where(s[neg] < -EXP_MAX, np.inf, -s[neg]))
+    return 1 / (1 + e)
+
+
+def _log_expit(x, e):
+    """scipy.special.log_expit(x) bit for bit, given e = exp(-|x|)."""
+    return np.where(x < 0, x, -0.0) - _libm(math.log1p, e)
+
+
+def _row_sums(ids, weights, vectors, block):
+    """(ids, sums of weights[b, j] * vectors[b] over the ids[b, j] equal to each) per `block` ids,
+    summed when drawn, in a scipy CSR product's order: each (id, b) in j, onto a zero row in b."""
+    key = np.sort(ids.ravel() * ids.size + np.arange(ids.size))  # by id, then b, then j
+    w, pair = weights.ravel()[key % ids.size], key // ids.shape[1]  # pair: len(ids) id + b
+    last = np.append(pair[1:] != pair[:-1], True)
+    at, s = np.flatnonzero(~last) + 1, w.copy()  # a repeated (id, b): running sums in j order
+    for _ in range(ids.shape[1] - 1):
+        s[at] = s[at - 1] + w[at]
+    (ids, b), w = np.divmod(pair[last], len(ids)), s[last]
+    rows, start, row = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.arange(len(ids)) - start[row]  # of b within its id
+    order = np.lexsort((rank, row // block))  # by block, then rank, then id
+    b, w, row, rank = b[order], w[order], row[order], rank[order]
+    bounds = np.searchsorted(row // block, np.arange(-(-len(rows) // block) + 1)).tolist()
+    work = np.empty((max(np.diff(bounds)), vectors.shape[1]))  # one buffer for every block
+    for lo, p0, p1 in zip(range(0, len(rows), block), bounds, bounds[1:]):
+        ends = np.searchsorted(rank[p0:p1], np.arange(1, rank[p1 - 1] + 2)).tolist()
+        products = np.take(vectors, b[p0:p1], axis=0, out=work[:p1 - p0], mode="wrap")
+        products *= w[p0:p1, None]
+        sums = products[:ends[0]] + 0.0  # rank 0 holds each id once, in order: a zero row plus it
+        for r0, r1 in zip(ends, ends[1:]):
+            sums[row[p0 + r0:p0 + r1] - lo] += products[r0:r1]
+        yield rows[lo:lo + block], sums
 
 
 def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
@@ -68,26 +100,24 @@ def sgns_batch_gradients(w_in, w_out, centers, contexts, negatives):
     ascending blocks of at most ROW_BLOCK. A block is summed when drawn, from this call's
     weights, so the caller may update either matrix between blocks.
     """
-    from scipy.special import expit, log_expit  # on use: SGNS is the one scipy caller
     out_ids = np.column_stack([contexts, negatives])  # (B, 1 + negatives)
     v = w_in[centers]
-    scores, g_scores, g_v = np.empty(out_ids.shape), np.empty(out_ids.shape), np.empty_like(v)
+    (scores, e, g_scores), g_v = np.empty((3,) + out_ids.shape), np.empty_like(v)
     work = np.empty((min(EXAMPLE_BLOCK, len(v)),) + out_ids.shape[1:] + v.shape[1:])
     for lo in range(0, len(v), EXAMPLE_BLOCK):
         block = slice(lo, lo + EXAMPLE_BLOCK)
         # mode="wrap" indexes as w_out[ids] does, without the copy that mode="raise" makes
         u = np.take(w_out, out_ids[block], axis=0, out=work[:len(out_ids[block])], mode="wrap")
         np.einsum("bd,bjd->bj", v[block], u, out=scores[block])
-        expit(scores[block], out=g_scores[block])
+        e[block] = _libm(math.exp, -np.abs(scores[block]))  # shared by the loss and sigmoid
+        g_scores[block] = _expit(scores[block], e[block])
         g_scores[block, 0] -= 1.0
         np.einsum("bj,bjd->bd", g_scores[block], u, out=g_v[block])
-    loss = -log_expit(scores[:, 0]).sum() - log_expit(-scores[:, 1:]).sum()
+    loss = -_log_expit(scores[:, 0], e[:, 0]).sum() - _log_expit(-scores[:, 1:], e[:, 1:]).sum()
+    del u, work  # before the in-row sums allocate theirs
     # the gradient of out row u_bj is g_scores[b, j] * v_b
-    in_rows, in_sums = _row_sums(centers[:, None], np.ones((len(centers), 1)))
-    out_rows, out_sums = _row_sums(out_ids, g_scores)
-    return float(loss), (in_rows, in_sums @ g_v), (
-        (out_rows[lo:lo + ROW_BLOCK], out_sums[lo:lo + ROW_BLOCK] @ v)
-        for lo in range(0, len(out_rows), ROW_BLOCK))
+    in_rows, g_in = next(_row_sums(centers[:, None], np.ones((len(centers), 1)), g_v, len(v)))
+    return float(loss), (in_rows, g_in), _row_sums(out_ids, g_scores, v, ROW_BLOCK)
 
 
 class SgnsTrainer:

@@ -45,17 +45,19 @@ def sgns_pair_gradients(center_vec, pos_out, neg_outs):
     return g_center, g_pos, g_negs
 
 
+def sum_rows(ids, cols, weights, vectors):
+    """The distinct ids, and for each the sum of weights[i] * vectors[cols[i]] over the entries
+    i equal to it: one scipy CSR product, as SGNS summed its gradients before it dropped scipy."""
+    from scipy import sparse
+    rows, inv = np.unique(ids, return_inverse=True)
+    hits = sparse.csr_matrix((weights, (inv, cols)), shape=(len(rows), len(vectors)))
+    return rows, hits @ vectors
+
+
 def sgns_whole_batch_gradients(w_in, w_out, centers, contexts, negatives):
     """`embeddings.sgns_batch_gradients` as one pass over the whole batch: the (B, 1 +
     negatives, dim) out rows gathered at once and every touched row summed by one sparse
     product. Returns (loss, (in_rows, g_in), (out_rows, g_out))."""
-    from scipy import sparse
-
-    def sum_rows(ids, cols, weights, vectors):
-        rows, inv = np.unique(ids, return_inverse=True)
-        hits = sparse.csr_matrix((weights, (inv, cols)), shape=(len(rows), len(vectors)))
-        return rows, hits @ vectors
-
     out_ids = np.column_stack([contexts, negatives])
     v = w_in[centers]
     u = w_out[out_ids]

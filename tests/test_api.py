@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import navsynth
 from navsynth.cli import build_parser
@@ -158,6 +159,23 @@ def test_import_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_dependencies_are_the_third_party_imports():
+    # pyproject.toml lists what src/navsynth imports beyond the stdlib, and nothing more
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    listed = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in
+              pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
+    assert third_party == listed
 
 
 def test_benchmark_tracer_targets_resolve():

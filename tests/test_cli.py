@@ -725,10 +725,10 @@ print(json.dumps(loaded))
 """
 
 
-def test_commands_but_train_emb_load_no_scipy(tmp_path):
-    # only SGNS imports scipy (scipy.special and scipy.sparse, where it calls them); EMI takes
-    # its log-factorials from its own table, so a mixing run that scores tables skips the
-    # import's 0.3 s of CPU and 18 MiB of peak RSS too
+def test_commands_load_no_scipy(tmp_path):
+    # EMI takes its log-factorials from its own table, and SGNS its sigmoid from libm's exp and
+    # log1p and its row sums from numpy, so no command pays scipy's import: 0.3 s of CPU and
+    # about 20 MiB of peak RSS
     world = tmp_path / "world"
     assert main(["planted-world", "--nodes", "60", "--out-degree", "5", "--memory", "0.6",
                  "--corpus-size", "1500", "--seed", "3", "--out-dir", str(world)]) == 0
@@ -764,6 +764,8 @@ def test_commands_but_train_emb_load_no_scipy(tmp_path):
         ["eval-related", "--embeddings", emb, "--pairs", pairs, "--out-dir", out],
         ["eval-topic", "--embeddings", emb, "--labels", labels, "--num-topics", "2",
          "--out-dir", out],
+        ["train-emb", "--corpus", corpus, "--dim", "8", "--epochs", "1", "--out",
+         str(tmp_path / "trained.txt")],
     ]
     src = os.path.dirname(os.path.dirname(navsynth.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

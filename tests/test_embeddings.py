@@ -1,17 +1,18 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from navsynth.embeddings import ROW_BLOCK, SgnsConfig, SgnsTrainer, sgns_batch_gradients
+from navsynth.embeddings import (EXP_MAX, ROW_BLOCK, SgnsConfig, SgnsTrainer, _expit, _libm,
+                                  _log_expit, _row_sums, sgns_batch_gradients)
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from oracles import (cosine_distance, sgns_pair_gradients, sgns_pair_loss,
-                     sgns_whole_batch_gradients, vector)
+                     sgns_whole_batch_gradients, sum_rows, vector)
 
 
 def finite_difference(f, x, eps=1e-6):
@@ -61,6 +62,85 @@ class TestPairGradients:
                                           np.array([0]), np.array([0]),
                                           np.array([[1, 1]]))
         assert loss == 3000.0
+
+
+def bits(a):
+    """The float64 values of `a` as integers: equal only if equal bit for bit, -0.0 included."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestSigmoid:
+    # scipy.special's expit and log_expit take libm's exp and log1p; numpy's own exp and log1p
+    # differ from libm's in the last bit for about 5% of values on an AVX-512 host
+    @staticmethod
+    def expit_and_log_expit(x):
+        e = _libm(math.exp, -np.abs(x))
+        return _expit(x, e), _log_expit(x, e)
+
+    @pytest.mark.parametrize("scale", [1, 10, 100])
+    def test_draws_match_scipy_bit_for_bit(self, scale):
+        draws = rng_stream(83, scale).standard_normal(2_000_000) * scale
+        for x in np.split(draws, 4):
+            expit, log_expit = self.expit_and_log_expit(x)
+            assert np.array_equal(bits(expit), bits(scipy.special.expit(x)))
+            assert np.array_equal(bits(log_expit), bits(scipy.special.log_expit(x)))
+
+    def test_edges_match_scipy_bit_for_bit(self):
+        # math.exp raises past EXP_MAX, where exp is inf: expit 0, log_expit -x
+        edges = [0.0, EXP_MAX, np.nextafter(EXP_MAX, np.inf), 745.0, 1e308, np.inf]
+        x = np.array(edges + [-edge for edge in edges])
+        expit, log_expit = self.expit_and_log_expit(x)
+        assert np.array_equal(bits(expit), bits(scipy.special.expit(x)))
+        assert np.array_equal(bits(log_expit), bits(scipy.special.log_expit(x)))
+        assert np.isnan(self.expit_and_log_expit(np.array([np.nan]))).all()
+
+    def test_strided_views_match_their_copies(self):
+        x = rng_stream(84).standard_normal((300, 6)) * 10
+        for view in (x[:, 1:], x[::-1, 0], x.T):
+            for got, want in zip(self.expit_and_log_expit(view),
+                                 self.expit_and_log_expit(view.copy())):
+                assert got.shape == view.shape
+                assert np.array_equal(bits(got), bits(want))
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("block", [1, 5, ROW_BLOCK, 10**6])
+    def test_equals_the_csr_product_bit_for_bit(self, block):
+        rng = rng_stream(85)
+        ids = rng.integers(3, 400, size=(300, 6))
+        ids[:200, 1] = 0  # one row hit by 200 examples, more than one pairwise-sum block of 128
+        ids[::30, 2] = 1  # one hit by 10: more than numpy's 8 pairwise-sum accumulators
+        ids[5, [0, 2, 3, 5]] = 2  # one repeated 4 times within one example
+        weights = rng.normal(size=ids.shape)
+        weights[::4, 3] = 0.0
+        weights[::5, 4] = -0.0
+        ids[7, 4], weights[7, 4] = 1000, -0.0  # a row whose one product is -0.0 or 0.0
+        vectors = rng.normal(size=(len(ids), 16))
+        vectors[::9, ::2] = 0.0
+        want_rows, want = sum_rows(ids.ravel(), np.repeat(np.arange(len(ids)), ids.shape[1]),
+                                   weights.ravel(), vectors)
+        blocks = list(_row_sums(ids, weights, vectors, block))
+        assert all(1 <= len(rows) <= block for rows, _ in blocks)
+        rows, got = map(np.concatenate, zip(*blocks))
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(bits(got), bits(want))
+        hits = np.bincount(ids.ravel())
+        assert hits[0] > 128 and hits[1] > 8 and (ids[5] == 2).sum() >= 3 and hits[1000] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(examples=st.integers(1, 300), per=st.integers(1, 8), vocab=st.integers(1, 50),
+           block=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_any_batch_equals_the_csr_product_bit_for_bit(self, examples, per, vocab, block,
+                                                          seed):
+        rng = rng_stream(seed)
+        ids = rng.integers(0, vocab, size=(examples, per))
+        weights = rng.normal(size=ids.shape) * rng.integers(0, 2, size=ids.shape)
+        vectors = rng.normal(size=(examples, 3))
+        want_rows, want = sum_rows(ids.ravel(), np.repeat(np.arange(examples), per),
+                                   weights.ravel(), vectors)
+        rows, got = map(np.concatenate, zip(*_row_sums(ids, weights, vectors, block)))
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(bits(got), bits(want))
 
 
 class TestBatchGradients:
@@ -239,7 +319,6 @@ class TestTraining:
         corpus = SequenceCorpus(pages, np.arange(0, len(pages) + 1, 8), "Logs")
         trainer = SgnsTrainer(corpus, SgnsConfig(dim=128, epochs=1, seed=82))
         assert trainer.batch_size == 512
-        assert scipy.sparse and scipy.special  # imported on first use: not part of the peak
         tracemalloc.start()  # after the weights are allocated
         try:
             trainer.train()
