@@ -77,20 +77,20 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
     if n < 0 or dim < 1:
         raise ParseError(path, 1, "expected N >= 0 and dim >= 1, got %d %d" % (n, dim))
     try:  # pages are only reserved: the rows a file holds are the memory it takes
-        articles, vectors = np.empty(n, dtype=np.int64), np.empty((n, dim))
+        vectors = np.empty((n, dim))
     except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
         raise ParseError(path, 1, "no memory for %d rows of %d values" % (n, dim)) from None
-    seen = set()
+    seen = {}  # the names in file order, interned at the end in one call
     for line_nos, lines in chain([(line_nos[1:], lines[1:])], chunks):
-        rows = [(line_no, line.rsplit(" ", dim))
-                for line_no, line in zip(line_nos, map(str.rstrip, lines)) if line]
-        ids = interner.intern_all([fields[0] for _, fields in rows]).tolist()
-        for (line_no, (name, *values)), article in zip(rows, ids):
+        for line_no, line in zip(line_nos, map(str.rstrip, lines)):
+            if not line:
+                continue
+            name, *values = line.rsplit(" ", dim)
             if len(values) != dim:
                 raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
             if not name:
                 raise ParseError(path, line_no, "empty article name")
-            if article in seen:
+            if name in seen:
                 raise ParseError(path, line_no, "duplicate article %r" % name)
             try:
                 vector = np.array(values, dtype=float)
@@ -101,11 +101,11 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
             if not np.isfinite(vector).all():
                 raise ParseError(path, line_no, "non-finite value for article %r" % name)
             if len(seen) < n:
-                articles[len(seen)], vectors[len(seen)] = article, vector
-            seen.add(article)
+                vectors[len(seen)] = vector
+            seen[name] = None
     if len(seen) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(seen)))
-    return EmbeddingTable(articles, vectors)
+    return EmbeddingTable(interner.intern_all([*seen]), vectors)
 
 
 def _finite_float(text):
@@ -119,13 +119,12 @@ def load_relatedness_pairs(path, interner: Interner) -> tuple[np.ndarray, np.nda
     """The (n, 2) int64 article ids and the n float scores of "a<TAB>b<TAB>score" rows."""
     ids, scores = [], []
     for line_nos, _, fields in _chunks(path, 3):
-        texts = fields[2::3]
-        del fields[2::3]  # the two names of each row are left
-        for line_no, a, b, score in zip(line_nos.tolist(), fields[0::2], fields[1::2], texts):
-            if "" in (a, b):
+        empty = ~fields.lengths.reshape(-1, 3)[:, :2].all(1)
+        for line_no, blank, score in zip(line_nos.tolist(), empty.tolist(), fields[2::3]):
+            if blank:
                 raise ParseError(path, line_no, "empty article name")
             scores.append(_parse(_finite_float, score, path, line_no, "score"))
-        ids.append(interner.intern_all(fields))
+        ids.append(interner.intern_spans(*fields.take(np.arange(len(fields.starts)) % 3 < 2)))
     return np.concatenate(ids).reshape(-1, 2), np.array(scores, dtype=float)
 
 
@@ -134,9 +133,9 @@ def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics:
     covered = set(emb.articles.tolist())
     labels: dict[int, set[int]] = {}
     for line_nos, _, fields in _chunks(path, 2):
-        articles = interner.intern_all(fields[0::2]).tolist()
-        for line_no, name, ids, article in zip(line_nos.tolist(), fields[0::2], fields[1::2],
-                                               articles):
+        articles = interner.intern_spans(*fields.take(slice(0, None, 2))).tolist()
+        for line_no, ids, article in zip(line_nos.tolist(), fields[1::2], articles):
+            name = interner.names([article])[0]
             topics = {_parse(int, x, path, line_no, "topic") for x in ids.split(",")}
             outside = sorted(t for t in topics if not 0 <= t < num_topics)
             if outside:

@@ -8,11 +8,11 @@ import gzip
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, filterfalse, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
-CHUNK_CHARS = 1 << 16  # characters read per step, which bound a reader's transient memory
+CHUNK_BYTES = 1 << 16  # bytes read per step, which bound a reader's transient memory
 
 
 class ParseError(ValueError):
@@ -22,13 +22,6 @@ class ParseError(ValueError):
         super().__init__("%s:%d: %s" % (path, line_no, message))
         self.path = path
         self.line_no = line_no
-
-
-def open_text(path, errors="strict"):
-    """Open a text file to read, transparently gunzipping on a .gz extension."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors=errors)
-    return open(path, encoding="utf-8", errors=errors)
 
 
 _CSV_QUOTED = re.compile(r'^#|[,"\r\n]')  # a CSV field that a reader would split or skip
@@ -57,35 +50,70 @@ def write_csv(path, columns, rows, header_comment: str = ""):
                ",")
 
 
+@dataclass
+class _Fields:
+    """A chunk's fields: field i is the UTF-8 text `buf[starts[i]:starts[i] + lengths[i]]`, and
+    `buf` ends in 8 zero bytes past its lines."""
+
+    buf: bytes
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __getitem__(self, i) -> list[str]:
+        """The texts of the fields that `i` (a slice, an index array or a mask) selects."""
+        return [self.buf[a:a + n].decode()
+                for a, n in zip(self.starts[i].tolist(), self.lengths[i].tolist())]
+
+    def take(self, i=slice(None)) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """The bytes, and the starts and lengths of the fields that `i` selects, flattened."""
+        return self.buf, self.starts[i].ravel(), self.lengths[i].ravel()
+
+
+def _split(block, line_no):
+    """The 1-based line number and the width of each row (non-blank line) of `block`, lines
+    from `line_no` on; the int64 start and length of each of their fields; and the number of
+    lines. Its temporaries are freed on return, before `_chunks` yields."""
+    raw = np.frombuffer(block, np.uint8)
+    seps = np.flatnonzero(raw < 11)
+    seps = seps[raw[seps] > 8]  # each field's tab or line end
+    lengths = np.diff(seps, prepend=-1) - 1
+    ends = np.flatnonzero(raw[seps] == 10)  # the last field of each row
+    widths = np.diff(ends, prepend=-1)
+    full = (widths > 1) | (lengths[ends] > 0)  # a blank line is a row of one empty field
+    seps -= lengths  # the starts
+    if not full.all():
+        kept = np.repeat(full, widths)
+        seps, lengths = seps[kept], lengths[kept]
+    return np.flatnonzero(full) + line_no, widths[full], seps, lengths, len(ends)
+
+
 def _chunks(path, ncols=0):
-    """Read a TSV file in chunks of whole lines. Yields, per chunk and at least once, the int64
-    1-based line number and the width of each row (non-blank line), and the flat list of their
-    fields. A line not valid UTF-8, or with `ncols` a row of another width, raises ParseError
-    after the rows before it."""
-    line_no, tail, text = 1, "", None  # the first line not yet split, and its text read so far
-    with open_text(path, errors="surrogateescape") as f:  # an undecodable byte reads as U+DCxx
-        while text != "":
-            text = f.read(CHUNK_CHARS)  # "" at the end, where the last line may lack "\n"
-            head, newline, tail = (tail + (text or "\n")).rpartition("\n")
-            block, undecodable = head + newline, None  # whole lines
+    """Read a TSV file in chunks of whole lines, where a CR, LF or CRLF ends a line. Yields, per
+    chunk and at least once, the int64 1-based line number and the width of each row (non-blank
+    line), and their `_Fields`. A line not valid UTF-8, or with `ncols` a row of another width,
+    raises ParseError after the rows before it."""
+    line_no, tail, more = 1, b"", True  # the first line not yet split, and its bytes read so far
+    with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as f:
+        while more:
+            block = f.read(CHUNK_BYTES)
+            more = block != b""  # at the end, the last line may lack its line end
+            block = tail + (block or b"\n")
+            # a CR that ends what was read may be the first half of a CRLF
+            end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - more))
+            block, tail, undecodable = block[:end + 1] + bytes(8), block[end + 1:], None
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
-                raw = np.frombuffer(block.encode(), np.uint8)
-            except UnicodeEncodeError as e:
-                undecodable = ParseError(path, line_no + block.count("\n", 0, e.start),
+                block.decode()
+            except UnicodeDecodeError as e:
+                undecodable = ParseError(path, line_no + block.count(b"\n", 0, e.start),
                                          "invalid UTF-8")
-                block = block[:block.rfind("\n", 0, e.start) + 1]  # the lines before it
-                raw = np.frombuffer(block.encode(), np.uint8)
-            # tabs and newlines are single bytes in UTF-8; the newlines among them end the rows
-            ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
-            widths = np.diff(ends, prepend=-1)
-            fields = block.replace("\n", "\t").split("\t")[:-1]
-            line_nos, line_no = np.arange(line_no, line_no + len(ends)), line_no + len(ends)
-            if "" in fields:  # a blank line is a row of one empty field
-                full = [w > 1 or fields[e] != "" for e, w in zip(ends.tolist(), widths.tolist())]
-                fields = [*compress(fields, np.repeat(full, widths))]
-                line_nos, widths = line_nos[full], widths[full]
+                block = block[:block.rfind(b"\n", 0, e.start) + 1] + bytes(8)  # lines before it
+            line_nos, widths, starts, lengths, lines = _split(block, line_no)
+            line_no += lines
             end = np.append(widths != (ncols or widths), True).argmax()  # first bad row, if any
-            yield line_nos[:end], widths[:end], fields[:widths[:end].sum()]
+            n = widths[:end].sum()
+            yield line_nos[:end], widths[:end], _Fields(block, starts[:n], lengths[:n])
             if end < len(widths):
                 raise ParseError(path, int(line_nos[end]), "expected %d columns" % ncols)
             if undecodable:
@@ -104,8 +132,10 @@ def _row_texts(path):
     """Per chunk of `_chunks`, the line numbers and the texts of its rows: each row's fields
     joined by tabs again."""
     for line_nos, widths, fields in _chunks(path):
-        ends = np.cumsum(widths).tolist()
-        yield line_nos.tolist(), ["\t".join(fields[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+        last = np.cumsum(widths) - 1
+        starts = fields.starts[last - widths + 1]
+        yield line_nos.tolist(), _Fields(fields.buf, starts,
+                                         fields.starts[last] + fields.lengths[last] - starts)[:]
 
 
 def load_config(path, options: dict) -> dict:
@@ -151,18 +181,140 @@ def load_result_values(paths) -> dict[tuple[str, str], float]:
     return values
 
 
+_MASKS = np.array([(1 << 8 * i) - 1 for i in range(8)] + [2**64 - 1], np.uint64)  # low i bytes
+
+
+def _word_steps(words, starts, lengths) -> list:
+    """Per 8-byte word k of the longest field of `lengths` bytes from `starts` (word i of
+    `words` is bytes i to i + 7): the fields longer than 8k bytes (a slice while that is all),
+    k, the mask of the bytes of their word k that they hold (None where all 8), and those
+    words, masked."""
+    steps, left, rest = [], slice(None), lengths
+    while True:
+        if not len(rest) or rest.min() <= 0:
+            more = np.flatnonzero(rest > 0)
+            left, rest = np.arange(len(lengths))[left][more], rest[more]
+            if not len(rest):
+                return steps
+        mask = None if rest.min() >= 8 else _MASKS[np.minimum(rest, 8)]
+        word = words[starts[left] + 8 * len(steps)]
+        steps.append((left, len(steps), mask, word if mask is None else word & mask))
+        rest = rest - 8
+
+
+def _hash(steps, lengths) -> np.ndarray:
+    """A uint64 hash of each field: its length mixed with its words (see `_word_steps`)."""
+    h = lengths.astype(np.uint64) * 0x9E3779B97F4A7C15
+    for left, _, _, word in steps:
+        h[left] = (h[left] ^ word) * 0xBF58476D1CE4E5B9
+    h ^= h >> 31  # so that every byte reaches the low bits, which pick the slot
+    h *= 0x94D049BB133111EB
+    return h ^ h >> 29
+
+
+def _extend(a, used, values):
+    """`a` with `values` written from item `used` on, reallocated with a quarter more room than
+    they need when they do not fit."""
+    need = used + len(values)
+    if need > len(a):
+        a = np.concatenate([a[:used], np.zeros(need // 4 + len(values), a.dtype)])
+    a[used:need] = values
+    return a
+
+
 class Interner:
-    """Bijective article-name <-> dense-id table. Ids are contiguous from 0."""
+    """Bijective article-name <-> dense-id table. Ids are contiguous from 0.
+
+    Beside the names it keeps their UTF-8 bytes in one uint64 array (`_words`), each name
+    zero-padded to whole words; `_ends[id + 1]` is one past the name's last byte, and the name
+    starts at `_ends[id]` rounded up to a word. It also keeps a uint64 hash per id, and an
+    open-addressing table of ids (`_slots`, int32, -1 where free) of a power-of-two size, at
+    most a quarter full and probed linearly. A field whose hash matches a name's holds that
+    name only if its length and its bytes match too."""
 
     def __init__(self):
         self._names: list[str] = []
-        self._ids: dict[str, int] = {}
+        self._words = np.zeros(8, dtype=np.uint64)
+        self._ends = np.zeros(8, dtype=np.int64)
+        self._hashes = np.zeros(8, dtype=np.uint64)
+        self._slots = np.full(8, -1, dtype=np.int32)
 
     def intern_all(self, names: list[str]) -> np.ndarray:
         """The int64 id of each name, interning new names in order of first appearance."""
-        self._names += filterfalse(self._ids.__contains__, dict.fromkeys(names))
-        self._ids.update(zip(self._names[len(self._ids):], count(len(self._ids))))
-        return np.fromiter(map(self._ids.__getitem__, names), np.int64, len(names))
+        encoded = [*map(str.encode, names)]
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        return self.intern_spans(b"".join([*encoded, bytes(8)]), np.cumsum(lengths) - lengths,
+                                 lengths)
+
+    def intern_spans(self, buf: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """`intern_all` of the UTF-8 names `buf[start:start + length]`, where `buf` ends in 8
+        zero bytes past the last."""
+        words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # unaligned, per byte
+        ids, h = self._find(words, starts, lengths)
+        missing = np.flatnonzero(ids < 0)
+        h, lengths, starts = h[missing], lengths[missing], starts[missing]
+        while len(missing):
+            # the first field of each hash holds a new name, and so does each later field up
+            # to the first that differs from the first of its hash, which a collision makes
+            _, first, heads = np.unique(h, return_index=True, return_inverse=True)
+            heads = first[heads]
+            differ = lengths[heads] != lengths
+            for left, k, mask, word in _word_steps(words, starts, lengths):
+                theirs = words[np.minimum(starts[heads[left]] + 8 * k, len(words) - 1)]
+                differ[left] |= (theirs if mask is None else theirs & mask) != word
+            cut = np.append(np.flatnonzero(differ), len(h))[0]
+            new = np.sort(first[first < cut])
+            ids[missing[new]] = self._add(buf, words, starts[new], lengths[new], h[new])
+            done = ~differ & (heads < cut)
+            ids[missing[done]] = ids[missing[heads[done]]]
+            missing, h, lengths, starts = (a[~done] for a in (missing, h, lengths, starts))
+        return ids.astype(np.int64)
+
+    def _find(self, words, starts, lengths, h=None, at=None) -> tuple[np.ndarray, np.ndarray]:
+        """The id of the name each field holds, or -1 where it holds no interned name, and the
+        fields' hashes `h`, probing from slot `at` on, or from the slot that `h` picks."""
+        steps = _word_steps(words, starts, lengths)
+        h = _hash(steps, lengths) if h is None else h
+        mask = len(self._slots) - 1
+        at = (h & mask).view(np.int64) if at is None else at
+        f = self._slots[at]
+        on = np.flatnonzero((f >= 0) & (self._hashes[f] != h))
+        while len(on):  # on to the first slot that is free or holds an id of the field's hash
+            at[on] = (at[on] + 1) & mask
+            f[on] = self._slots[at[on]]
+            on = on[(f[on] >= 0) & (self._hashes[f[on]] != h[on])]
+        start = self._ends[f] + 7 & -8  # a start past the words compares some other word
+        same = self._ends[f + 1] - start == lengths
+        for left, k, _, word in steps:
+            same[left] &= self._words.take((start[left] >> 3) + k, mode="clip") == word
+        on = np.flatnonzero((f >= 0) & ~same)  # an id of the field's hash but other bytes
+        f[~same] = -1
+        if len(on):
+            f[on] = self._find(words, starts[on], lengths[on], h[on], (at[on] + 1) & mask)[0]
+        return f, h
+
+    def _add(self, buf, words, starts, lengths, h) -> np.ndarray:
+        """Intern the distinct new names of these fields, in their order; their ids."""
+        n, nwords = len(self._names), lengths + 7 >> 3
+        self._names += [buf[a:a + k].decode() for a, k in zip(starts.tolist(), lengths.tolist())]
+        size, at = self._ends[n] + 7 >> 3, np.cumsum(nwords) - nwords  # each name's first word
+        new = words[np.repeat(starts - 8 * at, nwords) + 8 * np.arange(nwords.sum())]
+        last = nwords > 0
+        new[(at + nwords - 1)[last]] &= _MASKS[(lengths - 1)[last] % 8 + 1]
+        self._words = _extend(self._words, size, new)
+        self._ends = _extend(self._ends, n + 1, 8 * (size + at) + lengths)
+        self._hashes = _extend(self._hashes, n, h)
+        slots, ids = 1 << (4 * len(self._names) - 1).bit_length(), np.arange(n, len(self._names))
+        if slots > len(self._slots):  # a larger table places every id again
+            self._slots, ids = np.full(slots, -1, dtype=np.int32), np.arange(len(self._names))
+        mask = len(self._slots) - 1
+        at = (self._hashes[ids] & mask).view(np.int64)
+        while len(ids):  # of the ids that probe a free slot, one takes it
+            free = self._slots[at] < 0
+            self._slots[at[free]] = ids[free]
+            lost = self._slots[at] != ids
+            ids, at = ids[lost], (at[lost] + 1) & mask
+        return np.arange(n, len(self._names))
 
     def names(self, ids) -> list[str]:
         """The name of each id."""
@@ -256,10 +408,11 @@ def load_edge_list(path, interner: Interner | None = None) -> HyperlinkGraph:
     if interner is None:
         interner = Interner()
     keys, loops = [], 0  # per chunk, the packed keys of its edges that are no self-loop
-    for line_nos, _, names in _chunks(path, 2):
-        if "" in names:
-            raise ParseError(path, int(line_nos[names.index("") // 2]), "empty article name")
-        sources, targets = interner.intern_all(names).reshape(-1, 2).T
+    for line_nos, _, fields in _chunks(path, 2):
+        if not fields.lengths.all():
+            raise ParseError(path, int(line_nos[fields.lengths.argmin() // 2]),
+                             "empty article name")
+        sources, targets = interner.intern_spans(*fields.take()).reshape(-1, 2).T
         loops += int((sources == targets).sum())
         keys.append(pair_keys(sources, targets)[sources != targets])
     keys = np.concatenate(keys)
@@ -310,10 +463,10 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
     keys, counts = [], []  # per chunk, the packed keys and click counts of its link rows
     skipped = total = 0
     for line_nos, _, fields in _chunks(path, 4):
-        kept = [*map(CLICK_LINK_TYPES.__contains__, fields[2::4])]
-        skipped += kept.count(False)
+        kept = np.flatnonzero([*map(CLICK_LINK_TYPES.__contains__, fields[2::4])])
+        skipped += len(line_nos) - len(kept)
         clicks = []
-        for line_no, count_str in compress(zip(line_nos.tolist(), fields[3::4]), kept):
+        for line_no, count_str in zip(line_nos[kept].tolist(), fields[kept * 4 + 3]):
             count = _parse(int, count_str, path, line_no, "count")
             if count < 1:
                 raise ParseError(path, line_no, "non-positive count %d" % count)
@@ -322,8 +475,7 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
                 raise ParseError(path, line_no, "click total reaches 2**63")
             clicks.append(count)
         counts.append(np.array(clicks, dtype=np.int64))
-        ids = interner.intern_all([*chain.from_iterable(
-            compress(zip(fields[0::4], fields[1::4]), kept))])
+        ids = interner.intern_spans(*fields.take(kept[:, None] * 4 + [0, 1]))
         keys.append(pair_keys(ids[0::2], ids[1::2]))
     keys, counts = np.concatenate(keys), np.concatenate(counts)
     order = np.argsort(keys)

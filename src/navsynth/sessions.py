@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
 
 import numpy as np
 
@@ -153,18 +152,18 @@ def save_corpus(corpus: SequenceCorpus, path, interner: Interner):
 def load_corpus(path, interner: Interner) -> SequenceCorpus:
     """Read one tab-separated sequence per line; "#" starts a comment and "#kind=" the kind."""
     pages, lengths, kind = [], [], "Logs"
-    for line_nos, widths, names in _chunks(path):
+    for line_nos, widths, fields in _chunks(path):
         starts = np.cumsum(widths) - widths
-        comment = np.array([names[s][:1] == "#" for s in starts.tolist()], dtype=bool)
+        comment = np.frombuffer(fields.buf, np.uint8)[fields.starts[starts]] == ord("#")
         for start, width in zip(starts[comment], widths[comment]):
-            line = "\t".join(names[start:start + width])
+            line = "\t".join(fields[start:start + width])
             kind = line[len("#kind="):] if line.startswith("#kind=") else kind
-        names = [*compress(names, np.repeat(~comment, widths).tolist())]
+        named = np.repeat(~comment, widths)  # the fields of the sequences
         line_nos, widths = line_nos[~comment], widths[~comment]
-        if "" in names:
-            row = np.searchsorted(np.cumsum(widths), names.index(""), "right")
+        if not fields.lengths[named].all():
+            row = np.searchsorted(np.cumsum(widths), fields.lengths[named].argmin(), "right")
             raise ParseError(path, int(line_nos[row]), "empty article name")
-        pages.append(interner.intern_all(names))
+        pages.append(interner.intern_spans(*fields.take(named)))
         lengths.append(widths)
     return SequenceCorpus(np.concatenate(pages), np.cumsum(np.concatenate([[0], *lengths])), kind)
 
@@ -173,9 +172,10 @@ def load_pageview_events(path, interner: Interner) -> PageviewEvents:
     """Read "reader_key_hex<TAB>timestamp_ms<TAB>article<TAB>referrer_or_dash" rows."""
     keys, texts, readers, stamps, ids = {}, {}, [], [], []  # key -> first index; text -> key
     for line_nos, _, fields in _chunks(path, 4):
-        for line_no, key_hex, ts, article, referrer in zip(line_nos.tolist(), *(
-                fields[i::4] for i in range(4))):
-            if "" in (article, referrer):
+        empty = ~fields.lengths.reshape(-1, 4)[:, 2:].all(1)  # an empty article or referrer
+        for line_no, key_hex, ts, blank in zip(line_nos.tolist(), fields[0::4], fields[1::4],
+                                               empty.tolist()):
+            if blank:
                 raise ParseError(path, line_no, "empty article name")
             if key_hex not in texts:  # each distinct text is parsed once
                 texts[key_hex] = _parse(bytes.fromhex, key_hex, path, line_no, "reader key")
@@ -183,12 +183,12 @@ def load_pageview_events(path, interner: Interner) -> PageviewEvents:
             stamps.append(_parse(int, ts, path, line_no, "timestamp"))
             if not -2**62 <= stamps[-1] < 2**62:  # so that no difference of two overflows int64
                 raise ParseError(path, line_no, "timestamp %s outside [-2**62, 2**62)" % ts)
-        referrers = fields[3::4]
-        named = np.ones(2 * len(referrers), dtype=bool)  # the referrer and article of each row
-        named[0::2] = np.fromiter(map("-".__ne__, referrers), bool, len(referrers))
-        ids.append(np.full(len(named), -1, dtype=np.int64))
-        ids[-1][named] = interner.intern_all(
-            [*compress(chain.from_iterable(zip(referrers, fields[2::4])), named.tolist())])
+        spans = np.arange(len(line_nos))[:, None] * 4 + [3, 2]  # each row's referrer, article
+        named = np.ones(spans.shape, dtype=bool)  # all but the referrers "-"
+        named[:, 0] = (fields.lengths[3::4] != 1) | (
+            np.frombuffer(fields.buf, np.uint8)[fields.starts[3::4]] != ord("-"))
+        ids.append(np.full(named.shape, -1, dtype=np.int64))
+        ids[-1][named] = interner.intern_spans(*fields.take(spans[named]))
     # the inverse of the byte-order permutation of the keys is the rank of each
     rank = np.argsort(sorted(range(len(keys)), key=[*keys].__getitem__))
     ids = np.concatenate(ids).reshape(-1, 2)

@@ -109,10 +109,10 @@ def test_cli_uses_no_private_name_of_another_module():
 
 
 def opens(call, to_write):
-    """Whether an `open`, `gzip.open` or `open_text` call can open a file to write (`to_write`)
-    or to read: a mode that is a literal with "w", "a" or "x" writes, and any other reads."""
+    """Whether an `open` or `gzip.open` call can open a file to write (`to_write`) or to read:
+    a mode that is a literal with "w", "a" or "x" writes, and any other reads."""
     name = getattr(call.func, "id", getattr(call.func, "attr", None))
-    if name not in ("open", "open_text"):
+    if name != "open":
         return False
     mode = call.args[1] if len(call.args) > 1 else next(
         (keyword.value for keyword in call.keywords if keyword.arg == "mode"), None)
@@ -135,8 +135,8 @@ def opening_calls(exempt_functions, to_write):
 
 
 def test_only_chunks_reads_a_file():
-    # every input goes through `graph._chunks`; `open_text` is the opener it calls
-    assert opening_calls({("graph", "_chunks"), ("graph", "open_text")}, False) == []
+    # every input goes through `graph._chunks`
+    assert opening_calls({("graph", "_chunks")}, False) == []
 
 
 def test_only_one_function_writes_a_file():

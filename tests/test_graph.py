@@ -572,7 +572,7 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
             lambda: dict_interned(prefill, reference))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph, "CHUNK_CHARS", chunk)
+        patch.setattr(graph, "CHUNK_BYTES", chunk)
         assert outcome(lambda: chunked_rows(path, ncols)) == \
             outcome(lambda: list(oracles.rows(path, ncols)))
         if ncols == 2:
@@ -627,7 +627,7 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
 def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
     path = tmp_path / "e.tsv"
     path.write_bytes(b"A\tB\r\n" * 5 + b"\n" + "\u00e9\tB\n".encode() + b"A\t\xffB\n" + b"A\tB\n")
-    monkeypatch.setattr(graph, "CHUNK_CHARS", 4)
+    monkeypatch.setattr(graph, "CHUNK_BYTES", 4)
     with pytest.raises(ParseError, match=r"e\.tsv:8: invalid UTF-8$"):
         load_edge_list(str(path))
 
@@ -648,7 +648,7 @@ def test_pair_readers_give_the_same_result_in_any_chunk_size(tmp_path, monkeypat
     whole = read()
     assert whole[0][3:] == [2, 1] and whole[1][2:] == [[7, 2], 1]
     for chars in (1, 5, 12):
-        monkeypatch.setattr(graph, "CHUNK_CHARS", chars)
+        monkeypatch.setattr(graph, "CHUNK_BYTES", chars)
         assert len([*graph._chunks(edges, 2)]) >= 3
         assert read() == whole
 
@@ -666,7 +666,7 @@ def test_pair_readers_give_the_same_result_in_any_chunk_size(tmp_path, monkeypat
 def test_text_readers_cite_lines_past_the_first_chunk(tmp_path, monkeypatch, read, text,
                                                       message):
     path = write(tmp_path, "input.txt", text)
-    monkeypatch.setattr(graph, "CHUNK_CHARS", 4)
+    monkeypatch.setattr(graph, "CHUNK_BYTES", 4)
     with pytest.raises(ParseError, match="^%s%s$" % (re.escape(path), re.escape(message))):
         read(path)
 
@@ -687,7 +687,7 @@ def test_first_fault_in_file_order_before_an_undecodable_line(tmp_path, read, te
 
 def test_pair_readers_hold_at_most_24_bytes_per_row_beyond_their_result(tmp_path, monkeypatch):
     # the temporaries that grow with the file: packed keys, counts and sort order. The fields
-    # of one chunk take about 20 bytes per character of CHUNK_CHARS whatever the file's
+    # of one chunk take about 20 bytes per character of CHUNK_BYTES whatever the file's
     # length, so small chunks keep that fixed part out of the per-row bound
     rows, rng = 50_000, rng_stream(9)
     names = ["Article_%d" % i for i in range(5000)]
@@ -699,7 +699,7 @@ def test_pair_readers_hold_at_most_24_bytes_per_row_beyond_their_result(tmp_path
     clicks = write(tmp_path, "c.tsv", "".join(
         "%s\t%s\t%s\t%d\n" % (names[s], names[t], k, c)
         for s, t, k, c in zip(sources, targets, kinds, counts)))
-    monkeypatch.setattr(graph, "CHUNK_CHARS", 1 << 12)
+    monkeypatch.setattr(graph, "CHUNK_BYTES", 1 << 12)
     for read, path in ((load_edge_list, edges), (load_clickstream, clicks)):
         tracemalloc.start()
         try:
@@ -709,3 +709,88 @@ def test_pair_readers_hold_at_most_24_bytes_per_row_beyond_their_result(tmp_path
             tracemalloc.stop()
         assert (peak - size) / rows <= 24, (read.__name__, (peak - size) / rows)
         del result
+
+
+# hashes under which every name collides with others: a match must be confirmed on bytes
+DEGENERATE_HASHES = {"one": lambda steps, lengths: np.zeros(len(lengths), dtype=np.uint64),
+                     "length": lambda steps, lengths: lengths.astype(np.uint64)}
+
+
+@pytest.mark.parametrize("degenerate", DEGENERATE_HASHES.values(), ids=DEGENERATE_HASHES)
+@settings(max_examples=100, deadline=None)
+@given(file=tsv_files(), chunk=st.integers(1, 64),
+       prefill=st.lists(st.text("ab", min_size=1, max_size=2), max_size=3, unique=True))
+def test_readers_match_per_line_oracle_when_hashes_collide(tmp_path_factory, degenerate, file,
+                                                           chunk, prefill):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_hash", degenerate)
+        test_chunked_readers_match_per_line_oracle.hypothesis.inner_test(
+            tmp_path_factory, file, chunk, prefill)
+
+
+# names that share their first 8 bytes, that differ only past them, that hold multi-byte UTF-8
+# or NUL bytes, and the empty name
+NAMES = st.sampled_from(["", "A", "A\x00", "A\x00\x00", "Article_", "Article_1", "Article_10",
+                         "Article_1\x00"]) | st.builds(
+    str.__add__, st.sampled_from(["", "Article_", "Article_2_and_more_", "日本"]),
+    st.text("abé日\U0001F600\x00", max_size=12))
+
+
+@pytest.mark.parametrize("hash_", [graph._hash, *DEGENERATE_HASHES.values()],
+                         ids=["hash", *DEGENERATE_HASHES])
+@settings(max_examples=200, deadline=None)
+@given(prefill=st.lists(NAMES, max_size=8, unique=True), names=st.lists(NAMES, max_size=30),
+       cut=st.integers(0, 30))
+@example(prefill=[], names=["A", "A\x00", "A", "A\x00", ""], cut=2)
+@example(prefill=["Article_1"], names=["Article_12", "Article_1", "Article_13", "Article_12"],
+         cut=0)
+def test_intern_all_matches_a_dict(hash_, prefill, names, cut):
+    ids = dict(zip(prefill, range(len(prefill))))  # the oracle: name -> id in first appearance
+    expected = [ids.setdefault(name, len(ids)) for name in names]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_hash", hash_)
+        interner = Interner()
+        interner.intern_all(prefill)
+        got = np.concatenate([interner.intern_all(names[:cut]), interner.intern_all(names[cut:])])
+    assert got.dtype == np.int64 and got.tolist() == expected
+    assert interner.names(range(len(interner))) == [*ids]
+
+
+@pytest.mark.parametrize("data,chunk", [
+    (b"A\tB\r\nC\tD\r\nE\r\n", 4),  # the first read ends between the CR and the LF of a CRLF
+    (b"A\tB\r\nC\tD\r", 9),  # the file ends in a CR, which the last read ends on
+    ("A\t日本\n\U0001F600\tB\n".encode(), 4),  # reads end inside 3- and 4-byte characters
+], ids=["crlf", "cr-at-end", "multi-byte"])
+def test_chunks_split_in_a_line_end_or_a_character_read_as_whole(tmp_path, monkeypatch, data,
+                                                                  chunk):
+    path = tmp_path / "e.tsv"
+    path.write_bytes(data)
+    path = str(path)
+    whole = outcome(lambda: edge_summary(oracles.edge_ids(path, {})))
+    monkeypatch.setattr(graph, "CHUNK_BYTES", chunk)
+    assert outcome(lambda: chunked_rows(path, 2)) == outcome(lambda: list(oracles.rows(path, 2)))
+
+    def edges():
+        g = load_edge_list(path)
+        return edge_summary(list(zip(*(a.tolist() for a in g.edge_arrays()))))
+    assert outcome(edges) == whole
+
+
+def test_a_pass_of_chunks_and_interning_holds_two_thirds_of_the_str_fields(tmp_path):
+    # at the default chunk size, splitting each chunk into str fields held 1,201 KB at once
+    # over this file; its bytes, int64 spans and the interner's arrays hold under two-thirds
+    rows, rng = 50_000, rng_stream(9)
+    names = ["Article_%d" % i for i in range(5000)]
+    sources, targets = rng.integers(0, 5000, rows), rng.integers(0, 5000, rows)
+    path = write(tmp_path, "e.tsv", "".join(
+        "%s\t%s\n" % (names[s], names[t]) for s, t in zip(sources, targets)))
+    interner = Interner()
+    tracemalloc.start()
+    try:
+        for _, _, fields in graph._chunks(path, 2):
+            interner.intern_spans(*fields.take())
+        size, peak = tracemalloc.get_traced_memory()  # the interner is what the pass keeps
+    finally:
+        tracemalloc.stop()
+    assert len(interner) == 5000
+    assert peak - size <= 1_201_000 * 2 / 3, peak - size
