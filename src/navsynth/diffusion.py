@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph import Interner, ParseError, _chunks, _parse, _row_texts, write_csv, write_rows
+from .graph import Interner, ParseError, _chunks, _parse, write_csv, write_rows
 from .sessions import SequenceCorpus
 from .stats import bootstrap_mean_ci
 
 HISTOGRAM_BIN_WIDTH = 0.02
 COSINE_BLOCK = 1 << 17  # vector values of each side that `cosines` gathers at once (1 MiB)
+FORMAT_BLOCK = 1 << 14  # vector values that `save_embeddings` formats at once
+NAME_BLOCK = 1 << 12  # names that `load_embeddings` interns at once
 
 
 @dataclass(eq=False)
@@ -23,6 +24,7 @@ class EmbeddingTable:
     articles: np.ndarray
     vectors: np.ndarray
     norms: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)  # the argsort of `articles`
 
     def __post_init__(self):
         self.articles = np.asarray(self.articles, dtype=np.int64)
@@ -30,7 +32,8 @@ class EmbeddingTable:
         if self.vectors.ndim != 2 or self.vectors.shape[:1] != self.articles.shape:
             raise ValueError("vectors of shape %s for articles of shape %s"
                              % (self.vectors.shape, self.articles.shape))
-        ordered = np.sort(self.articles)
+        self.order = np.argsort(self.articles)
+        ordered = self.articles[self.order]
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise ValueError("duplicate article %d" % repeated[0])
@@ -48,10 +51,9 @@ class EmbeddingTable:
 
     def rows(self, articles) -> np.ndarray:
         """Row of each article in `vectors`; -1 for an article without a vector."""
-        order = np.argsort(self.articles)
-        lo = np.searchsorted(self.articles, articles, "left", order)
-        hi = np.searchsorted(self.articles, articles, "right", order)
-        return np.where(hi > lo, np.append(order, -1)[lo], -1)
+        lo = np.searchsorted(self.articles, articles, "left", self.order)
+        hi = np.searchsorted(self.articles, articles, "right", self.order)
+        return np.where(hi > lo, np.append(self.order, -1)[lo], -1)
 
     def cosines(self, a, b) -> np.ndarray:
         """Cosine similarity of rows a[i] and b[i]; equals the per-pair np.dot formula bit for bit."""
@@ -63,13 +65,49 @@ class EmbeddingTable:
         return out
 
 
-def load_embeddings(path, interner: Interner) -> EmbeddingTable:
-    """Read the text format: header "N dim", then "name v1 ... v_dim" rows. The last `dim`
-    space-separated fields are the vector and the rest is the name, which may hold spaces.
-    The rows fill one (N, dim) array; rows past the N-th are checked and counted, not kept."""
-    chunks = _row_texts(path)
-    line_nos, lines = next((chunk for chunk in chunks if chunk[1]), ([1], [""]))
-    header = lines[0].split() if line_nos[0] == 1 else []
+def _fixed_point(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each little-endian 8-byte word reads "d.dddddd", and the value it reads where it
+    does. The seven digits become one integer by three multiply-shift steps on the word
+    (Lemire, "Number parsing at a gigabyte per second", 2021); it and 1e6 are exact below
+    2**53, so their one IEEE division is `float(text)` bit for bit (Clinger 1990)."""
+    ok = (words >> 8 & 0xFF) == ord(".")
+    words = words & 0xFFFFFFFFFFFF0000 | (words & 0xFF) << 8 | 0x30  # "0d", then six digits
+    ok &= (words & 0xF0F0F0F0F0F0F0F0 | (words + 0x0606060606060606 & 0xF0F0F0F0F0F0F0F0) >> 4
+           ) == 0x3333333333333333  # eight bytes "0" to "9"
+    words = words - 0x3030303030303030
+    words = words * 10 + (words >> 8)  # each pair of digits, then all eight at once
+    words = ((words & 0x000000FF000000FF) * 0x000F424000000064
+             + (words >> 16 & 0x000000FF000000FF) * 0x0000271000000001) >> 32
+    return ok, words / 1e6
+
+
+def _fixed_point_rows(buf, starts, ends, dim) -> tuple[np.ndarray, np.ndarray]:
+    """Per row `buf[start:end]`, where its name ends if it has a name and `dim` values that
+    are all in the form `save_embeddings` writes below 10, not all zero, and else 0; and the
+    vectors of those rows. `buf` ends in 8 zero bytes past its rows."""
+    raw = np.frombuffer(buf, np.uint8)
+    spaces = np.append(np.flatnonzero(raw == 32), len(buf))
+    first = np.searchsorted(spaces, ends) - dim  # the space after each row's name
+    quick = np.flatnonzero((ends - starts > 9 * dim) & (first >= 0))  # long enough
+    name_ends = np.zeros(len(ends), np.int64)
+    if not len(quick):
+        return name_ends, np.empty((0, dim))
+    cuts = spaces[first[quick, None] + np.arange(dim + 1)]
+    cuts[:, dim] = ends[quick]  # each value lies between two cuts
+    gaps, cuts = np.diff(cuts), cuts[:, :-1] + 1  # each value's length + 1, and first byte
+    signed = (gaps == 10) & (raw[cuts] == ord("-"))
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # unaligned, per byte
+    ok, values = _fixed_point(words[cuts + signed])
+    ok &= gaps == 9 + signed
+    values[signed] *= -1
+    fast = ok.all(1) & (cuts[:, 0] > starts[quick] + 1) & values.any(1)
+    name_ends[quick[fast]] = cuts[fast, 0] - 1
+    return name_ends, values[fast]
+
+
+def _embedding_header(path, text):
+    """N, dim and the (N, dim) array of the header row "N dim"."""
+    header = text.split()
     if len(header) != 2:
         raise ParseError(path, 1, "expected 'N dim' header")
     n = _parse(int, header[0], path, 1, "row count")
@@ -77,35 +115,86 @@ def load_embeddings(path, interner: Interner) -> EmbeddingTable:
     if n < 0 or dim < 1:
         raise ParseError(path, 1, "expected N >= 0 and dim >= 1, got %d %d" % (n, dim))
     try:  # pages are only reserved: the rows a file holds are the memory it takes
-        vectors = np.empty((n, dim))
+        return n, dim, np.empty((n, dim))
     except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
         raise ParseError(path, 1, "no memory for %d rows of %d values" % (n, dim)) from None
-    seen = {}  # the names in file order, interned at the end in one call
-    for line_nos, lines in chain([(line_nos[1:], lines[1:])], chunks):
-        for line_no, line in zip(line_nos, map(str.rstrip, lines)):
-            if not line:
+
+
+def _embedding_row(path, line_no, line, dim, seen):
+    """The name's UTF-8 bytes and the vector of one row's text, or None for a blank row; a
+    row that is malformed, or names an article of `seen`, raises ParseError."""
+    line = line.rstrip()
+    if not line:
+        return None
+    name, *values = line.rsplit(" ", dim)
+    if len(values) != dim:
+        raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
+    if not name:
+        raise ParseError(path, line_no, "empty article name")
+    key = name.encode()
+    if key in seen:
+        raise ParseError(path, line_no, "duplicate article %r" % name)
+    try:
+        vector = np.array(values, dtype=float)
+    except ValueError as e:
+        raise ParseError(path, line_no, str(e)) from None
+    if not vector.any():
+        raise ParseError(path, line_no, "all-zero vector for article %r" % name)
+    if not np.isfinite(vector).all():
+        raise ParseError(path, line_no, "non-finite value for article %r" % name)
+    return key, vector
+
+
+def load_embeddings(path, interner: Interner) -> EmbeddingTable:
+    """Read the text format: header "N dim", then "name v1 ... v_dim" rows. The last `dim`
+    space-separated fields are the vector and the rest is the name, which may hold spaces.
+    The rows fill one (N, dim) array; rows past the N-th are checked and counted, not kept.
+
+    Per chunk, numpy finds each row's last `dim` spaces and reads every value in the form
+    `save_embeddings` writes below 10, "-d.dddddd" or "d.dddddd", as one 8-byte word. A row
+    with a value in any other form, a blank or all-zero row, and a row with no name or a
+    repeated one, take `_embedding_row`, which reads any float syntax and gives every error."""
+    n = None
+    seen, names = {}, bytearray()  # the names' bytes in file order, interned at the end
+    for line_nos, widths, fields in _chunks(path):
+        buf, last = fields.buf, np.cumsum(widths) - 1
+        starts = fields.starts[last - widths + 1]
+        ends = fields.starts[last] + fields.lengths[last]
+        if n is None:
+            if not len(line_nos):
                 continue
-            name, *values = line.rsplit(" ", dim)
-            if len(values) != dim:
-                raise ParseError(path, line_no, "expected %d values, got %d" % (dim, len(values)))
-            if not name:
-                raise ParseError(path, line_no, "empty article name")
-            if name in seen:
-                raise ParseError(path, line_no, "duplicate article %r" % name)
-            try:
-                vector = np.array(values, dtype=float)
-            except ValueError as e:
-                raise ParseError(path, line_no, str(e)) from None
-            if not vector.any():
-                raise ParseError(path, line_no, "all-zero vector for article %r" % name)
-            if not np.isfinite(vector).all():
-                raise ParseError(path, line_no, "non-finite value for article %r" % name)
-            if len(seen) < n:
-                vectors[len(seen)] = vector
+            n, dim, vectors = _embedding_header(
+                path, buf[starts[0]:ends[0]].decode() if line_nos[0] == 1 else "")
+            line_nos, starts, ends = line_nos[1:], starts[1:], ends[1:]
+        name_ends, values = _fixed_point_rows(buf, starts, ends, dim)
+        rows, slots = [], []  # the rows of `values` that fill `vectors`, and their slots
+        for row, line_no, start, cut, end in zip((np.cumsum(name_ends > 0) - 1).tolist(),
+                                                 line_nos.tolist(), starts.tolist(),
+                                                 name_ends.tolist(), ends.tolist()):
+            name = buf[start:cut] if cut else None
+            if name is None or name in seen:
+                parsed = _embedding_row(path, line_no, buf[start:end].decode(), dim, seen)
+                if parsed is None:
+                    continue
+                name, vector = parsed
+                if len(seen) < n:
+                    vectors[len(seen)] = vector
+            elif len(seen) < n:
+                rows.append(row)
+                slots.append(len(seen))
             seen[name] = None
+            names += name
+        vectors[slots] = values[rows]
+    if n is None:  # no row, so no header
+        _embedding_header(path, "")
     if len(seen) != n:
         raise ParseError(path, 1, "header declared %d rows, found %d" % (n, len(seen)))
-    return EmbeddingTable(interner.intern_all([*seen]), vectors)
+    lengths = np.fromiter(map(len, seen), np.int64, len(seen))
+    seen, starts = None, np.cumsum(lengths) - lengths  # the dict is freed before interning
+    names += bytes(8)
+    ids = [interner.intern_spans(names, starts[lo:lo + NAME_BLOCK], lengths[lo:lo + NAME_BLOCK])
+           for lo in range(0, n, NAME_BLOCK)]  # in blocks, which bound the transient memory
+    return EmbeddingTable(np.concatenate([np.zeros(0, np.int64), *ids]), vectors)
 
 
 def _finite_float(text):
@@ -130,30 +219,73 @@ def load_relatedness_pairs(path, interner: Interner) -> tuple[np.ndarray, np.nda
 
 def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics: int) -> dict:
     """Article id -> topic id set of "article<TAB>t1,t2,..." rows of articles with a vector."""
-    covered = set(emb.articles.tolist())
     labels: dict[int, set[int]] = {}
     for line_nos, _, fields in _chunks(path, 2):
-        articles = interner.intern_spans(*fields.take(slice(0, None, 2))).tolist()
-        for line_no, ids, article in zip(line_nos.tolist(), fields[1::2], articles):
-            name = interner.names([article])[0]
+        articles = interner.intern_spans(*fields.take(slice(0, None, 2)))
+        covered = (emb.rows(articles) >= 0).tolist()
+        for line_no, ids, article, has_vector in zip(line_nos.tolist(), fields[1::2],
+                                                     articles.tolist(), covered):
             topics = {_parse(int, x, path, line_no, "topic") for x in ids.split(",")}
             outside = sorted(t for t in topics if not 0 <= t < num_topics)
             if outside:
                 raise ParseError(path, line_no, "topic %d outside [0, %d)"
                                  % (outside[0], num_topics))
             if article in labels:
-                raise ParseError(path, line_no, "duplicate article %r" % name)
-            if article not in covered:
-                raise ParseError(path, line_no, "article %r has no vector" % name)
+                raise ParseError(path, line_no,
+                                 "duplicate article %r" % interner.names([article])[0])
+            if not has_vector:
+                raise ParseError(path, line_no,
+                                 "article %r has no vector" % interner.names([article])[0])
             labels[article] = topics
     return labels
 
 
+def _fixed_point_texts(vectors: np.ndarray):
+    """The "%.6f" texts of each row's values, joined by spaces. A block of rows is formatted in
+    numpy: each value is rounded half to even at six decimals by `np.rint` of |x| * 1e6, where
+    a product that is exactly k + 0.5 takes its direction from the product's rounding error
+    (Dekker's two-product), and its seven digits are packed into one 8-byte word "d.dddddd".
+    A row with a value that rounds to 10 or more in size, or is not finite, is formatted by
+    `%`."""
+    rows, dim = vectors.shape
+    row_format, step = " ".join(["%.6f"] * dim), max(1, FORMAT_BLOCK // max(dim, 1))
+    for lo in range(0, rows, step):
+        x = vectors[lo:lo + step]
+        absolute = np.fmin(np.abs(x), 10.0).ravel()  # 10 where not finite
+        scaled = absolute * 1e6
+        micros = np.rint(scaled)
+        tie = np.flatnonzero(np.abs(scaled - micros) == 0.5)
+        top = absolute[tie] * 134217729.0
+        top -= top - absolute[tie]  # the top 26 bits, whose product with 1e6 is exact
+        error = (top * 1e6 - scaled[tie]) + (absolute[tie] - top) * 1e6  # |x| * 1e6 - scaled
+        micros[tie] = np.where(error == 0, micros[tie], scaled[tie] + np.copysign(0.5, error))
+        slow = (micros >= 1e7).reshape(x.shape).any(1)
+        # the eight digits of each value, one per byte and the first in the lowest, in three
+        # divide-and-shift steps on the whole word
+        words = micros.astype(np.uint64)
+        words = words // 10000 | words % 10000 << 32
+        high = words * 5243 >> 19 & 0x0000007F0000007F  # each half-word // 100
+        words = high | words - high * 100 << 16
+        high = words * 103 >> 10 & 0x000F000F000F000F  # each quarter-word // 10
+        words = high | words - high * 10 << 8 | 0x3030303030303030
+        words = words & 0xFFFFFFFFFFFF0000 | words >> 8 & 0xFF | 0x2E00  # "0d" -> "d."
+        negative = np.signbit(x).ravel()
+        ends = np.cumsum(9 + negative)  # each value's text with the space before it
+        text = bytearray(int(ends[-1]))
+        np.ndarray((len(text) - 7,), "<u8", text, strides=(1,))[ends - 8] = words
+        raw = np.frombuffer(text, np.uint8)
+        raw[ends - 9 - negative] = ord(" ")
+        raw[ends[negative] - 9] = ord("-")
+        text = text.decode()
+        bounds = np.append(0, ends[dim - 1::dim]).tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            yield row_format % tuple(x[i].tolist()) if slow[i] else text[a + 1:b]
+
+
 def save_embeddings(table: EmbeddingTable, path, interner: Interner):
-    vector = " ".join(["%.6f"] * table.dim)
-    # `write_rows` draws the rows lazily, so only one row's text exists at a time
-    write_rows(path, ((name, vector % tuple(v.tolist()))
-                      for name, v in zip(interner.names(table.articles), table.vectors)),
+    """Write the text format that `load_embeddings` reads, each value as "%.6f"."""
+    # `write_rows` draws the rows lazily, so only one block's text exists at a time
+    write_rows(path, zip(interner.names(table.articles), _fixed_point_texts(table.vectors)),
                "%d %d\n" % (len(table), table.dim), " ")
 
 

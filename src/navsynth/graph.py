@@ -60,9 +60,18 @@ class _Fields:
     lengths: np.ndarray
 
     def __getitem__(self, i) -> list[str]:
-        """The texts of the fields that `i` (a slice, an index array or a mask) selects."""
-        return [self.buf[a:a + n].decode()
-                for a, n in zip(self.starts[i].tolist(), self.lengths[i].tolist())]
+        """The texts of the fields that `i` (a slice, an index array or a mask) selects, in
+        ascending order: each field's bytes and the tab or line end after it, kept by one mask
+        over the bytes they span, then one `decode`, split at line ends."""
+        starts, lengths = self.starts[i].ravel(), self.lengths[i].ravel() + 1
+        if not len(starts):
+            return []
+        skipped = np.diff(starts, prepend=starts[0]) - np.append(0, lengths[:-1])
+        kept = np.repeat(np.tile([False, True], len(starts)),
+                         np.stack([skipped, lengths], 1).ravel())
+        text = np.frombuffer(self.buf, np.uint8, len(kept), starts[0])[kept]
+        text[np.cumsum(lengths) - 1] = 10  # no field holds a line end
+        return text[:-1].tobytes().decode().split("\n")
 
     def take(self, i=slice(None)) -> tuple[bytes, np.ndarray, np.ndarray]:
         """The bytes, and the starts and lengths of the fields that `i` selects, flattened."""

@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from navsynth import diffusion
+import oracles
+from navsynth import diffusion, graph
 from navsynth.diffusion import (EmbeddingTable, _distances_at_k, diffusion_curve,
                                 diffusion_histogram, load_embeddings, save_embeddings)
 from navsynth.graph import Interner, ParseError
@@ -135,6 +137,144 @@ def test_embeddings_save_load_round_trip(tmp_path_factory, names, dim, data):
     assert np.abs(loaded.vectors - vectors).max() <= 5e-7
     save_embeddings(loaded, base / "b.txt", fresh)
     assert (base / "b.txt").read_bytes() == (base / "a.txt").read_bytes()
+
+
+def outcome(read):
+    """`read()`, or the message of the ParseError it raises."""
+    try:
+        return read()
+    except ParseError as e:
+        return str(e)
+
+
+# values whose "%.6f" text is easy to get wrong: every exact tie of the sixth decimal below
+# 10 (the odd multiples of 1/128) and the doubles next to them, signed zeros and values that
+# round to zero, the largest values below 10 and the smallest that round to 10, and values
+# of 10 and above and not finite, which keep the `%` format
+TIES = np.arange(-2560, 2561) / 256
+ADVERSARIAL = np.concatenate([
+    TIES, np.nextafter(TIES, np.inf), np.nextafter(TIES, -np.inf),
+    [0.0, -0.0, 1e-9, -1e-9, 4.999999e-7, 5e-7, -5e-7, 1.5e-6, 2.5e-6, -2.5e-6, 9.999999,
+     9.9999995, -9.9999995, np.nextafter(9.9999995, 0), np.nextafter(9.9999995, 10), 10.0,
+     -10.0, 10.5, 123.4567895, 1e15, -1e15, 1e150, 5e-324, np.inf, -np.inf, np.nan]])
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, diffusion.FORMAT_BLOCK])
+def test_save_bytes_match_per_value_format_on_adversarial_values(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(diffusion, "FORMAT_BLOCK", block)
+    values = rng_stream(52).permutation(np.append(ADVERSARIAL, np.ones(-len(ADVERSARIAL) % 7)))
+    vectors = values.reshape(-1, 7)
+    interner = Interner()
+    table = EmbeddingTable(interner.intern_all(["a%d" % i for i in range(len(vectors))]),
+                           vectors)
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, str(path), interner)
+    expected = "%d 7\n" % len(vectors) + "".join(
+        "a%d %s\n" % (i, " ".join("%.6f" % x for x in v)) for i, v in enumerate(vectors.tolist()))
+    assert path.read_bytes() == expected.encode()
+    assert " -0.000000" in expected and " nan" in expected and " 10.000000" in expected
+
+
+def test_fixed_point_words_read_exactly_the_written_form():
+    # every byte at every position of three tokens, alone and beside a second wrong byte: a
+    # word reads as a value where it matches "d.dddddd", and then as float() of its text
+    tokens = []
+    for base in (b"1.234567", b"0.000000", b"9.999999"):
+        for at in range(8):
+            for byte in range(256):
+                for other in (None, 0x2F, 0x3A, 0x00, 0xFF):
+                    token = bytearray(base)
+                    token[at] = byte
+                    if other is not None:
+                        token[(at + 3) % 8] = other
+                    tokens.append(bytes(token))
+    text = b"".join(tokens) + bytes(8)
+    words = np.ndarray((len(text) - 7,), "<u8", text, strides=(1,))
+    ok, values = diffusion._fixed_point(words[8 * np.arange(len(tokens))])
+    written = [re.fullmatch(rb"[0-9]\.[0-9]{6}", token) is not None for token in tokens]
+    assert ok.tolist() == written
+    assert values[ok].tolist() == [float(t) for t, w in zip(tokens, written) if w]
+
+
+# value texts: the writer's own form, and forms that only `float` reads or that no one reads
+WRITTEN = st.floats(-9.9999994, 9.9999994).map("%.6f".__mod__)
+OTHER = st.sampled_from(["1e-3", "+1", "1_0", ".5", "-0.5e1", "12.500000", "1.00000", "0",
+                         "1.0000005", "-0.1234567", "-.000001", "nan", "-inf", "x", "",
+                         "1.000000\x0b"])
+# names with spaces, tabs, other whitespace and multi-byte characters, often repeated
+EMBEDDING_NAMES = (st.text("ab \t\u00e9\u65e5\x0b", max_size=3)
+                   | st.sampled_from(["a", "\u65e5 b"]))
+
+
+@st.composite
+def embedding_files(draw):
+    """The text of an embeddings file of 1 to 3 dimensions whose rows hold values only in the
+    writer's form, only in others, or in both; with blank lines, CR and CRLF line ends,
+    perhaps no final line end, rows of another width and perhaps a wrong row count."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["written", "mixed", "other", "blank"]),
+                              max_size=8)):
+        width = draw(st.sampled_from([dim] * 8 + [dim - 1, dim + 1]))
+        value = {"written": WRITTEN, "mixed": WRITTEN | OTHER, "other": OTHER}.get(kind)
+        rows.append(draw(st.sampled_from(["", " ", "\t"])) if value is None else " ".join(
+            [draw(EMBEDDING_NAMES), *draw(st.lists(value, min_size=width, max_size=width))]))
+    n = max(0, sum(1 for row in rows if row.strip()) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                         max_size=len(rows) + 1))
+    text = "".join(row + end for row, end in zip(["%d %d" % (n, dim), *rows], ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=embedding_files(), chunk=st.sampled_from([4, 64, graph.CHUNK_BYTES]),
+       prefill=st.lists(EMBEDDING_NAMES, max_size=2, unique=True))
+# a value one digit too long, of either sign, in a row that is otherwise in the writer's form
+@example(file="2 2\na 1.0000005 0.500000\nb -0.1234567 -1.000000\n", chunk=64, prefill=[])
+# a row in the writer's form that repeats the name of one before it
+@example(file="2 1\n\u65e5 b 0.100000\n\u65e5 b -0.200000\n", chunk=4, prefill=[])
+def test_embeddings_reader_matches_the_per_line_oracle(tmp_path_factory, file, chunk, prefill):
+    # the ids, the bits of every value (-0.0 included) and the first error of a reader that
+    # takes one line at a time, with rows in one chunk, across chunks and within chunks
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_bytes(file.encode())
+
+    def read():
+        interner = Interner()
+        interner.intern_all(prefill)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "CHUNK_BYTES", chunk)
+            table = load_embeddings(str(path), interner)
+        return (table.articles.tolist(), table.vectors.view(np.int64).tolist(),
+                interner.names(range(len(interner))))
+
+    def reference():
+        ids = dict(zip(prefill, range(len(prefill))))
+        articles, vectors = oracles.embeddings(str(path), ids)
+        return articles, [np.array(v).view(np.int64).tolist() for v in vectors], [*ids]
+
+    assert outcome(read) == outcome(reference)
+
+
+def test_save_and_load_hold_under_an_eighth_of_the_table_beyond_it(tmp_path):
+    # a 20,000 x 128 table is 20.5 MB; blocks of rows and chunks of text keep what either
+    # holds beyond the table, and the interner the load fills, under 2.6 MB
+    rng = rng_stream(58)
+    interner = Interner()
+    table = EmbeddingTable(interner.intern_all(["Article_%d" % i for i in range(20_000)]),
+                           rng.normal(scale=0.1, size=(20_000, 128)))
+    path, fresh = str(tmp_path / "emb.txt"), Interner()
+    for run in (lambda: save_embeddings(table, path, interner),
+                lambda: load_embeddings(path, fresh)):
+        tracemalloc.start()
+        try:
+            result = run()
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - size <= table.vectors.nbytes / 8, (peak - size) / table.vectors.nbytes
+        del result
+    assert np.abs(load_embeddings(path, interner).vectors - table.vectors).max() <= 5e-7
 
 
 class TestTable:

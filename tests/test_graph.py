@@ -624,6 +624,23 @@ def test_chunked_readers_match_per_line_oracle(tmp_path_factory, file, chunk, pr
             outcome(lambda: oracles.result_values([path]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(file=tsv_files(), data=st.data())
+def test_fields_decode_what_they_select(tmp_path_factory, file, data):
+    # a slice, an ascending index array or a mask selects the texts that decoding each
+    # selected field alone gives
+    path = tmp_path_factory.mktemp("tsv") / "input.tsv"
+    path.write_bytes(file[1].encode("utf-8"))
+    for _, _, fields in graph._chunks(str(path)):
+        n = len(fields.starts)
+        picked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        step = data.draw(st.integers(1, 4))
+        for i in (slice(None), slice(data.draw(st.integers(0, 3)), None, step),
+                  np.flatnonzero(picked), np.array(picked, dtype=bool)):
+            assert fields[i] == [fields.buf[a:a + k].decode() for a, k in
+                                 zip(fields.starts[i].tolist(), fields.lengths[i].tolist())]
+
+
 def test_undecodable_line_cited_past_the_first_chunk(tmp_path, monkeypatch):
     path = tmp_path / "e.tsv"
     path.write_bytes(b"A\tB\r\n" * 5 + b"\n" + "\u00e9\tB\n".encode() + b"A\t\xffB\n" + b"A\tB\n")
