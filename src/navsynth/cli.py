@@ -187,13 +187,17 @@ def _named_path(text):
 
 
 def _ks(text):
-    """Check a --ks value; kept as text, which the header's config digest hashes."""
+    """Check a --ks value: distinct integers >= 1, as each k names output rows; kept as text,
+    which the header's config digest hashes."""
     try:
-        if min(int(k) for k in text.split(",")) >= 1:
-            return text
+        ks = [int(k) for k in text.split(",")]
     except ValueError:
-        pass
-    raise _InvalidValue("expected comma-separated integers >= 1, got %r" % text)
+        ks = [0]
+    if min(ks) < 1:
+        raise _InvalidValue("expected comma-separated integers >= 1, got %r" % text)
+    if len(set(ks)) < len(ks):
+        raise _InvalidValue("repeated k in %r" % text)
+    return text
 
 
 def _paths_by_name(named_paths):

@@ -223,8 +223,11 @@ def load_topic_labels(path, interner: Interner, emb: EmbeddingTable, num_topics:
     for line_nos, _, fields in _chunks(path, 2):
         articles = interner.intern_spans(*fields.take(slice(0, None, 2)))
         covered = (emb.rows(articles) >= 0).tolist()
-        for line_no, ids, article, has_vector in zip(line_nos.tolist(), fields[1::2],
-                                                     articles.tolist(), covered):
+        named = (fields.lengths[0::2] > 0).tolist()
+        for line_no, ids, article, has_vector, has_name in zip(
+                line_nos.tolist(), fields[1::2], articles.tolist(), covered, named):
+            if not has_name:
+                raise ParseError(path, line_no, "empty article name")
             topics = {_parse(int, x, path, line_no, "topic") for x in ids.split(",")}
             outside = sorted(t for t in topics if not 0 <= t < num_topics)
             if outside:

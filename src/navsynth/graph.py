@@ -8,7 +8,7 @@ import gzip
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -335,18 +335,6 @@ class Interner:
     def write_tsv(self, path):
         write_rows(path, zip(map(str, range(len(self._names))), self._names))
 
-    @classmethod
-    def read_tsv(cls, path) -> "Interner":
-        """The interner of "id<TAB>name" rows, where row k gives id k to a new name."""
-        interner = cls()
-        for line_nos, _, fields in _chunks(path, 2):
-            rows = count(len(interner))  # the rows before this chunk were all new names
-            ids = interner.intern_all(fields[1::2]).tolist()
-            for line_no, article_id, i, k in zip(line_nos.tolist(), fields[0::2], ids, rows):
-                if _parse(int, article_id, path, line_no, "id") != k or i != k:
-                    raise ParseError(path, line_no, "non-contiguous interning ids")
-        return interner
-
 
 @dataclass
 class _Rows:
@@ -474,8 +462,11 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
     for line_nos, _, fields in _chunks(path, 4):
         kept = np.flatnonzero([*map(CLICK_LINK_TYPES.__contains__, fields[2::4])])
         skipped += len(line_nos) - len(kept)
+        named = fields.lengths.reshape(-1, 4)[:, :2].all(1)  # a prev and a curr, of any type
+        blank = len(named) if named.all() else int(named.argmin())  # the first row without
+        above = kept[:np.searchsorted(kept, blank)]  # the link rows above it
         clicks = []
-        for line_no, count_str in zip(line_nos[kept].tolist(), fields[kept * 4 + 3]):
+        for line_no, count_str in zip(line_nos[above].tolist(), fields[above * 4 + 3]):
             count = _parse(int, count_str, path, line_no, "count")
             if count < 1:
                 raise ParseError(path, line_no, "non-positive count %d" % count)
@@ -483,6 +474,8 @@ def load_clickstream(path, interner: Interner | None = None) -> ClickstreamTable
             if total >= 2**63:
                 raise ParseError(path, line_no, "click total reaches 2**63")
             clicks.append(count)
+        if blank < len(named):
+            raise ParseError(path, int(line_nos[blank]), "empty article name")
         counts.append(np.array(clicks, dtype=np.int64))
         ids = interner.intern_spans(*fields.take(kept[:, None] * 4 + [0, 1]))
         keys.append(pair_keys(ids[0::2], ids[1::2]))

@@ -60,15 +60,6 @@ class SequenceCorpus:
     flagged: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     metadata: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_sequences(cls, sequences, kind: str) -> "SequenceCorpus":
-        lengths = [*map(len, sequences)]
-        if 0 in lengths:
-            raise ValueError("empty sequence %d" % lengths.index(0))
-        offsets = np.cumsum([0, *lengths])
-        pages = np.fromiter((a for s in sequences for a in s), dtype=np.int64, count=offsets[-1])
-        return cls(pages, offsets, kind)
-
     def __len__(self):
         return len(self.offsets) - 1
 

@@ -246,63 +246,9 @@ def generate_planted_world(spec: PlantedWorldSpec) -> PlantedWorld:
     preferred_edge = indptr[graph.indices] + rng.integers(d, size=n * d)
 
     corpus = SequenceCorpus(*_world_walks(markov1, spec, (spec.memory_strength, preferred_edge)),
-                            "Logs", metadata={"seed": spec.seed,
-                                              "memory_strength": spec.memory_strength})
+                            "Logs")
 
     return PlantedWorld(graph, _bigram_table(interner, corpus), corpus, preferred_edge, markov1)
-
-
-@dataclass
-class GeometricWorldSpec:
-    """Memoryless world whose click weights favor semantically nearby targets.
-
-    Node positions double as a synthetic semantic embedding: biased walks
-    stay local while uniform walks take the long-range links, which is the
-    contrast the diffusion analysis measures.
-    """
-
-    num_nodes: int = 300
-    dim: int = 8
-    near_links: int = 6
-    far_links: int = 4
-    locality: float = 0.15  # weight ~ exp(-distance / locality)
-    corpus_size: int = 4000
-    seed: int = 0
-
-
-@dataclass
-class GeometricWorld:
-    graph: HyperlinkGraph
-    clickstream: ClickstreamTable
-    corpus: SequenceCorpus
-    positions: np.ndarray  # unit vectors, one per node
-    weighted: TransitionModel
-
-
-def generate_geometric_world(spec: GeometricWorldSpec) -> GeometricWorld:
-    rng = rng_stream(spec.seed, 0)
-    interner = Interner()
-    interner.intern_all(["g%05d" % i for i in range(spec.num_nodes)])
-
-    pos = rng.normal(size=(spec.num_nodes, spec.dim))
-    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
-    cos_dist = 1.0 - pos @ pos.T
-
-    n, degree = spec.num_nodes, spec.near_links + spec.far_links
-    near = np.argsort(cos_dist + np.diag(np.full(n, np.inf)), axis=1)[:, :spec.near_links]
-    out = np.empty((n, degree), dtype=np.int64)
-    for v in range(n):
-        pool = np.setdiff1d(np.arange(n), np.append(near[v], v), assume_unique=True)
-        out[v] = np.sort(np.append(near[v], rng.choice(pool, size=spec.far_links, replace=False)))
-    w = np.exp(-np.take_along_axis(cos_dist, out, axis=1) / spec.locality)
-    probs = w / w.sum(axis=1, keepdims=True)
-    indptr = np.arange(0, n * degree + 1, degree)
-    graph = HyperlinkGraph(interner, indptr, out.ravel())
-    weighted = TransitionModel(interner, indptr, graph.indices, probs.ravel())
-
-    corpus = SequenceCorpus(*_world_walks(weighted, spec), "Logs", metadata={"seed": spec.seed})
-
-    return GeometricWorld(graph, _bigram_table(interner, corpus), corpus, pos, weighted)
 
 
 def _world_walks(model: TransitionModel, spec, memory=None) -> tuple[np.ndarray, np.ndarray]:

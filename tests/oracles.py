@@ -1,6 +1,7 @@
 """Reference implementations that the tests check the vectorized code against: per-item ones,
-and earlier designs of the same result."""
+and earlier designs of the same result; and `from_sequences`, the tests' corpus of lists."""
 
+import gzip
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import expit, log_expit
 
 from navsynth.downstream import LabeledLinkSet
 from navsynth.graph import ParseError, _lookup, pair_keys, unpack_pairs
+from navsynth.sessions import SequenceCorpus
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,6 +71,16 @@ def sgns_whole_batch_gradients(w_in, w_out, centers, contexts, negatives):
     b = np.arange(len(centers))
     return (float(loss), sum_rows(centers, b, np.ones(len(b)), g_v),
             sum_rows(out_ids.ravel(), np.repeat(b, out_ids.shape[1]), g_scores.ravel(), v))
+
+
+def from_sequences(sequences, kind: str) -> SequenceCorpus:
+    """The corpus of lists of ids; an empty sequence is refused."""
+    lengths = [*map(len, sequences)]
+    if 0 in lengths:
+        raise ValueError("empty sequence %d" % lengths.index(0))
+    offsets = np.cumsum([0, *lengths])
+    pages = np.fromiter((a for s in sequences for a in s), dtype=np.int64, count=offsets[-1])
+    return SequenceCorpus(pages, offsets, kind)
 
 
 def triple_pages(triples) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +154,9 @@ def parse(convert, text, path, line_no, what):
 
 
 def lines(path):
-    """(line_no, line without its line end) of each line of a text file."""
-    with open(path, encoding="utf-8") as f:
+    """(line_no, line without its line end) of each line of a text file, gzipped if its path
+    ends in .gz."""
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rt", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             yield line_no, line.rstrip("\n")
 
@@ -202,6 +215,8 @@ def clickstream(path, ids) -> tuple[list, int]:
     number of other rows."""
     sums, skipped, total = {}, 0, 0
     for line_no, (prev, curr, row_type, count_text) in rows(path, 4):
+        if "" in (prev, curr):
+            raise ParseError(path, line_no, "empty article name")
         if row_type != "link":
             skipped += 1
             continue
@@ -242,6 +257,8 @@ def embeddings(path, ids) -> tuple[list[int], list[list[float]]]:
         raise ParseError(path, 1, "expected 'N dim' header")
     n = parse(int, header[0], path, 1, "row count")
     dim = parse(int, header[1], path, 1, "dimension")
+    if n < 0 or dim < 1:
+        raise ParseError(path, 1, "expected N >= 0 and dim >= 1, got %d %d" % (n, dim))
     for line_no, line in numbered:
         line = line.rstrip()
         if not line:
@@ -290,6 +307,8 @@ def topic_labels(path, ids, covered, num_topics) -> dict:
     """Article id -> topic id set of a labels file, for articles in `covered`."""
     labels = {}
     for line_no, (name, topic_ids) in rows(path, 2):
+        if not name:
+            raise ParseError(path, line_no, "empty article name")
         topics = {parse(int, x, path, line_no, "topic") for x in topic_ids.split(",")}
         outside = sorted(t for t in topics if not 0 <= t < num_topics)
         if outside:

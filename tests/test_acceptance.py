@@ -22,12 +22,10 @@ from navsynth.embeddings import sgns_batch_gradients
 from navsynth.graph import (apply_k_anonymity, build_transition_model,
                             load_edge_list, pair_keys, unpack_pairs)
 from navsynth.mixing import JointFlowTable, adjusted_mi, ami_survey
-from navsynth.sessions import SequenceCorpus
 from navsynth.stats import bootstrap_mean_ci, f1_micro_macro, rng_stream, spearman
-from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
-                            generate_corpus, generate_geometric_world,
-                            generate_planted_world)
-from oracles import name_ids
+from navsynth.synth import PlantedWorldSpec, generate_corpus, generate_planted_world
+from oracles import from_sequences, name_ids
+from worlds import GeometricWorldSpec, generate_geometric_world
 
 
 def announce(number, text):
@@ -276,7 +274,7 @@ def test_criterion_07_link_prediction(tmp_path):
         for j in range(5):
             if j != i:
                 seqs.extend([[s, m, ids["t%d" % j]]] * 11)
-    corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+    corpus = from_sequences(seqs, "Logs")
 
     labels = build_added_links(old, new, corpus, min_paths=10)
     expected_pos = {(ids["s%d" % i], ids["t%d" % i]) for i in range(5)}
@@ -314,7 +312,7 @@ def test_criterion_07_link_prediction(tmp_path):
     new_g = write_graph(tmp_path / "rn.tsv", extra | added)
     rseqs = [[int(x) for x in rng.integers(0, n, size=int(rng.integers(2, 10)))]
              for _ in range(3000)]
-    rlabels = build_added_links(old_g, new_g, SequenceCorpus.from_sequences(rseqs, "Logs"),
+    rlabels = build_added_links(old_g, new_g, from_sequences(rseqs, "Logs"),
                                 min_paths=10)
 
     old_edges = {(int(s), int(t)) for s, t in zip(*old_g.edge_arrays())}

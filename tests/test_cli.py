@@ -248,6 +248,9 @@ MALFORMED_ROWS = {
                                load_clickstream,
                                lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
                                           f["input"], "--out-dir", f["out"]]),
+    "clickstream-empty-name": ("A\tB\tlink\t20\nA\t\tother\t5\n", load_clickstream,
+                               lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
+                                          f["input"], "--out-dir", f["out"]]),
     "clickstream-total-overflow": ("A\tB\tlink\t%d\nB\tA\tlink\t%d\n" % (2**62, 2**62),
                                    load_clickstream,
                                    lambda f: ["ingest", "--graph", f["graph"], "--clickstream",
@@ -274,7 +277,6 @@ MALFORMED_ROWS = {
                                lambda p: load_pageview_events(p, Interner()),
                                lambda f: ["build-sessions", "--events", f["input"],
                                           "--out", f["out"] + "/sessions.tsv"]),
-    "interning": ("0\tA\n1\tB\textra\n", Interner.read_tsv, None),
     "pairs-columns": ("A\tB\t0.5\nA\n", read_pairs,
                       lambda f: ["eval-related", "--embeddings", f["emb"],
                                  "--pairs", f["input"], "--out-dir", f["out"]]),
@@ -320,6 +322,9 @@ MALFORMED_ROWS = {
     "labels-duplicate": ("A\t0\nA\t1\n", read_labels,
                          lambda f: ["eval-topic", "--embeddings", f["emb"],
                                     "--labels", f["input"], "--out-dir", f["out"]]),
+    "labels-empty-name": ("A\t1\n\t1\n", read_labels,
+                          lambda f: ["eval-topic", "--embeddings", f["emb"],
+                                     "--labels", f["input"], "--out-dir", f["out"]]),
     "labels-no-vector": ("A\t1\nC\t1\n", read_labels,
                          lambda f: ["eval-topic", "--embeddings", f["emb"],
                                     "--labels", f["input"], "--out-dir", f["out"]]),
@@ -348,6 +353,7 @@ MALFORMED_ROWS = {
 }
 # the whole message after "path:2: ", where a case pins it
 MALFORMED_MESSAGES = {
+    "clickstream-empty-name": "empty article name\n",
     "clickstream-huge-count": "click total reaches 2**63\n",
     "clickstream-total-overflow": "click total reaches 2**63\n",
     "corpus-empty-name": "empty article name\n",
@@ -366,6 +372,7 @@ MALFORMED_MESSAGES = {
     "labels-topic-negative": "topic -1 outside [0, 64)\n",
     "labels-topic-high": "topic 64 outside [0, 64)\n",
     "labels-duplicate": "duplicate article 'A'\n",
+    "labels-empty-name": "empty article name\n",
     "labels-no-vector": "article 'C' has no vector\n",
     "report-duplicate": "duplicate row 'Logs,mrr_all'\n",
     "pairs-empty-name": "empty article name\n",
@@ -467,15 +474,17 @@ def test_eval_link_corpus_without_path_rejected(tmp_path, chain_graph, reference
     assert "argument --corpus: expected name=path, got 'Logs'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ks", ["10,x", "0", "5,-1", ""])
+@pytest.mark.parametrize("ks", ["10,x", "0", "5,-1", "", "10,10", "5,10,05"])
 def test_eval_link_bad_ks_rejected_before_reading(tmp_path, capsys, ks):
+    # a repeated k would name two rows alike, which `report` refuses to read
     absent = str(tmp_path / "absent.tsv")
     with pytest.raises(SystemExit) as exit_:
         main(["eval-link", "--old-graph", absent, "--new-graph", absent, "--reference", absent,
               "--corpus", "A=%s" % absent, "--ks", ks])
     assert exit_.value.code == 2
-    assert ("argument --ks: expected comma-separated integers >= 1, got %r" % ks
-            in capsys.readouterr().err)
+    message = ("repeated k in %r" if ks in ("10,10", "5,10,05") else
+               "expected comma-separated integers >= 1, got %r") % ks
+    assert "argument --ks: " + message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -661,7 +670,7 @@ class TestConfigFile:
         assert rc == 0
         assert capsys.readouterr().out.startswith("surveyed 1 articles")
 
-    @pytest.mark.parametrize("ks", ["10,x", "0"])
+    @pytest.mark.parametrize("ks", ["10,x", "0", "10,50,10"])
     def test_value_goes_through_the_flag_type(self, tmp_path, capsys, ks):
         # checked as `--ks` checks it, before any input is read: none of them exists here
         cfg = write(tmp_path / "run.cfg", "ks=%s\n" % ks)

@@ -12,7 +12,7 @@ from navsynth.diffusion import (EmbeddingTable, _distances_at_k, diffusion_curve
 from navsynth.graph import Interner, ParseError
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
-from oracles import cosine_distance, name_ids, vector
+from oracles import cosine_distance, from_sequences, name_ids, vector
 
 
 def make_table(vectors):
@@ -210,7 +210,8 @@ EMBEDDING_NAMES = (st.text("ab \t\u00e9\u65e5\x0b", max_size=3)
 def embedding_files(draw):
     """The text of an embeddings file of 1 to 3 dimensions whose rows hold values only in the
     writer's form, only in others, or in both; with blank lines, CR and CRLF line ends,
-    perhaps no final line end, rows of another width and perhaps a wrong row count."""
+    perhaps no final line end, rows of another width, perhaps a wrong row count, a negative
+    one or a header dimension of 0."""
     dim = draw(st.integers(1, 3))
     rows = []
     for kind in draw(st.lists(st.sampled_from(["written", "mixed", "other", "blank"]),
@@ -219,10 +220,11 @@ def embedding_files(draw):
         value = {"written": WRITTEN, "mixed": WRITTEN | OTHER, "other": OTHER}.get(kind)
         rows.append(draw(st.sampled_from(["", " ", "\t"])) if value is None else " ".join(
             [draw(EMBEDDING_NAMES), *draw(st.lists(value, min_size=width, max_size=width))]))
-    n = max(0, sum(1 for row in rows if row.strip()) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    n = sum(1 for row in rows if row.strip()) + draw(st.sampled_from([0] * 6 + [-1, 1]))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
                          max_size=len(rows) + 1))
-    text = "".join(row + end for row, end in zip(["%d %d" % (n, dim), *rows], ends))
+    header = "%d %d" % (n, draw(st.sampled_from([dim] * 9 + [0])))
+    text = "".join(row + end for row, end in zip([header, *rows], ends))
     return text[:-len(ends[-1])] if draw(st.booleans()) else text
 
 
@@ -323,11 +325,11 @@ def test_distances_at_k_equal_per_sequence_loop():
         # articles 0..39 appear in sequences; 30 of them have vectors
         emb = EmbeddingTable(rng.permutation(40)[:30], rng.normal(size=(30, dim)))
         seqs = [rng.integers(0, 40, size=int(rng.integers(1, 9))).tolist() for _ in range(300)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         for k in range(1, 10):
             expected = distances_oracle(corpus, emb, k)
             assert np.array_equal(_distances_at_k(corpus, emb, k), expected), (dim, k)
-    assert len(_distances_at_k(SequenceCorpus.from_sequences([], "Logs"), emb, 1)) == 0
+    assert len(_distances_at_k(from_sequences([], "Logs"), emb, 1)) == 0
 
 
 class TestCosineDistance:
@@ -355,7 +357,7 @@ class TestCosineDistance:
 class TestDiffusionCurve:
     def test_self_repeating_zero(self):
         emb = make_table({0: [1.0, 1.0]})
-        corpus = SequenceCorpus.from_sequences([[0, 0, 0]] * 4, "Logs")
+        corpus = from_sequences([[0, 0, 0]] * 4, "Logs")
         curve = diffusion_curve(corpus, emb, 2, rng=rng_stream(0))
         assert curve.means == pytest.approx([0.0, 0.0], abs=1e-12)
 
@@ -363,7 +365,7 @@ class TestDiffusionCurve:
         rng = rng_stream(52)
         emb = make_table({i: rng.normal(size=3) for i in range(6)})
         seqs = [[int(x) for x in rng.integers(0, 6, size=4)] for _ in range(30)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         curve = diffusion_curve(corpus, emb, 1, rng=rng_stream(1))
         expected = np.mean([cosine_distance(vector(emb, s[0]), vector(emb, s[1]))
                             for s in seqs])
@@ -374,7 +376,7 @@ class TestDiffusionCurve:
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(2, 8)))]
                 for _ in range(40)]
-        curve = diffusion_curve(SequenceCorpus.from_sequences(seqs, "Logs"), emb, 6,
+        curve = diffusion_curve(from_sequences(seqs, "Logs"), emb, 6,
                                 rng=rng_stream(2))
         assert all(a >= b for a, b in zip(curve.counts, curve.counts[1:]))
 
@@ -382,7 +384,7 @@ class TestDiffusionCurve:
         rng = rng_stream(54)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=5)] for _ in range(20)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         c1 = diffusion_curve(corpus, emb, 3, rng=rng_stream(3))
         c2 = diffusion_curve(corpus, EmbeddingTable(emb.articles, emb.vectors * 7.5), 3, rng=rng_stream(3))
         assert np.allclose(c1.means, c2.means, atol=1e-12)
@@ -391,14 +393,14 @@ class TestDiffusionCurve:
         rng = rng_stream(55)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(25)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         c1 = diffusion_curve(corpus, emb, 3, rng=rng_stream(9))
         c2 = diffusion_curve(corpus, emb, 3, rng=rng_stream(9))
         assert c1.ci_low == c2.ci_low and c1.ci_high == c2.ci_high
 
     def test_unembedded_sequences_skipped(self):
         emb = make_table({0: [1.0, 0.0], 1: [0.0, 1.0]})
-        corpus = SequenceCorpus.from_sequences([[0, 1], [0, 9]], "Logs")  # 9 not embedded
+        corpus = from_sequences([[0, 1], [0, 9]], "Logs")  # 9 not embedded
         curve = diffusion_curve(corpus, emb, 1, rng=rng_stream(0))
         assert curve.counts == [1]
 
@@ -407,7 +409,7 @@ class TestDiffusionCurve:
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 9)))]
                 for _ in range(30)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         longest = max(map(len, seqs))
         exact = diffusion_curve(corpus, emb, longest, rng=rng_stream(4))
         calls = []
@@ -426,7 +428,7 @@ class TestDiffusionCurve:
 class TestHistogram:
     def test_degenerate_mass_in_first_bin(self):
         emb = make_table({0: [1.0, 1.0]})
-        corpus = SequenceCorpus.from_sequences([[0, 0]] * 3, "Logs")
+        corpus = from_sequences([[0, 0]] * 3, "Logs")
         edges, fracs = diffusion_histogram(corpus, emb, 1)
         assert fracs[0] == pytest.approx(1.0)
         assert fracs[1:].sum() == pytest.approx(0.0)
@@ -435,14 +437,14 @@ class TestHistogram:
         rng = rng_stream(56)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(50)]
-        _, fracs = diffusion_histogram(SequenceCorpus.from_sequences(seqs, "Logs"), emb, 2)
+        _, fracs = diffusion_histogram(from_sequences(seqs, "Logs"), emb, 2)
         assert fracs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_consistency_with_curve(self):
         rng = rng_stream(57)
         emb = make_table({i: rng.normal(size=3) for i in range(5)})
         seqs = [[int(x) for x in rng.integers(0, 5, size=4)] for _ in range(50)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         vals = _distances_at_k(corpus, emb, 2)
         curve = diffusion_curve(corpus, emb, 2, rng=rng_stream(0))
         assert vals.mean() == pytest.approx(curve.means[1], abs=1e-9)

@@ -16,7 +16,7 @@ from navsynth.graph import HyperlinkGraph, Interner, load_edge_list, pair_keys, 
 from navsynth.sessions import SequenceCorpus
 from navsynth.stats import rng_stream
 from navsynth.synth import PlantedWorldSpec, generate_planted_world
-from oracles import added_links_by_grid, name_ids, triple_pages, vector
+from oracles import added_links_by_grid, from_sequences, name_ids, triple_pages, vector
 
 
 def graph_from(tmp_path, edges):
@@ -90,14 +90,14 @@ def ranking(model, graph, s1, s2):
 
 class TestMarkov2:
     def test_counting(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]],
+        corpus = from_sequences([[0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2]],
                                                "Logs")
         model = fit_markov2(corpus.pages, corpus_triples(corpus))
         assert count_dict(model)[(0, 1)] == {2: 3, 3: 1}
         assert sum(count_dict(model)[(0, 1)].values()) == 4
 
     def test_empty(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1]], "Logs")
+        corpus = from_sequences([[0, 1]], "Logs")
         model = fit_markov2(corpus.pages, corpus_triples(corpus))
         assert count_dict(model) == {}
         assert (0, 1) not in count_dict(model)
@@ -106,7 +106,7 @@ class TestMarkov2:
         rng = rng_stream(80)
         seqs = [[int(x) for x in rng.integers(0, 6, size=int(rng.integers(1, 8)))]
                 for _ in range(50)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         model = fit_markov2(corpus.pages, corpus_triples(corpus))
         oracle = {}
         for s in seqs:
@@ -227,7 +227,7 @@ class TestPathProportions:
     """p(s, t) = N(s, t) / N(s), seen through the order that `rank_links` gives."""
 
     def corpus(self):
-        return SequenceCorpus.from_sequences([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
+        return from_sequences([[0, 1, 2], [0, 2], [0, 3], [5, 0]], "Logs")
 
     def rank(self, corpus, pairs):
         return tuple(map(pairs_of, rank_links(corpus, keys_of(pairs))))
@@ -244,7 +244,7 @@ class TestPathProportions:
 
     def test_start_itself_excluded(self):
         # p(0, 0) = 0 and p(0, 1) = 1; a tie would put (0, 0) first
-        corpus = SequenceCorpus.from_sequences([[0, 1, 0]], "Logs")
+        corpus = from_sequences([[0, 1, 0]], "Logs")
         assert self.rank(corpus, [(0, 0), (0, 1)]) == ([(0, 1), (0, 0)], [])
 
     def test_undefined_start(self):
@@ -256,7 +256,7 @@ class TestPathProportions:
                 for _ in range(60)]
         pairs = [(s, t) for s in range(6) for t in range(5)]
         p = {pair: self.oracle(seqs, *pair) for pair in pairs}
-        ranked, excluded = self.rank(SequenceCorpus.from_sequences(seqs, "Logs"), pairs)
+        ranked, excluded = self.rank(from_sequences(seqs, "Logs"), pairs)
         # Python's int / int and numpy's int64 / int64 both round the exact quotient once
         assert ranked == sorted((q for q in pairs if p[q] is not None), key=lambda q: (-p[q], q))
         assert excluded == [q for q in pairs if p[q] is None] != []
@@ -265,7 +265,7 @@ class TestPathProportions:
         rng = rng_stream(83)
         seqs = [[int(x) for x in rng.integers(0, 4, size=5)] for _ in range(30)]
         pairs = [(s, t) for s in range(4) for t in range(4) if t != s]
-        ranked, excluded = self.rank(SequenceCorpus.from_sequences(seqs, "Logs"), pairs)
+        ranked, excluded = self.rank(from_sequences(seqs, "Logs"), pairs)
         assert sorted(ranked + excluded) == pairs
         # the links of p = 1 lead and those of p = 0 close
         p = [self.oracle(seqs, *pair) for pair in ranked]
@@ -286,13 +286,13 @@ class TestAddedLinks:
 
     def test_positive_needs_indirect_paths(self, tmp_path):
         old, new = self.worlds(tmp_path)
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 10, "Logs")
+        corpus = from_sequences([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
         assert set(pairs_of(labels.positives)) == {(0, 2)}
 
     def test_too_few_paths_raises(self, tmp_path):
         old, new = self.worlds(tmp_path)
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 9, "Logs")
+        corpus = from_sequences([[0, 1, 2]] * 9, "Logs")
         with pytest.raises(ValueError, match="no positive") as raised:
             build_added_links(old, new, corpus, min_paths=10)
         assert str(raised.value) == ("no positive examples: 0 of 1 added links reach "
@@ -302,7 +302,7 @@ class TestAddedLinks:
         old, new = self.worlds(tmp_path)
         # direct traversal of the old edge 0->1 must not make (0,1) anything;
         # but (0,2) stays a positive via the indirect co-occurrence
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 10, "Logs")
+        corpus = from_sequences([[0, 1, 2]] * 10, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
         assert (0, 1) not in pairs_of(labels.positives) + pairs_of(labels.negatives)
 
@@ -322,7 +322,7 @@ class TestAddedLinks:
         new = int_graph(tmp_path / "new", sorted((old_edges | added) - base_edges), n)
         seqs = [[int(x) for x in rng.integers(0, n, size=int(rng.integers(2, 10)))]
                 for _ in range(3000)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         labels = build_added_links(old, new, corpus, min_paths=10)
 
         # independent re-derivation straight from the labeling rules
@@ -377,7 +377,7 @@ class TestAddedLinks:
         new = new | {(q[0], q[-1]) for q in sequences if q[0] != q[-1] and max(q[0], q[-1]) < 5}
         old_graph = csr_graph(old, 1 + max(map(max, old), default=0))
         new_graph = csr_graph(new, max(old_graph.num_nodes, 1 + max(map(max, new), default=0)))
-        corpus = SequenceCorpus.from_sequences(sequences, "Logs")
+        corpus = from_sequences(sequences, "Logs")
         try:
             expected = added_links_by_grid(old_graph, new_graph, corpus, min_paths)
         except ValueError as error:
@@ -395,7 +395,7 @@ class TestAddedLinks:
         # one counter over the corpus at 97 B.
         n = 2000
         new, old = csr_graph([(s, s + n) for s in range(n)], 2 * n), csr_graph([], 2 * n)
-        corpus = SequenceCorpus.from_sequences(
+        corpus = from_sequences(
             [[s, (s + 1) % n, s + n, (s + 1) % n + n] for s in range(n)], "Logs")
         tracemalloc.start()
         try:
@@ -438,7 +438,7 @@ class TestPrecisionAtK:
         assert res.truncated and res.effective_k == 1
 
     def test_rank_links_order_and_exclusion(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [0, 2], [0, 3]], "Logs")
+        corpus = from_sequences([[0, 1, 2], [0, 2], [0, 3]], "Logs")
         ranked, excluded = rank_links(corpus, keys_of([(0, 2), (0, 3), (9, 1)]))
         assert pairs_of(ranked) == [(0, 2), (0, 3)]  # 2/3 before 1/3
         assert pairs_of(excluded) == [(9, 1)]

@@ -13,7 +13,7 @@ import pytest
 
 from navsynth.cli import SYNTH_KINDS, main
 from navsynth.graph import unpack_pairs
-from navsynth.synth import GeometricWorldSpec, generate_geometric_world
+from worlds import GeometricWorldSpec, generate_geometric_world
 
 # Generator streams may differ between numpy feature releases (NEP 19)
 RECORDED_NUMPY = "2.4"

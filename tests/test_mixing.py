@@ -8,8 +8,9 @@ from navsynth import mixing
 from navsynth.mixing import (JointFlowTable, adjusted_mi, ami_survey,
                              collect_flow_tables, entropy_bits, expected_mi,
                              mutual_information)
-from navsynth.sessions import SequenceCorpus, corpus_triples
+from navsynth.sessions import corpus_triples
 from navsynth.stats import rng_stream
+from oracles import from_sequences
 
 
 def table_from_matrix(m, middle=0):
@@ -68,20 +69,20 @@ def oracle_ami(m):
 
 class TestExtractTriples:
     def test_sliding_window(self):
-        corpus = SequenceCorpus.from_sequences([[5, 6, 7, 8]], "Logs")
+        corpus = from_sequences([[5, 6, 7, 8]], "Logs")
         starts = corpus_triples(corpus)
         assert starts.tolist() == [0, 1]
         assert [corpus.pages[i:i + 3].tolist() for i in starts] == [[5, 6, 7], [6, 7, 8]]
 
     def test_short_sequence(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1]], "Logs")
+        corpus = from_sequences([[0, 1]], "Logs")
         assert corpus_triples(corpus).tolist() == []
 
     def test_count_arithmetic(self):
         rng = rng_stream(31)
         seqs = [[int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 9)))]
                 for _ in range(40)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         expected = sum(max(0, len(s) - 2) for s in seqs)
         assert len(corpus_triples(corpus)) == expected
 
@@ -252,16 +253,16 @@ class TestAdjustedMi:
 
 class TestSurvey:
     def test_threshold_filters_everything(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2]] * 5, "Logs")
+        corpus = from_sequences([[0, 1, 2]] * 5, "Logs")
         assert ami_survey(corpus, min_triples=100).records == []
 
     def test_no_triples(self):
         for seqs in ([], [[0, 1]], [[0], [1, 2]]):
-            result = ami_survey(SequenceCorpus.from_sequences(seqs, "Logs"), min_triples=0)
+            result = ami_survey(from_sequences(seqs, "Logs"), min_triples=0)
             assert result.records == [] and result.volume_ami_spearman is None
 
     def test_collect_tables(self):
-        corpus = SequenceCorpus.from_sequences([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
+        corpus = from_sequences([[0, 1, 2], [3, 1, 2], [0, 1, 4]], "Logs")
         arrays = collect_flow_tables(corpus)
         assert [a.tolist() for a in arrays] == [[1, 1, 1], [0, 0, 3], [2, 4, 2], [1, 1, 1]]
         assert all(a.dtype == np.int64 for a in arrays)
@@ -274,7 +275,7 @@ class TestSurvey:
             for s, m, t in zip(seq, seq[1:], seq[2:]):
                 oracle[m, s, t] = oracle.get((m, s, t), 0) + 1
         middles, sources, targets, counts = collect_flow_tables(
-            SequenceCorpus.from_sequences(seqs, "Logs"))
+            from_sequences(seqs, "Logs"))
         triples = list(zip(middles.tolist(), sources.tolist(), targets.tolist()))
         assert triples == sorted(oracle)
         assert counts.tolist() == [oracle[key] for key in triples]
@@ -299,7 +300,7 @@ class TestSurvey:
         rng = rng_stream(41)
         seqs = [[int(x) for x in rng.integers(0, 8, size=int(rng.integers(1, 6)))]
                 for _ in range(40)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         records = ami_survey(corpus, min_triples=min_triples).records
         assert built == [r.middle for r in records]
         # the survey's records equal those of tables sliced from the arrays by a loop
@@ -319,7 +320,7 @@ class TestSurvey:
         interner = Interner()
         interner.intern_all(["n%d" % i for i in range(6)])
         seqs = [[int(x) for x in rng.integers(0, 6, size=5)] for _ in range(300)]
-        corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+        corpus = from_sequences(seqs, "Logs")
         outputs = []
         for run in range(2):
             res = ami_survey(corpus, min_triples=10)
@@ -333,6 +334,6 @@ class TestSurvey:
     def test_reports_volume_spearman(self):
         rng = rng_stream(43)
         seqs = [[int(x) for x in rng.integers(0, 5, size=6)] for _ in range(400)]
-        res = ami_survey(SequenceCorpus.from_sequences(seqs, "Logs"), min_triples=20)
+        res = ami_survey(from_sequences(seqs, "Logs"), min_triples=20)
         assert len(res.records) >= 3
         assert res.volume_ami_spearman is None or -1 <= res.volume_ami_spearman <= 1

@@ -204,7 +204,7 @@ def test_deep_forests_match_scalar_oracle(size, roots, seed):
 def test_corpus_round_trip(tmp_path):
     interner = Interner()
     ids = interner.intern_all(["A", "B", "C"]).tolist()
-    corpus = SequenceCorpus.from_sequences([[ids[0], ids[1]], [ids[1], ids[2], ids[0]]], "Logs")
+    corpus = oracles.from_sequences([[ids[0], ids[1]], [ids[1], ids[2], ids[0]]], "Logs")
     path = str(tmp_path / "corpus.tsv")
     save_corpus(corpus, path, interner)
     text = open(path, encoding="utf-8").read()
@@ -218,11 +218,11 @@ def test_save_corpus_refuses_a_sequence_that_reads_as_a_comment(tmp_path):
     interner = Interner()
     a, x = interner.intern_all(["A", "#x"]).tolist()
     path = tmp_path / "corpus.tsv"
-    save_corpus(SequenceCorpus.from_sequences([[a, x]], "Logs"), path, interner)
+    save_corpus(oracles.from_sequences([[a, x]], "Logs"), path, interner)
     assert load_corpus(path, interner).sequences == [[a, x]]  # "#" inside a row is no comment
     path.unlink()
     with pytest.raises(ValueError, match="article '#x' starts a sequence"):
-        save_corpus(SequenceCorpus.from_sequences([[a, x], [x, a]], "Logs"), path, interner)
+        save_corpus(oracles.from_sequences([[a, x], [x, a]], "Logs"), path, interner)
     assert not path.exists()
 
 
@@ -237,7 +237,7 @@ def test_load_corpus_rejects_empty_name(tmp_path, row):
 @settings(max_examples=200, deadline=None)
 @given(seqs=st.lists(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6), max_size=12))
 def test_from_sequences_round_trip(seqs):
-    corpus = SequenceCorpus.from_sequences(seqs, "Logs")
+    corpus = oracles.from_sequences(seqs, "Logs")
     assert corpus.sequences == seqs
     assert len(corpus) == len(seqs)
     assert corpus.pages.dtype == corpus.offsets.dtype == np.int64
@@ -250,7 +250,7 @@ def test_from_sequences_round_trip(seqs):
 def test_from_sequences_rejects_empty_sequence(seqs, index):
     # a sequence's start is pages[offsets[i]], which an empty sequence does not have
     with pytest.raises(ValueError, match="^empty sequence %d$" % index):
-        SequenceCorpus.from_sequences(seqs, "Logs")
+        oracles.from_sequences(seqs, "Logs")
 
 
 def ragged(seqs) -> SequenceCorpus:
@@ -325,7 +325,7 @@ ARTICLES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 def test_corpus_save_load_round_trip(tmp_path_factory, names, seqs, suffix):
     interner = Interner()
     interner.intern_all(names)
-    corpus = SequenceCorpus.from_sequences(seqs, "Clickstream-Pub")
+    corpus = oracles.from_sequences(seqs, "Clickstream-Pub")
     path = str(tmp_path_factory.mktemp("corpus") / ("corpus" + suffix))
     save_corpus(corpus, path, interner)
     loaded = load_corpus(path, interner)

@@ -9,10 +9,10 @@ from navsynth.graph import (Interner, apply_k_anonymity, build_transition_model,
                             load_edge_list)
 from navsynth.sessions import SequenceCorpus, save_corpus
 from navsynth.stats import counter_uniforms, rng_stream
-from navsynth.synth import (GeometricWorldSpec, PlantedWorldSpec,
-                            derive_intrinsic_stops, generate_corpus, generate_geometric_world,
+from navsynth.synth import (PlantedWorldSpec, derive_intrinsic_stops, generate_corpus,
                             generate_planted_world, generate_sequence)
-from oracles import name_ids, step
+from oracles import from_sequences, name_ids, step
+from worlds import GeometricWorldSpec, generate_geometric_world
 
 
 def graph_from(tmp_path, edges):
@@ -76,7 +76,7 @@ class TestGenerateSequence:
 
 def intrinsic_walks(m, samples, seed):
     """`samples` intrinsic walks from node 0: a reference of one-page sequences at node 0."""
-    ref = SequenceCorpus.from_sequences([[0]] * samples, "Logs")
+    ref = from_sequences([[0]] * samples, "Logs")
     return generate_corpus(m, ref, True, seed, "Clickstream-Pub").sequences
 
 
@@ -118,7 +118,7 @@ class TestIntrinsicStopping:
 
 class TestGenerateCorpus:
     def reference(self):
-        return SequenceCorpus.from_sequences([[0, 1], [0, 1, 0], [1, 0, 1, 0]], "Logs")
+        return from_sequences([[0, 1], [0, 1, 0], [1, 0, 1, 0]], "Logs")
 
     def test_matched_starts_and_lengths(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
@@ -134,13 +134,13 @@ class TestGenerateCorpus:
         g = graph_from(tmp_path, [("A", "B")])
         m = build_transition_model(g)
         with pytest.raises(ValueError, match="empty reference"):
-            generate_corpus(m, SequenceCorpus.from_sequences([], "Logs"), False, 1,
+            generate_corpus(m, from_sequences([], "Logs"), False, 1,
                             "Graph")
 
     def test_missing_start_flagged_length_one(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A")])
         m = build_transition_model(g)
-        ref = SequenceCorpus.from_sequences([[5, 0, 1]], "Logs")  # 5 not in the model
+        ref = from_sequences([[5, 0, 1]], "Logs")  # 5 not in the model
         out = generate_corpus(m, ref, False, 1, "Graph")
         assert out.sequences == [[5]]
         assert out.flagged.dtype == np.int64 and out.flagged.tolist() == [0]
@@ -152,7 +152,7 @@ class TestGenerateCorpus:
         m = build_transition_model(g)
         a, d = map(name_ids(g.interner).__getitem__, "AD")
         seqs = [[[a, d, 9][i % 3]] * (1 + i % 5) for i in range(60)]
-        out = generate_corpus(m, SequenceCorpus.from_sequences(seqs, "Logs"), False, 2,
+        out = generate_corpus(m, from_sequences(seqs, "Logs"), False, 2,
                               "Graph")
         expected = [i for i, s in enumerate(seqs)
                     if s[0] == 9 or scalar_extrinsic(m, s[0], len(s), 2, i)[1]]
@@ -162,7 +162,7 @@ class TestGenerateCorpus:
     def test_deterministic_corpus_file(self, tmp_path):
         g = graph_from(tmp_path, [("A", "B"), ("B", "A"), ("A", "A2"), ("A2", "A")])
         m = build_transition_model(g)
-        ref = SequenceCorpus.from_sequences([[0, 1, 0, 1]] * 20, "Logs")
+        ref = from_sequences([[0, 1, 0, 1]] * 20, "Logs")
         paths = []
         for run in range(2):
             out = generate_corpus(m, ref, False, 99, "Graph")
@@ -344,7 +344,7 @@ class TestLockstepKernel:
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
         a = name_ids(g.interner)["A"]
-        ref = SequenceCorpus.from_sequences([[a] * (2 + i % 9) for i in range(400)], "Logs")
+        ref = from_sequences([[a] * (2 + i % 9) for i in range(400)], "Logs")
         out = generate_corpus(m, ref, False, 4, "Graph")
         for i, ref_seq in enumerate(ref.sequences):
             assert (out.sequences[i], i in out.flagged) == scalar_extrinsic(
@@ -357,7 +357,7 @@ class TestLockstepKernel:
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g)
         a = name_ids(g.interner)["A"]
-        ref = SequenceCorpus.from_sequences([[a] * 4] * 300, "Logs")
+        ref = from_sequences([[a] * 4] * 300, "Logs")
         out = generate_corpus(m, ref, False, 4, "Graph")
         pages, offsets, dead = synth._lockstep(m, 4, np.full(300, a), np.full(300, 4))
         prefixes = SequenceCorpus(pages, offsets, "Graph").sequences
@@ -374,7 +374,7 @@ class TestLockstepKernel:
         g = dead_end_graph(tmp_path)
         stops = np.linspace(0.0, 0.4, g.num_nodes)
         m = build_transition_model(g).with_stops(stops)
-        ref = SequenceCorpus.from_sequences([[v] for v in range(g.num_nodes)] * 20, "Logs")
+        ref = from_sequences([[v] for v in range(g.num_nodes)] * 20, "Logs")
         out = generate_corpus(m, ref, True, 6, "X")
         for i, (start,) in enumerate(ref.sequences):
             assert out.sequences[i] == scalar_intrinsic(m, start, 9, 6, i)
@@ -385,11 +385,11 @@ class TestLockstepKernel:
         monkeypatch.setattr(synth, "INTRINSIC_MAX_LENGTH", 6)
         g = dead_end_graph(tmp_path)
         m = build_transition_model(g).with_stops(np.full(g.num_nodes, 0.2))
-        ref = SequenceCorpus.from_sequences([[i % g.num_nodes] * (2 + i % 5) for i in range(60)],
+        ref = from_sequences([[i % g.num_nodes] * (2 + i % 5) for i in range(60)],
                                             "Logs")
         full = generate_corpus(m, ref, intrinsic, 8, "X").sequences
         for i in (0, 1, 17, 59):
-            head = SequenceCorpus.from_sequences(ref.sequences[:i + 1], "Logs")
+            head = from_sequences(ref.sequences[:i + 1], "Logs")
             assert generate_corpus(m, head, intrinsic, 8, "X").sequences[i] == full[i]
 
     def test_planted_world_matches_scalar_oracle(self):
@@ -421,7 +421,7 @@ class TestLockstepKernel:
         for module in (stats, synth):
             monkeypatch.setattr(module, "rng_stream", counting)
         g = dead_end_graph(tmp_path)
-        ref = SequenceCorpus.from_sequences([[0, 0, 0, 0]] * 50, "Logs")
+        ref = from_sequences([[0, 0, 0, 0]] * 50, "Logs")
         generate_corpus(build_transition_model(g), ref, False, 1, "Graph")
         assert calls == []
         generate_planted_world(PlantedWorldSpec(num_nodes=20, out_degree=3, corpus_size=50))
